@@ -7,7 +7,6 @@ written atomically and JSON payloads embed the resolved configuration.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 
 import numpy as np
@@ -61,15 +60,10 @@ def parse_alpha_grid(text: str) -> np.ndarray:
 
 
 def _read_policy_table(path) -> np.ndarray:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = [h.strip() for h in next(reader)]
-        k = len(header)
-        if header != [f"p{j}" for j in range(k)]:
-            raise ValueError(f"{path}: expected header p0,...,p{k - 1}")
-        rows = [row for row in reader if row]
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
+    header, rows = fileio.read_csv_rows(path)
+    k = len(header)
+    if header != [f"p{j}" for j in range(k)]:
+        raise ValueError(f"{path}: expected header p0,...,p{k - 1}")
     return np.array([[float(v) for v in row] for row in rows])
 
 

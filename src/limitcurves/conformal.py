@@ -147,22 +147,33 @@ def stand_in_cdf(cal: CalibrationSet, w: float, ell: float) -> float:
 
 
 def _scan_arrays(losses_sorted, lower, upper, group_ends):
+    """Per loss group: its loss, the lower-weight mass at or below it
+    (``prefix``), and that mass plus the upper-weight mass above it
+    (``denom_base``).
+
+    ``prefix`` is a cumulative sum of nonnegative weights, so it never
+    decreases. In exact arithmetic ``denom_base`` never increases, because
+    lower <= upper; the running minimum makes that hold in floating point as
+    well, where the sum can rise by an ulp. ``backend.best_stop_index``
+    relies on both orders. Sums of small dyadic weights are exact, and there
+    the minimum changes nothing.
+    """
     prefix_all = np.cumsum(lower)
     rev = np.cumsum(upper[::-1])[::-1]
     suffix_after = np.empty_like(rev)
     suffix_after[:-1] = rev[1:]
     suffix_after[-1] = 0.0
     prefix = prefix_all[group_ends]
-    denom_base = prefix + suffix_after[group_ends]
+    denom_base = np.minimum.accumulate(prefix + suffix_after[group_ends])
     return losses_sorted[group_ends], prefix, denom_base
 
 
 def quantile(cal: CalibrationSet, w_bound: float, alpha: float, beta: float) -> float | None:
     """Smallest observed loss where the stand-in CDF reaches (1-alpha)/(1-beta).
 
-    Computed in one ascending pass with prefix sums. ``None`` means no
-    observed loss reaches the level (including an infinite weight bound);
-    callers report it as the trivial loss-support limit.
+    Computed from prefix sums by a binary search over the loss groups.
+    ``None`` means no observed loss reaches the level (including an infinite
+    weight bound); callers report it as the trivial loss-support limit.
     """
     if not 0.0 < beta < alpha < 1.0:
         raise ValueError("need 0 < beta < alpha < 1")

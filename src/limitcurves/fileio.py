@@ -53,21 +53,22 @@ def _csv_text(header, rows) -> str:
     return buf.getvalue()
 
 
-def _read_rows(path, expected_header):
+def read_csv_rows(path) -> tuple[list[str], list[list[str]]]:
+    """The stripped header cells and the nonempty data rows of a CSV file.
+
+    An empty file and a file with a header but no data rows are both rejected
+    with ``ValueError``; callers check the header themselves.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise ValueError(f"{path}: empty file") from None
-        if header != expected_header:
-            raise ValueError(
-                f"{path}: expected header {','.join(expected_header)}, got {','.join(header)}"
-            )
         rows = [row for row in reader if row]
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    return rows
+    return header, rows
 
 
 def _covariate_header(dim: int) -> list[str]:
@@ -83,15 +84,10 @@ def write_target_csv(path, target) -> None:
 def read_target_csv(path):
     from .data import TargetCovariates
 
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = [h.strip() for h in next(reader)]
-        dim = len(header)
-        if header != _covariate_header(dim):
-            raise ValueError(f"{path}: expected header x0,...,x{dim - 1}")
-        rows = [row for row in reader if row]
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
+    header, rows = read_csv_rows(path)
+    dim = len(header)
+    if header != _covariate_header(dim):
+        raise ValueError(f"{path}: expected header x0,...,x{dim - 1}")
     try:
         x = np.array([[float(v) for v in row] for row in rows])
     except ValueError as exc:
@@ -111,17 +107,12 @@ def write_trial_csv(path, trial) -> None:
 def read_trial_csv(path, k_actions: int | None = None):
     from .data import TrialDataset
 
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = [h.strip() for h in next(reader)]
-        if len(header) < 3 or header[-2:] != ["a", "l"]:
-            raise ValueError(f"{path}: expected header x0,...,x{{d-1}},a,l")
-        dim = len(header) - 2
-        if header[:dim] != _covariate_header(dim):
-            raise ValueError(f"{path}: expected header x0,...,x{dim - 1},a,l")
-        rows = [row for row in reader if row]
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
+    header, rows = read_csv_rows(path)
+    if len(header) < 3 or header[-2:] != ["a", "l"]:
+        raise ValueError(f"{path}: expected header x0,...,x{{d-1}},a,l")
+    dim = len(header) - 2
+    if header[:dim] != _covariate_header(dim):
+        raise ValueError(f"{path}: expected header x0,...,x{dim - 1},a,l")
     try:
         x = np.array([[float(v) for v in row[:dim]] for row in rows])
         actions = np.array([int(row[dim]) for row in rows])
@@ -143,17 +134,12 @@ def write_pool_csv(path, pool) -> None:
 def read_pool_csv(path):
     from .propensity import LabeledPool
 
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = [h.strip() for h in next(reader)]
-        if len(header) < 2 or header[-1] != "s":
-            raise ValueError(f"{path}: expected header x0,...,x{{d-1}},s")
-        dim = len(header) - 1
-        if header[:dim] != _covariate_header(dim):
-            raise ValueError(f"{path}: expected header x0,...,x{dim - 1},s")
-        rows = [row for row in reader if row]
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
+    header, rows = read_csv_rows(path)
+    if len(header) < 2 or header[-1] != "s":
+        raise ValueError(f"{path}: expected header x0,...,x{{d-1}},s")
+    dim = len(header) - 1
+    if header[:dim] != _covariate_header(dim):
+        raise ValueError(f"{path}: expected header x0,...,x{dim - 1},s")
     try:
         x = np.array([[float(v) for v in row[:dim]] for row in rows])
         labels = np.array([int(row[dim]) for row in rows])

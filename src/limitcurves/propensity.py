@@ -268,16 +268,35 @@ def save_model(model: LogisticModel, path) -> None:
 
 
 def load_model(path) -> LogisticModel:
+    """Read a model written by ``save_model``, rejecting with ``ValueError``
+    a file whose vectors differ in length or hold a non-finite value, or
+    whose feature scales are not all positive."""
     with open(path) as fh:
         payload = json.load(fh)
-    if payload.get("kind") != "logistic-odds-model":
+    if not isinstance(payload, dict) or payload.get("kind") != "logistic-odds-model":
         raise ValueError(f"{path}: not a logistic odds model file")
-    return LogisticModel(
-        np.asarray(payload["coefficients"], dtype=np.float64),
-        float(payload["intercept"]),
-        np.asarray(payload["feature_mean"], dtype=np.float64),
-        np.asarray(payload["feature_scale"], dtype=np.float64),
-    )
+    fields = ("coefficients", "intercept", "feature_mean", "feature_scale")
+    missing = [name for name in fields if name not in payload]
+    if missing:
+        raise ValueError(f"{path}: missing {', '.join(missing)}")
+    try:
+        coefficients, intercept, mean, scale = (
+            np.asarray(payload[name], dtype=np.float64) for name in fields
+        )
+    except (TypeError, ValueError):
+        raise ValueError(f"{path}: model fields must be numbers") from None
+    if intercept.ndim != 0 or any(v.ndim != 1 for v in (coefficients, mean, scale)):
+        raise ValueError(f"{path}: intercept must be a number and the other fields vectors")
+    if not coefficients.shape == mean.shape == scale.shape:
+        raise ValueError(
+            f"{path}: coefficients, feature_mean and feature_scale differ in length "
+            f"({coefficients.shape[0]}, {mean.shape[0]}, {scale.shape[0]})"
+        )
+    if not all(np.all(np.isfinite(v)) for v in (coefficients, intercept, mean, scale)):
+        raise ValueError(f"{path}: model values must be finite")
+    if np.any(scale <= 0):
+        raise ValueError(f"{path}: feature_scale values must be positive")
+    return LogisticModel(coefficients, float(intercept), mean, scale)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -1,4 +1,8 @@
-"""Pure-numpy grid-scan kernel; semantics identical to the compiled variant."""
+"""Dense reference for ``limitcurves.backend.best_stop_index``, used by tests only.
+
+It evaluates the whole levels x groups ratio matrix and takes every level's
+first crossing, i.e. the linear scan the binary search must reproduce.
+"""
 
 from __future__ import annotations
 

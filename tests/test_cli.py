@@ -296,6 +296,65 @@ class TestExitCodes:
         assert run("simulate") == 2
 
 
+class TestBadInputs:
+    """Empty inputs and broken model files end in one error line and exit 1."""
+
+    @staticmethod
+    def evaluate(tmp_path, trial, target, model, policy="constant:1"):
+        return run(
+            "evaluate", "--trial", trial, "--target", target, "--model", model,
+            "--policy", policy, "--gammas", "1", "--split", "random",
+            "--l-max", 100.0,
+            "--out-json", tmp_path / "o.json", "--out-csv", tmp_path / "o.csv",
+        )
+
+    @staticmethod
+    def assert_error_line(capsys, text):
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and text in err
+        assert "Traceback" not in err
+
+    @pytest.fixture
+    def model(self, tmp_path, simulated):
+        path = tmp_path / "model.json"
+        assert run("fit", "--pool", simulated[2], "--out", path) == 0
+        return path
+
+    @pytest.fixture
+    def empty(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("")
+        return path
+
+    def test_empty_trial_file(self, tmp_path, simulated, model, empty, capsys):
+        target, _, _ = simulated
+        assert self.evaluate(tmp_path, empty, target, model) == 1
+        self.assert_error_line(capsys, "empty.csv: empty file")
+
+    def test_empty_target_file(self, tmp_path, simulated, model, empty, capsys):
+        _, trial, _ = simulated
+        assert self.evaluate(tmp_path, trial, empty, model) == 1
+        self.assert_error_line(capsys, "empty.csv: empty file")
+
+    def test_empty_pool_file(self, tmp_path, empty, capsys):
+        assert run("fit", "--pool", empty, "--out", tmp_path / "m.json") == 1
+        self.assert_error_line(capsys, "empty.csv: empty file")
+
+    def test_empty_policy_table(self, tmp_path, simulated, model, empty, capsys):
+        target, trial, _ = simulated
+        assert self.evaluate(tmp_path, trial, target, model, f"table:{empty}") == 1
+        self.assert_error_line(capsys, "empty.csv: empty file")
+
+    def test_zero_feature_scale_in_model(self, tmp_path, simulated, model, capsys):
+        target, trial, _ = simulated
+        payload = read_json(model)
+        payload["feature_scale"][0] = 0.0
+        model.write_text(json.dumps(payload))
+        assert self.evaluate(tmp_path, trial, target, model) == 1
+        self.assert_error_line(capsys, "feature_scale values must be positive")
+        assert not (tmp_path / "o.json").exists()
+
+
 class TestTablePolicy:
     def test_evaluate_with_row_aligned_policy(self, tmp_path, simulated):
         target, trial, _ = simulated

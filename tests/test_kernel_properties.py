@@ -1,0 +1,132 @@
+"""Property tests of the grid-scan kernel and of the limits built on it.
+
+The kernel's binary search must return what the dense first-crossing scan in
+``scan_reference`` returns, on every array ``conformal._scan_arrays`` can
+build. The limits must keep the construction's orders and its invariance to
+the scale of the weights.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scan_reference import best_stop_index as dense_best_stop_index
+
+import limitcurves as lc
+from limitcurves import backend
+from limitcurves.conformal import _scan_arrays
+
+SETTINGS = settings(max_examples=100, deadline=None, database=None)
+
+GAMMAS = (1.0, 1.25, 1.5, 2.0, 3.0, 8.0)
+
+
+def weights(max_value):
+    """Nonnegative float weights, zero with a fair share of draws."""
+    return st.one_of(st.just(0.0), st.floats(0.0, max_value))
+
+
+@st.composite
+def calibration(draw, max_weight=1e300, max_size=40):
+    """A CalibrationSet with tied losses and arbitrary weights lower <= upper."""
+    size = draw(st.integers(1, max_size))
+    losses = draw(st.lists(st.integers(0, 6), min_size=size, max_size=size))
+    lower = draw(st.lists(weights(max_weight), min_size=size, max_size=size))
+    extra = draw(st.lists(weights(max_weight), min_size=size, max_size=size))
+    upper = [lo + ex for lo, ex in zip(lower, extra)]
+    return lc.CalibrationSet(np.array(losses, dtype=np.float64), lower, upper)
+
+
+@given(cal=calibration(), data=st.data())
+@SETTINGS
+def test_kernel_matches_dense_scan(cal, data):
+    _, prefix, denom_base = _scan_arrays(cal.losses, cal.lower, cal.upper, cal.group_ends)
+    # the orders the binary search relies on
+    assert np.all(np.diff(prefix) >= 0.0)
+    assert np.all(np.diff(denom_base) <= 0.0)
+    levels = data.draw(st.integers(1, 30))
+    wbars = np.array(
+        data.draw(
+            st.lists(
+                st.one_of(st.just(math.inf), weights(1e300)),
+                min_size=levels,
+                max_size=levels,
+            )
+        )
+    )
+    thresholds = np.array(
+        data.draw(st.lists(st.floats(0.0, 1.5), min_size=levels, max_size=levels))
+    )
+    # put some thresholds exactly on a ratio the kernel will compute
+    for j in data.draw(st.sets(st.integers(0, levels - 1))):
+        if math.isfinite(wbars[j]):
+            k = data.draw(st.integers(0, prefix.shape[0] - 1))
+            den = denom_base[k] + wbars[j]
+            thresholds[j] = prefix[k] / den if den > 0 else 0.0
+    got = backend.best_stop_index(prefix, denom_base, wbars, thresholds)
+    assert got == dense_best_stop_index(prefix, denom_base, wbars, thresholds)
+
+
+def test_kernel_zero_denominators():
+    zeros = np.zeros(4)
+    wbars = np.array([0.0, math.inf])
+    for t in (0.5, 0.0):
+        thresholds = np.full(2, t)
+        got = backend.best_stop_index(zeros, zeros, wbars, thresholds)
+        assert got == dense_best_stop_index(zeros, zeros, wbars, thresholds)
+
+
+def test_kernel_without_finite_level():
+    ones = np.ones(3)
+    assert backend.best_stop_index(ones, ones, np.full(2, math.inf), np.ones(2)) == -1
+
+
+def bound_set(max_weight):
+    return st.lists(weights(max_weight), min_size=1, max_size=30).map(lc.WeightBoundSet)
+
+
+def as_bound(value):
+    """A trivial limit (None) bounds nothing, so it orders above every loss."""
+    return math.inf if value is None else value
+
+
+@given(
+    cal=calibration(max_weight=1e6),
+    ws=bound_set(1e6),
+    percents=st.lists(st.integers(1, 99), min_size=2, max_size=2, unique=True),
+    gamma=st.sampled_from(GAMMAS),
+)
+@SETTINGS
+def test_limit_does_not_increase_in_alpha(cal, ws, percents, gamma):
+    low, high = sorted(p / 100.0 for p in percents)
+    assert as_bound(lc.limit(cal, ws, high, gamma)) <= as_bound(lc.limit(cal, ws, low, gamma))
+
+
+@given(
+    cal=calibration(max_weight=1e6),
+    ws=bound_set(1e6),
+    percent=st.integers(1, 99),
+    gammas=st.lists(st.sampled_from(GAMMAS), min_size=2, max_size=2, unique=True),
+)
+@SETTINGS
+def test_limit_does_not_decrease_in_gamma(cal, ws, percent, gammas):
+    low, high = sorted(gammas)
+    alpha = percent / 100.0
+    assert as_bound(lc.limit(cal, ws, alpha, low)) <= as_bound(lc.limit(cal, ws, alpha, high))
+
+
+@given(
+    cal=calibration(max_weight=1e3),
+    ws=bound_set(1e3),
+    percent=st.integers(1, 99),
+    gamma=st.sampled_from(GAMMAS),
+    power=st.integers(-40, 40),
+)
+@SETTINGS
+def test_limit_invariant_to_power_of_two_scale(cal, ws, percent, gamma, power):
+    scale = 2.0**power
+    scaled_cal = lc.CalibrationSet(cal.losses, cal.lower * scale, cal.upper * scale)
+    scaled_ws = lc.WeightBoundSet(ws.upper * scale)
+    alpha = percent / 100.0
+    assert lc.limit(scaled_cal, scaled_ws, alpha, gamma) == lc.limit(cal, ws, alpha, gamma)

@@ -1,5 +1,6 @@
 """Tests for the logistic odds model, score ingestion, and reliability bins."""
 
+import json
 import math
 
 import numpy as np
@@ -117,6 +118,53 @@ class TestModelFile:
         loaded = load_model(path)
         x = np.random.default_rng(7).normal(size=(20, 2))
         assert np.array_equal(predict_odds(model, x), predict_odds(loaded, x))
+
+    @staticmethod
+    def write_model(path, **changes):
+        payload = {
+            "kind": "logistic-odds-model",
+            "coefficients": [0.5, -0.25],
+            "intercept": 0.1,
+            "feature_mean": [0.0, 1.0],
+            "feature_scale": [1.0, 2.0],
+        }
+        payload.update(changes)
+        path.write_text(json.dumps(payload))
+        return path
+
+    def test_valid_file_loads(self, tmp_path):
+        model = load_model(self.write_model(tmp_path / "m.json"))
+        assert model.dim == 2
+        assert np.array_equal(model.feature_scale, [1.0, 2.0])
+
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"feature_scale": [0.0, 1.0]},
+            {"feature_scale": [1.0, -2.0]},
+            {"coefficients": [0.5]},
+            {"feature_mean": [0.0, 1.0, 2.0]},
+            {"coefficients": [math.nan, 1.0]},
+            {"feature_mean": [math.inf, 1.0]},
+            {"feature_scale": [1.0, math.inf]},
+            {"intercept": math.nan},
+            {"intercept": [0.1]},
+            {"coefficients": [[0.5, -0.25]]},
+            {"coefficients": ["a", "b"]},
+            {"kind": "something-else"},
+        ],
+    )
+    def test_invalid_file_rejected(self, tmp_path, changes):
+        with pytest.raises(ValueError):
+            load_model(self.write_model(tmp_path / "m.json", **changes))
+
+    def test_missing_field_rejected(self, tmp_path):
+        path = self.write_model(tmp_path / "m.json")
+        payload = json.loads(path.read_text())
+        del payload["feature_scale"]
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError, match="missing feature_scale"):
+            load_model(path)
 
 
 class TestExternalScores:
