@@ -115,6 +115,8 @@ def _add_odds_source(sub) -> None:
 def _resolve_odds(ns, x_rows: np.ndarray) -> tuple[np.ndarray, str]:
     if ns.model:
         model = load_model(ns.model)
+        if model.report is not None and not model.report.converged:
+            print(f"warning: {ns.model}: odds model did not converge", file=sys.stderr)
         return np.asarray(predict_odds(model, x_rows)), "model"
     table = load_external_scores(ns.scores, ns.prior_correction)
     return table.aligned(x_rows.shape[0]), "scores"

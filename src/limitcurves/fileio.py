@@ -56,8 +56,9 @@ def _csv_text(header, rows) -> str:
 def read_csv_rows(path) -> tuple[list[str], list[list[str]]]:
     """The stripped header cells and the nonempty data rows of a CSV file.
 
-    An empty file and a file with a header but no data rows are both rejected
-    with ``ValueError``; callers check the header themselves.
+    An empty file, a file with a header but no data rows, and a data row
+    whose cell count differs from the header's are rejected with
+    ``ValueError``; callers check the header themselves.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -65,7 +66,16 @@ def read_csv_rows(path) -> tuple[list[str], list[list[str]]]:
             header = [h.strip() for h in next(reader)]
         except StopIteration:
             raise ValueError(f"{path}: empty file") from None
-        rows = [row for row in reader if row]
+        width = len(header)
+        rows = []
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != width:
+                raise ValueError(
+                    f"{path}:{reader.line_num}: expected {width} columns, got {len(row)}"
+                )
+            rows.append(row)
     if not rows:
         raise ValueError(f"{path}: no data rows")
     return header, rows

@@ -16,17 +16,23 @@ LOGIT_CLAMP = 30.0
 
 @dataclasses.dataclass(frozen=True)
 class LogisticConfig:
-    """Hyperparameters of the full-batch line-search gradient fit.
+    """Hyperparameters of the damped Newton (IRLS) fit.
 
-    ``max_coef`` is a separation guard: once any standardized coefficient
-    exceeds it the likelihood is effectively degenerate and the fit is
-    reported as non-converged. A positive ``l2`` keeps coefficients finite.
+    Each Newton step starts at length 1 and is halved by ``backtrack`` until
+    the objective drops by at least ``armijo`` times the predicted decrease.
+    The fit converges when the largest absolute penalized gradient entry is
+    at most ``tol``. ``max_coef`` is a separation guard: once any
+    standardized coefficient exceeds it the likelihood is effectively
+    degenerate and the fit is reported as non-converged. With ``l2 == 0`` a
+    fit whose every row lies on the correct side of the decision boundary is
+    reported as non-converged too, because completely separated data has no
+    finite maximum-likelihood estimate. A positive ``l2`` keeps coefficients
+    finite.
     """
 
     l2: float = 1e-6
     max_iter: int = 1000
     tol: float = 1e-6
-    init_step: float = 1.0
     backtrack: float = 0.5
     armijo: float = 1e-4
     max_coef: float = 100.0
@@ -104,58 +110,90 @@ class LogisticModel:
         return float(self.intercept - np.sum(self.coefficients * self.feature_mean / self.feature_scale))
 
 
-def _nll_and_grad(z, s, theta, l2):
+def _objective(z1, s, theta, l2):
+    """Mean negative log-likelihood plus the penalty, with the logits and
+    ``log(1 + exp(logits))`` the gradient reuses. ``z1`` ends in the
+    intercept column, which is not penalized."""
+    logits = z1 @ theta
+    softplus = np.logaddexp(0.0, logits)
     w = theta[:-1]
-    b = theta[-1]
-    logits = z @ w + b
-    nll = float(np.mean(np.logaddexp(0.0, logits) - s * logits))
-    obj = nll + 0.5 * l2 * float(w @ w)
-    p = 1.0 / (1.0 + np.exp(-logits))
-    resid = p - s
-    grad = np.empty_like(theta)
-    grad[:-1] = z.T @ resid / z.shape[0] + l2 * w
-    grad[-1] = float(np.mean(resid))
-    return obj, grad
+    obj = (float(np.sum(softplus)) - float(s @ logits)) / s.shape[0] + 0.5 * l2 * float(w @ w)
+    return obj, logits, softplus
+
+
+def _gradient_and_hessian(z1, s, theta, logits, softplus, l2):
+    n = s.shape[0]
+    p = np.exp(logits - softplus)  # sigmoid(logits), without overflow
+    grad = z1.T @ (p - s) / n
+    grad[:-1] += l2 * theta[:-1]
+    hess = z1.T @ (z1 * (p * (1.0 - p))[:, None]) / n
+    hess[np.diag_indices(theta.shape[0] - 1)] += l2
+    return grad, hess
+
+
+def _newton_direction(grad, hess):
+    """The Newton direction, or the gradient when the system is singular or
+    its solution does not point downhill."""
+    try:
+        delta = np.linalg.solve(hess, grad)
+    except np.linalg.LinAlgError:
+        return grad
+    if not np.all(np.isfinite(delta)) or not float(grad @ delta) > 0.0:
+        return grad
+    return delta
 
 
 def fit_logistic(pool: LabeledPool, config: LogisticConfig = LogisticConfig()) -> LogisticModel:
-    """Minimize the L2-regularized negative log-likelihood by gradient descent
-    with backtracking line search. Standardization is fitted on the pool;
-    the intercept is not penalized and no class reweighting is applied."""
+    """Minimize the L2-regularized negative log-likelihood by damped Newton
+    (iteratively reweighted least squares) with Armijo backtracking.
+
+    Standardization is fitted on the pool; the intercept is not penalized and
+    no class reweighting is applied. Each step solves the (d+1)x(d+1) system
+    ``H delta = g``; when that fails or gives no descent direction, the step
+    follows the gradient instead. The report is non-converged when the
+    gradient stays above ``tol``, a coefficient passes ``max_coef``, or, at
+    ``l2 == 0``, the fitted logits separate the two classes completely.
+    """
+    n, d = pool.x.shape
     mean = pool.x.mean(axis=0)
     scale = pool.x.std(axis=0)
     scale = np.where(scale > 0, scale, 1.0)
-    z = (pool.x - mean) / scale
+    z1 = np.empty((n, d + 1))
+    np.subtract(pool.x, mean, out=z1[:, :d])
+    z1[:, :d] /= scale
+    z1[:, d] = 1.0
     s = pool.labels.astype(np.float64)
 
-    theta = np.zeros(pool.dim + 1)
-    obj, grad = _nll_and_grad(z, s, theta, config.l2)
+    theta = np.zeros(d + 1)
+    obj, logits, softplus = _objective(z1, s, theta, config.l2)
+    grad, hess = _gradient_and_hessian(z1, s, theta, logits, softplus, config.l2)
     objectives = [obj]
-    converged = False
     iterations = 0
     for iterations in range(1, config.max_iter + 1):
-        gmax = float(np.max(np.abs(grad)))
-        if gmax <= config.tol:
-            converged = True
+        if float(np.max(np.abs(grad))) <= config.tol:
             iterations -= 1
             break
-        gsq = float(grad @ grad)
-        step = config.init_step
+        delta = _newton_direction(grad, hess)
+        decrease = float(grad @ delta)
+        step = 1.0
         while step > 1e-18:
-            candidate = theta - step * grad
-            cand_obj, cand_grad = _nll_and_grad(z, s, candidate, config.l2)
-            if cand_obj <= obj - config.armijo * step * gsq:
+            candidate = theta - step * delta
+            cand_obj, cand_logits, cand_softplus = _objective(z1, s, candidate, config.l2)
+            if cand_obj <= obj - config.armijo * step * decrease:
                 break
             step *= config.backtrack
         else:
             break  # line search stalled
-        theta, obj, grad = candidate, cand_obj, cand_grad
+        theta, obj, logits, softplus = candidate, cand_obj, cand_logits, cand_softplus
+        grad, hess = _gradient_and_hessian(z1, s, theta, logits, softplus, config.l2)
         objectives.append(obj)
         if float(np.max(np.abs(theta[:-1]))) > config.max_coef:
             break  # separation guard
     gmax = float(np.max(np.abs(grad)))
-    if gmax <= config.tol and float(np.max(np.abs(theta[:-1]))) <= config.max_coef:
-        converged = True
+    converged = gmax <= config.tol and float(np.max(np.abs(theta[:-1]))) <= config.max_coef
+    if converged and config.l2 == 0:
+        # every margin (2s - 1) * logit positive: no finite MLE exists
+        converged = not bool(np.all(np.where(pool.labels == 1, logits, -logits) > 0))
     report = FitReport(converged, iterations, gmax, tuple(objectives))
     return LogisticModel(theta[:-1].copy(), float(theta[-1]), mean, scale, report)
 
@@ -270,7 +308,11 @@ def save_model(model: LogisticModel, path) -> None:
 def load_model(path) -> LogisticModel:
     """Read a model written by ``save_model``, rejecting with ``ValueError``
     a file whose vectors differ in length or hold a non-finite value, or
-    whose feature scales are not all positive."""
+    whose feature scales are not all positive.
+
+    A saved ``converged`` flag comes back, with ``iterations`` and
+    ``grad_max``, as the model's ``report`` (without the objective trace);
+    a file without the flag gives ``report=None``."""
     with open(path) as fh:
         payload = json.load(fh)
     if not isinstance(payload, dict) or payload.get("kind") != "logistic-odds-model":
@@ -296,7 +338,26 @@ def load_model(path) -> LogisticModel:
         raise ValueError(f"{path}: model values must be finite")
     if np.any(scale <= 0):
         raise ValueError(f"{path}: feature_scale values must be positive")
-    return LogisticModel(coefficients, float(intercept), mean, scale)
+    return LogisticModel(coefficients, float(intercept), mean, scale, _load_report(path, payload))
+
+
+def _load_report(path, payload: dict) -> FitReport | None:
+    converged = payload.get("converged")
+    if converged is None:
+        return None
+    iterations = payload.get("iterations")
+    grad_max = payload.get("grad_max")
+    if (
+        not isinstance(converged, bool)
+        or not isinstance(iterations, int)
+        or isinstance(iterations, bool)
+        or not isinstance(grad_max, (int, float))
+        or isinstance(grad_max, bool)
+    ):
+        raise ValueError(
+            f"{path}: converged, iterations and grad_max must be a boolean, an integer and a number"
+        )
+    return FitReport(converged, iterations, float(grad_max), ())
 
 
 @dataclasses.dataclass(frozen=True)

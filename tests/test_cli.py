@@ -345,6 +345,33 @@ class TestBadInputs:
         assert self.evaluate(tmp_path, trial, target, model, f"table:{empty}") == 1
         self.assert_error_line(capsys, "empty.csv: empty file")
 
+    def test_short_trial_row(self, tmp_path, simulated, model, capsys):
+        target, _, _ = simulated
+        trial = tmp_path / "ragged.csv"
+        trial.write_text("x0,x1,a,l\n0.1,0.2,1,3.0\n\n0.5,1,0\n")
+        assert self.evaluate(tmp_path, trial, target, model) == 1
+        self.assert_error_line(capsys, "ragged.csv:4: expected 4 columns, got 3")
+
+    def test_long_target_row(self, tmp_path, simulated, model, capsys):
+        _, trial, _ = simulated
+        target = tmp_path / "ragged.csv"
+        target.write_text("x0,x1\n0.1,0.2\n0.3,0.4,0.5\n")
+        assert self.evaluate(tmp_path, trial, target, model) == 1
+        self.assert_error_line(capsys, "ragged.csv:3: expected 2 columns, got 3")
+
+    def test_short_pool_row(self, tmp_path, capsys):
+        pool = tmp_path / "ragged.csv"
+        pool.write_text("x0,x1,s\n0.1,0.2,1\n0.3,0.4\n")
+        assert run("fit", "--pool", pool, "--out", tmp_path / "m.json") == 1
+        self.assert_error_line(capsys, "ragged.csv:3: expected 3 columns, got 2")
+
+    def test_long_policy_table_row(self, tmp_path, simulated, model, capsys):
+        target, trial, _ = simulated
+        table = tmp_path / "ragged.csv"
+        table.write_text("p0,p1\n0.5,0.5\n0.25,0.5,0.25\n")
+        assert self.evaluate(tmp_path, trial, target, model, f"table:{table}") == 1
+        self.assert_error_line(capsys, "ragged.csv:3: expected 2 columns, got 3")
+
     def test_zero_feature_scale_in_model(self, tmp_path, simulated, model, capsys):
         target, trial, _ = simulated
         payload = read_json(model)
@@ -353,6 +380,48 @@ class TestBadInputs:
         assert self.evaluate(tmp_path, trial, target, model) == 1
         self.assert_error_line(capsys, "feature_scale values must be positive")
         assert not (tmp_path / "o.json").exists()
+
+
+class TestNonConvergedModel:
+    """A model saved as non-converged still runs, with a warning on stderr."""
+
+    WARNING = "odds model did not converge"
+
+    @pytest.fixture
+    def unconverged(self, tmp_path, simulated):
+        path = tmp_path / "model.json"
+        assert run("fit", "--pool", simulated[2], "--out", path) == 0
+        payload = read_json(path)
+        payload["converged"] = False
+        path.write_text(json.dumps(payload))
+        return path
+
+    def test_evaluate_warns(self, tmp_path, simulated, unconverged, capsys):
+        target, trial, _ = simulated
+        assert run(
+            "evaluate", "--trial", trial, "--target", target, "--model", unconverged,
+            "--policy", "constant:1", "--gammas", "1", "--l-max", 100.0,
+            "--out-json", tmp_path / "o.json", "--out-csv", tmp_path / "o.csv",
+        ) == 0
+        assert capsys.readouterr().err == f"warning: {unconverged}: {self.WARNING}\n"
+
+    def test_ipsw_warns(self, tmp_path, simulated, unconverged, capsys):
+        target, trial, _ = simulated
+        assert run(
+            "ipsw", "--trial", trial, "--target", target, "--model", unconverged,
+            "--policy", "constant:1", "--out", tmp_path / "ipsw.json",
+        ) == 0
+        assert capsys.readouterr().err == f"warning: {unconverged}: {self.WARNING}\n"
+
+    def test_converged_model_is_silent(self, tmp_path, simulated, capsys):
+        target, trial, pool = simulated
+        model = tmp_path / "model.json"
+        assert run("fit", "--pool", pool, "--out", model) == 0
+        assert run(
+            "ipsw", "--trial", trial, "--target", target, "--model", model,
+            "--policy", "constant:1", "--out", tmp_path / "ipsw.json",
+        ) == 0
+        assert self.WARNING not in capsys.readouterr().err
 
 
 class TestTablePolicy:

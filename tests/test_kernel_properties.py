@@ -9,7 +9,7 @@ the scale of the weights.
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scan_reference import best_stop_index as dense_best_stop_index
 
@@ -130,3 +130,33 @@ def test_limit_invariant_to_power_of_two_scale(cal, ws, percent, gamma, power):
     scaled_ws = lc.WeightBoundSet(ws.upper * scale)
     alpha = percent / 100.0
     assert lc.limit(scaled_cal, scaled_ws, alpha, gamma) == lc.limit(cal, ws, alpha, gamma)
+
+
+# Unit weights at gamma 1 reduce to split conformal once the beta level is
+# below the relative gap between (1 - alpha)(n + 1) and the next integer. With
+# n <= 40 and alpha on a 0.01 grid that gap is at least 0.01 / 41 > 2**-13, and
+# 2**13 - 1 unit bounds make the level-(1 - 2**-13) bound finite.
+UNIT_BETA = 2.0**-13
+UNIT_BOUNDS = lc.WeightBoundSet(np.ones(2**13 - 1))
+
+
+@given(
+    losses=st.integers(1, 40).flatmap(
+        lambda n: st.lists(
+            st.one_of(st.integers(0, 6).map(float), st.floats(-1e6, 1e6)),
+            min_size=n,
+            max_size=n,
+        )
+    ),
+    percent=st.integers(1, 99),
+)
+@SETTINGS
+def test_unit_weights_give_split_conformal_order_statistic(losses, percent):
+    n = len(losses)
+    # at an integer (1 - alpha)(n + 1) every beta > 0 moves the limit one rank up
+    assume((100 - percent) * (n + 1) % 100 != 0)
+    alpha = percent / 100.0
+    cal = lc.CalibrationSet.from_shift_weights(losses, np.ones(n))
+    got = lc.limit(cal, UNIT_BOUNDS, alpha, 1.0, [UNIT_BETA])
+    rank = math.ceil((1.0 - alpha) * (n + 1))
+    assert got == (None if rank > n else sorted(losses)[rank - 1])

@@ -1,5 +1,6 @@
 """Tests for the logistic odds model, score ingestion, and reliability bins."""
 
+import dataclasses
 import json
 import math
 
@@ -33,6 +34,31 @@ def noise_pool(n=4000, d=2, seed=0):
     return LabeledPool(x, labels)
 
 
+def generated_pool(n=20000, seed=1):
+    """Labels drawn from the logit ``2 x0 - 1``; ``x1`` is irrelevant."""
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, 2))
+    labels = (rng.random(n) < sigmoid(2.0 * x[:, 0] - 1.0)).astype(int)
+    return LabeledPool(x, labels)
+
+
+def separable_pool(n=200, seed=2):
+    """Trial rows at x > 0 and target rows at x < 0: completely separated."""
+    rng = np.random.default_rng(seed)
+    x = np.concatenate([rng.uniform(0.05, 1.0, n), rng.uniform(-1.0, -0.05, n)])
+    labels = np.concatenate([np.ones(n, dtype=int), np.zeros(n, dtype=int)])
+    return LabeledPool(x.reshape(-1, 1), labels)
+
+
+def penalized_gradient_max(model, pool, l2):
+    """Largest absolute entry of the objective's gradient at ``model``,
+    recomputed in standardized space with a plain sigmoid."""
+    z = (pool.x - model.feature_mean) / model.feature_scale
+    resid = sigmoid(z @ model.coefficients + model.intercept) - pool.labels
+    grad_w = z.T @ resid / pool.n + l2 * model.coefficients
+    return max(float(np.max(np.abs(grad_w))), abs(float(np.mean(resid))))
+
+
 class TestFitLogistic:
     def test_label_independent_data_drives_parameters_to_zero(self):
         model = fit_logistic(noise_pool(), LogisticConfig(l2=1e-6))
@@ -41,11 +67,7 @@ class TestFitLogistic:
         assert model.report.converged
 
     def test_recovers_generating_logit(self):
-        rng = np.random.default_rng(1)
-        n = 20000
-        x = rng.normal(size=(n, 2))
-        labels = (rng.random(n) < sigmoid(2.0 * x[:, 0] - 1.0)).astype(int)
-        model = fit_logistic(LabeledPool(x, labels), LogisticConfig(l2=1e-6))
+        model = fit_logistic(generated_pool(), LogisticConfig(l2=1e-6))
         raw = model.raw_coefficients
         assert abs(raw[0] - 2.0) < 0.1
         assert abs(raw[1]) < 0.1
@@ -56,19 +78,39 @@ class TestFitLogistic:
             LabeledPool(np.zeros((4, 1)), [1, 1, 1, 1])
 
     def test_separable_without_penalty_reports_non_converged(self):
-        rng = np.random.default_rng(2)
-        n = 200
-        x = np.concatenate([rng.uniform(0.05, 1.0, n), rng.uniform(-1.0, -0.05, n)])
-        labels = np.concatenate([np.ones(n, dtype=int), np.zeros(n, dtype=int)])
-        model = fit_logistic(
-            LabeledPool(x.reshape(-1, 1), labels), LogisticConfig(l2=0.0, max_iter=400)
-        )
+        model = fit_logistic(separable_pool(), LogisticConfig(l2=0.0, max_iter=400))
         assert not model.report.converged
 
     def test_objective_decreases_across_accepted_iterations(self):
         model = fit_logistic(noise_pool(seed=3), LogisticConfig(l2=1e-4))
         objectives = model.report.objectives
         assert all(b <= a for a, b in zip(objectives, objectives[1:]))
+
+    @pytest.mark.parametrize(
+        "pool, l2",
+        [
+            (noise_pool(), 1e-6),
+            (generated_pool(), 1e-6),
+            (generated_pool(n=300, seed=12), 1e-2),
+            (separable_pool(), 1e-2),
+        ],
+    )
+    def test_converged_fit_meets_gradient_tolerance(self, pool, l2):
+        """Includes separated data, which a positive penalty keeps finite."""
+        config = LogisticConfig(l2=l2)
+        model = fit_logistic(pool, config)
+        assert model.report.converged
+        assert np.all(np.isfinite(model.coefficients)) and math.isfinite(model.intercept)
+        assert penalized_gradient_max(model, pool, l2) <= config.tol
+
+    def test_noise_pool_converges_in_few_newton_steps(self):
+        model = fit_logistic(noise_pool(), LogisticConfig(l2=1e-6))
+        assert model.report.converged
+        assert model.report.iterations <= 10
+
+    def test_separable_without_penalty_non_converged_at_default_max_iter(self):
+        model = fit_logistic(separable_pool(), LogisticConfig(l2=0.0))
+        assert not model.report.converged
 
 
 class TestPredictOdds:
@@ -119,6 +161,20 @@ class TestModelFile:
         x = np.random.default_rng(7).normal(size=(20, 2))
         assert np.array_equal(predict_odds(model, x), predict_odds(loaded, x))
 
+    @pytest.mark.parametrize(
+        "pool, l2, converged",
+        [(noise_pool(n=500, seed=6), 1e-3, True), (separable_pool(), 0.0, False)],
+    )
+    def test_round_trip_keeps_fit_report(self, tmp_path, pool, l2, converged):
+        model = fit_logistic(pool, LogisticConfig(l2=l2))
+        assert model.report.converged is converged
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        assert load_model(path).report == dataclasses.replace(model.report, objectives=())
+
+    def test_file_without_fit_report(self, tmp_path):
+        assert load_model(self.write_model(tmp_path / "m.json")).report is None
+
     @staticmethod
     def write_model(path, **changes):
         payload = {
@@ -152,6 +208,9 @@ class TestModelFile:
             {"coefficients": [[0.5, -0.25]]},
             {"coefficients": ["a", "b"]},
             {"kind": "something-else"},
+            {"converged": "yes", "iterations": 3, "grad_max": 1e-7},
+            {"converged": True, "iterations": 2.5, "grad_max": 1e-7},
+            {"converged": True, "iterations": 3},
         ],
     )
     def test_invalid_file_rejected(self, tmp_path, changes):
