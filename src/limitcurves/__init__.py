@@ -14,6 +14,7 @@ from .conformal import (
     LimitCurve,
     LimitPoint,
     WeightBoundSet,
+    certify,
     default_alpha_grid,
     default_beta_grid,
     limit,
@@ -28,7 +29,6 @@ from .data import (
     TargetCovariates,
     TrialDataset,
     TrialDesign,
-    TrialSample,
     ValidationReport,
     matched_split,
     random_split,
@@ -40,7 +40,6 @@ from .propensity import (
     LabeledPool,
     LogisticConfig,
     LogisticModel,
-    OddsTable,
     ReliabilityBin,
     fit_logistic,
     load_external_scores,
@@ -64,7 +63,7 @@ from .simlab import (
     true_odds,
     true_odds_with_u,
 )
-from .weights import WeightPair, bounded_weight_arrays, bounded_weights, policy_ratio
+from .weights import WeightPair, bounded_weights
 
 __version__ = "0.1.0"
 
@@ -79,7 +78,6 @@ __all__ = [
     "LogisticConfig",
     "LogisticModel",
     "MiscoverageReport",
-    "OddsTable",
     "OmissionReport",
     "POPULATIONS",
     "PolicySpec",
@@ -90,13 +88,12 @@ __all__ = [
     "TargetCovariates",
     "TrialDataset",
     "TrialDesign",
-    "TrialSample",
     "ValidationReport",
     "WeightBoundSet",
     "WeightPair",
     "benchmark_all",
-    "bounded_weight_arrays",
     "bounded_weights",
+    "certify",
     "default_alpha_grid",
     "default_beta_grid",
     "fit_logistic",
@@ -110,7 +107,6 @@ __all__ = [
     "matched_split",
     "miscoverage_gap",
     "omitted_covariate_ratios",
-    "policy_ratio",
     "predict_odds",
     "quantile",
     "random_split",

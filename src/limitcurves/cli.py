@@ -12,18 +12,11 @@ import sys
 import numpy as np
 
 from . import fileio, simlab
-from .conformal import CalibrationSet, WeightBoundSet, limit_curve
-from .data import (
-    PolicySpec,
-    TrialDesign,
-    matched_split,
-    random_split,
-    validate_dataset,
-)
+from .conformal import certify, limit_curve
+from .data import PolicySpec, TrialDesign, validate_dataset
 from .gamma_bench import benchmark_all
 from .ipsw import ipsw_quantile, ipsw_value
 from .propensity import (
-    LabeledPool,
     LogisticConfig,
     fit_logistic,
     load_external_scores,
@@ -33,7 +26,6 @@ from .propensity import (
     save_model,
 )
 from .simlab import POPULATIONS, CertifiedMethod, IpswMethod, SimScenario, miscoverage_gap
-from .weights import action_probability_ratios
 
 
 def parse_floats(text: str) -> list[float]:
@@ -59,21 +51,13 @@ def parse_alpha_grid(text: str) -> np.ndarray:
     return grid
 
 
-def _read_policy_table(path) -> np.ndarray:
-    header, rows = fileio.read_csv_rows(path)
-    k = len(header)
-    if header != [f"p{j}" for j in range(k)]:
-        raise ValueError(f"{path}: expected header p0,...,p{k - 1}")
-    return np.array([[float(v) for v in row] for row in rows])
-
-
 def parse_policy(text: str) -> PolicySpec:
     if text == "uniform":
         return PolicySpec.uniform()
     if text.startswith("constant:"):
         return PolicySpec.constant(int(text.split(":", 1)[1]))
     if text.startswith("table:"):
-        return PolicySpec.from_table(_read_policy_table(text.split(":", 1)[1]))
+        return PolicySpec.from_table(fileio.read_columns(text.split(":", 1)[1], "p")[0])
     raise ValueError(f"bad policy {text!r}; use constant:<a>, uniform, or table:<path>")
 
 
@@ -112,14 +96,15 @@ def _add_odds_source(sub) -> None:
     )
 
 
-def _resolve_odds(ns, x_rows: np.ndarray) -> tuple[np.ndarray, str]:
+def _resolve_odds(ns, x_rows: np.ndarray) -> np.ndarray:
+    """Odds per row of ``x_rows`` from ``--model``, or the ``--scores`` file
+    as read; the consumers check that it aligns with the rows."""
     if ns.model:
         model = load_model(ns.model)
         if model.report is not None and not model.report.converged:
             print(f"warning: {ns.model}: odds model did not converge", file=sys.stderr)
-        return np.asarray(predict_odds(model, x_rows)), "model"
-    table = load_external_scores(ns.scores, ns.prior_correction)
-    return table.aligned(x_rows.shape[0]), "scores"
+        return predict_odds(model, x_rows)
+    return load_external_scores(ns.scores, ns.prior_correction)
 
 
 def _require_valid(trial, target, l_max=None) -> None:
@@ -133,31 +118,28 @@ def _require_valid(trial, target, l_max=None) -> None:
 # subcommand handlers
 
 
+def _target_population(name: str):
+    if name not in POPULATIONS or name == "trial":
+        raise ValueError(f"unknown population {name!r}; choose from A, B, C, D")
+    return POPULATIONS[name]
+
+
 def _cmd_simulate(ns) -> int:
-    if ns.pop not in POPULATIONS or ns.pop == "trial":
-        raise ValueError(f"unknown population {ns.pop!r}; choose from A, B, C, D")
+    params = _target_population(ns.pop)
     rng = np.random.default_rng(ns.seed)
     design = TrialDesign.uniform(2)
-    target, _ = simlab.sample_target(POPULATIONS[ns.pop], ns.n, rng)
+    target, _ = simlab.sample_target(params, ns.n, rng)
     trial, _ = simlab.sample_trial(POPULATIONS["trial"], ns.m, design, rng)
     fileio.write_target_csv(ns.target_out, target)
     fileio.write_trial_csv(ns.trial_out, trial)
     if ns.pool_out:
-        train, _ = simlab.sample_target(POPULATIONS["trial"], ns.m_train, rng)
-        pool = LabeledPool(
-            np.vstack([target.x, train.x]),
-            np.concatenate(
-                [np.zeros(target.n, dtype=np.int64), np.ones(ns.m_train, dtype=np.int64)]
-            ),
-        )
+        pool = simlab.sample_pool(target.x, POPULATIONS["trial"], ns.m_train, rng)
         fileio.write_pool_csv(ns.pool_out, pool)
     return 0
 
 
 def _cmd_fit(ns) -> int:
     pool = fileio.read_pool_csv(ns.pool)
-    if not np.all(np.isfinite(pool.x)):
-        raise ValueError("pool covariates must be finite")
     model = fit_logistic(pool, _fit_config(ns))
     save_model(model, ns.out)
     report = model.report
@@ -177,21 +159,8 @@ def _cmd_evaluate(ns) -> int:
     target = fileio.read_target_csv(ns.target)
     _require_valid(trial, target, ns.l_max)
     policy = parse_policy(ns.policy)
-    odds_values, _ = _resolve_odds(ns, trial.x)
-
-    seed = ns.seed
-    if ns.split == "matched":
-        split = matched_split(trial, policy, design, seed=seed)
-        base_prime = odds_values[split.idx_prime]
-        base_double = odds_values[split.idx_double_prime]
-    else:
-        split = random_split(trial, frac=ns.frac, seed=seed)
-        base = odds_values * action_probability_ratios(policy, design, trial)
-        base_prime = base[split.idx_prime]
-        base_double = base[split.idx_double_prime]
-
-    cal = CalibrationSet.from_shift_weights(split.d_double_prime.losses, base_double)
-    ws = WeightBoundSet(base_prime)
+    odds = _resolve_odds(ns, trial.x)
+    cal, ws, split = certify(trial, odds, policy, design, ns.split, ns.frac, ns.seed)
     curve = limit_curve(
         cal,
         ws,
@@ -220,8 +189,6 @@ def _cmd_evaluate(ns) -> int:
 
 def _cmd_benchmark_gamma(ns) -> int:
     pool = fileio.read_pool_csv(ns.pool)
-    if not np.all(np.isfinite(pool.x)):
-        raise ValueError("pool covariates must be finite")
     reports = benchmark_all(pool, _fit_config(ns), rows=ns.rows)
     payload = {
         "schema_version": fileio.SCHEMA_VERSION,
@@ -243,10 +210,7 @@ def _cmd_benchmark_gamma(ns) -> int:
 
 def _cmd_reliability(ns) -> int:
     pool = fileio.read_pool_csv(ns.pool)
-    if not np.all(np.isfinite(pool.x)):
-        raise ValueError("pool covariates must be finite")
-    odds_values, _ = _resolve_odds(ns, pool.x)
-    bins = reliability_diagram(odds_values, pool.labels, bins=ns.bins)
+    bins = reliability_diagram(_resolve_odds(ns, pool.x), pool.labels, bins=ns.bins)
     fileio.write_reliability_csv(ns.out, bins)
     return 0
 
@@ -257,11 +221,11 @@ def _cmd_ipsw(ns) -> int:
     target = fileio.read_target_csv(ns.target)
     _require_valid(trial, target)
     policy = parse_policy(ns.policy)
-    odds_values, _ = _resolve_odds(ns, trial.x)
+    odds = _resolve_odds(ns, trial.x)
     alphas = parse_floats(ns.alphas)
     quantiles = []
     for a in alphas:
-        q = ipsw_quantile(trial, odds_values, policy, design, target.n, a, ns.normalized)
+        q = ipsw_quantile(trial, odds, policy, design, target.n, a, ns.normalized)
         quantiles.append({"alpha": a, "limit": q, "trivial": q is None})
     payload = {
         "schema_version": fileio.SCHEMA_VERSION,
@@ -269,7 +233,7 @@ def _cmd_ipsw(ns) -> int:
         "config": _config_ns(ns),
         "n": target.n,
         "m": trial.m,
-        "value": ipsw_value(trial, odds_values, policy, design, target.n),
+        "value": ipsw_value(trial, odds, policy, design, target.n),
         "quantiles": quantiles,
     }
     fileio.write_json(ns.out, fileio.jsonable(payload))
@@ -277,15 +241,12 @@ def _cmd_ipsw(ns) -> int:
 
 
 def _cmd_miscoverage(ns) -> int:
-    if ns.pop not in POPULATIONS or ns.pop == "trial":
-        raise ValueError(f"unknown population {ns.pop!r}; choose from A, B, C, D")
     scn = SimScenario(
-        target=POPULATIONS[ns.pop],
+        target=_target_population(ns.pop),
         design=parse_design(ns.design),
         n=ns.n,
         m=ns.m,
         m_train=ns.m_train,
-        seed=ns.seed,
     )
     if ns.method == "certified":
         method = CertifiedMethod(

@@ -14,7 +14,8 @@ import math
 import numpy as np
 
 from . import backend
-from .weights import check_gamma
+from .data import PolicySpec, SplitResult, TrialDataset, TrialDesign, matched_split, random_split
+from .weights import check_gamma, shift_weights, trial_odds
 
 
 def default_alpha_grid() -> np.ndarray:
@@ -101,6 +102,37 @@ class WeightBoundSet:
     def scaled(self, gamma: float) -> "WeightBoundSet":
         g = check_gamma(gamma)
         return WeightBoundSet(self.upper * g)
+
+
+def certify(
+    trial: TrialDataset,
+    odds,
+    policy: PolicySpec,
+    design: TrialDesign,
+    split: str = "random",
+    frac: float = 0.5,
+    seed: int = 0,
+) -> tuple[CalibrationSet, WeightBoundSet, SplitResult]:
+    """Split the trial records and weight both halves by their covariate-shift
+    weights: the calibration set from D'' and the weight-bound set from D'.
+
+    ``split="random"`` draws |D'| = round(frac * m) rows at random and weights
+    by odds * p_policy(a|x) / p_design(a); ``split="matched"`` keeps in D''
+    the rows whose action a fresh policy draw reproduces, and both halves
+    carry their plain odds. ``frac`` applies to the random split only.
+    """
+    if split == "matched":
+        weights = trial_odds(trial, odds)
+        parts = matched_split(trial, policy, design, seed=seed)
+    elif split == "random":
+        weights = shift_weights(trial, odds, policy, design)
+        parts = random_split(trial, frac=frac, seed=seed)
+    else:
+        raise ValueError(f"unknown split {split!r}; use 'random' or 'matched'")
+    cal = CalibrationSet.from_shift_weights(
+        parts.d_double_prime.losses, weights[parts.idx_double_prime]
+    )
+    return cal, WeightBoundSet(weights[parts.idx_prime]), parts
 
 
 def weight_bound(ws: WeightBoundSet, beta: float) -> float:

@@ -20,15 +20,6 @@ def _as_matrix(rows, name: str) -> np.ndarray:
     return x
 
 
-@dataclasses.dataclass(frozen=True)
-class TrialSample:
-    """One trial record: covariates, the assigned action, and the observed loss."""
-
-    x: np.ndarray
-    a: int
-    l: float
-
-
 class TrialDataset:
     """Trial records (covariates, action, loss) with a fixed action count.
 
@@ -61,22 +52,6 @@ class TrialDataset:
     @property
     def dim(self) -> int:
         return self.x.shape[1]
-
-    @classmethod
-    def from_samples(cls, samples, k_actions: int, strict: bool = True) -> "TrialDataset":
-        samples = list(samples)
-        if not samples:
-            raise ValueError("need at least one trial sample")
-        x = np.stack([np.asarray(s.x, dtype=np.float64) for s in samples])
-        a = np.array([s.a for s in samples], dtype=np.int64)
-        l = np.array([s.l for s in samples], dtype=np.float64)
-        return cls(x, a, l, k_actions, strict=strict)
-
-    def samples(self) -> list[TrialSample]:
-        return [
-            TrialSample(self.x[i].copy(), int(self.actions[i]), float(self.losses[i]))
-            for i in range(self.m)
-        ]
 
     def subset(self, indices: np.ndarray) -> "TrialDataset":
         idx = np.asarray(indices, dtype=np.int64)
@@ -123,8 +98,8 @@ class PolicySpec:
             t = np.asarray(table, dtype=np.float64)
             if t.ndim != 2 or t.shape[0] == 0:
                 raise ValueError("policy table must be a nonempty 2-d array")
-            if np.any(t < 0):
-                raise ValueError("policy probabilities must be nonnegative")
+            if not np.all(np.isfinite(t)) or np.any(t < 0):
+                raise ValueError("policy probabilities must be finite and nonnegative")
             if np.any(np.abs(t.sum(axis=1) - 1.0) > PROB_TOL):
                 raise ValueError("policy probability rows must sum to 1")
             self.table = t
@@ -166,8 +141,8 @@ class TrialDesign:
         p = np.asarray(probs, dtype=np.float64)
         if p.ndim != 1 or p.shape[0] < 1:
             raise ValueError("design probabilities must be a nonempty vector")
-        if np.any(p <= 0):
-            raise ValueError("design probabilities must be strictly positive")
+        if not np.all(np.isfinite(p)) or np.any(p <= 0):
+            raise ValueError("design probabilities must be finite and strictly positive")
         if abs(p.sum() - 1.0) > PROB_TOL:
             raise ValueError("design probabilities must sum to 1")
         self.probs = p

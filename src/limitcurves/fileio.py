@@ -85,6 +85,34 @@ def _covariate_header(dim: int) -> list[str]:
     return [f"x{j}" for j in range(dim)]
 
 
+def read_columns(path, prefix: str, tail=()) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Read a CSV whose header is ``prefix0,...,prefix{d-1}`` (d >= 1)
+    followed by the ``tail`` columns, given as ``(name, parse)`` pairs.
+
+    Returns the prefix block as an (n, d) float matrix and one array per tail
+    column, each cell parsed with ``float`` or the column's ``parse``.
+    """
+    header, rows = read_csv_rows(path)
+    names = [name for name, _ in tail]
+    dim = len(header) - len(names)
+    if dim < 1 or header != [f"{prefix}{j}" for j in range(dim)] + names:
+        last = dim - 1 if dim >= 1 else "{d-1}"
+        expected = ",".join([f"{prefix}0,...,{prefix}{last}", *names])
+        raise ValueError(f"{path}: expected header {expected}")
+    # drop the tail cells lazily and only when there are any: a list of
+    # sliced rows would add to the parse time and to the peak memory
+    cells = (row[:dim] for row in rows) if tail else rows
+    try:
+        x = np.array([[float(v) for v in row] for row in cells])
+        columns = [
+            np.array([parse(row[j]) for row in rows])
+            for j, (_, parse) in enumerate(tail, start=dim)
+        ]
+    except ValueError as exc:
+        raise ValueError(f"{path}: parse failure: {exc}") from None
+    return x, columns
+
+
 def write_target_csv(path, target) -> None:
     header = _covariate_header(target.dim)
     rows = [[fmt(v) for v in row] for row in target.x]
@@ -94,14 +122,7 @@ def write_target_csv(path, target) -> None:
 def read_target_csv(path):
     from .data import TargetCovariates
 
-    header, rows = read_csv_rows(path)
-    dim = len(header)
-    if header != _covariate_header(dim):
-        raise ValueError(f"{path}: expected header x0,...,x{dim - 1}")
-    try:
-        x = np.array([[float(v) for v in row] for row in rows])
-    except ValueError as exc:
-        raise ValueError(f"{path}: parse failure: {exc}") from None
+    x, _ = read_columns(path, "x")
     return TargetCovariates(x, strict=False)
 
 
@@ -117,18 +138,7 @@ def write_trial_csv(path, trial) -> None:
 def read_trial_csv(path, k_actions: int | None = None):
     from .data import TrialDataset
 
-    header, rows = read_csv_rows(path)
-    if len(header) < 3 or header[-2:] != ["a", "l"]:
-        raise ValueError(f"{path}: expected header x0,...,x{{d-1}},a,l")
-    dim = len(header) - 2
-    if header[:dim] != _covariate_header(dim):
-        raise ValueError(f"{path}: expected header x0,...,x{dim - 1},a,l")
-    try:
-        x = np.array([[float(v) for v in row[:dim]] for row in rows])
-        actions = np.array([int(row[dim]) for row in rows])
-        losses = np.array([float(row[dim + 1]) for row in rows])
-    except ValueError as exc:
-        raise ValueError(f"{path}: parse failure: {exc}") from None
+    x, (actions, losses) = read_columns(path, "x", (("a", int), ("l", float)))
     k = int(actions.max()) + 1 if k_actions is None else k_actions
     return TrialDataset(x, actions, losses, k, strict=False)
 
@@ -144,18 +154,8 @@ def write_pool_csv(path, pool) -> None:
 def read_pool_csv(path):
     from .propensity import LabeledPool
 
-    header, rows = read_csv_rows(path)
-    if len(header) < 2 or header[-1] != "s":
-        raise ValueError(f"{path}: expected header x0,...,x{{d-1}},s")
-    dim = len(header) - 1
-    if header[:dim] != _covariate_header(dim):
-        raise ValueError(f"{path}: expected header x0,...,x{dim - 1},s")
-    try:
-        x = np.array([[float(v) for v in row[:dim]] for row in rows])
-        labels = np.array([int(row[dim]) for row in rows])
-    except ValueError as exc:
-        raise ValueError(f"{path}: parse failure: {exc}") from None
-    return LabeledPool(x, labels, strict=False)
+    x, (labels,) = read_columns(path, "x", (("s", int),))
+    return LabeledPool(x, labels)
 
 
 def write_limit_curve_csv(path, curve) -> None:

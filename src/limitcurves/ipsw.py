@@ -6,15 +6,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from .conformal import CalibrationSet
 from .data import PolicySpec, TrialDataset, TrialDesign
-from .weights import action_probability_ratios
-
-
-def _odds_values(odds, m: int) -> np.ndarray:
-    values = np.asarray(getattr(odds, "values", odds), dtype=np.float64)
-    if values.shape != (m,):
-        raise ValueError(f"odds must align with the {m} trial rows")
-    return values
+from .weights import shift_weights
 
 
 def ipsw_value(
@@ -27,9 +21,8 @@ def ipsw_value(
     """Reweighted mean loss (1/n) * sum_i odds_i * ratio_i * loss_i."""
     if n_target < 1:
         raise ValueError("n_target must be at least 1")
-    values = _odds_values(odds, trial.m)
-    ratios = action_probability_ratios(policy, design, trial)
-    return float(np.sum(values * ratios * trial.losses) / n_target)
+    weights = shift_weights(trial, odds, policy, design)
+    return float(np.sum(weights * trial.losses) / n_target)
 
 
 def ipsw_cdf(
@@ -43,9 +36,8 @@ def ipsw_cdf(
     """Reweighted empirical CDF at ``ell``; deliberately not clipped to 1."""
     if n_target < 1:
         raise ValueError("n_target must be at least 1")
-    values = _odds_values(odds, trial.m)
-    ratios = action_probability_ratios(policy, design, trial)
-    return float(np.sum(values * ratios * (trial.losses <= ell)) / n_target)
+    weights = shift_weights(trial, odds, policy, design)
+    return float(np.sum(weights * (trial.losses <= ell)) / n_target)
 
 
 def ipsw_quantile(
@@ -66,25 +58,13 @@ def ipsw_quantile(
         raise ValueError("alpha must lie strictly inside (0, 1)")
     if n_target < 1:
         raise ValueError("n_target must be at least 1")
-    values = _odds_values(odds, trial.m)
-    ratios = action_probability_ratios(policy, design, trial)
-    weights = values * ratios
-    order = np.argsort(trial.losses, kind="stable")
-    losses = trial.losses[order]
-    if normalized:
-        total = float(weights.sum())
-        if total <= 0:
-            return None
-        cum = np.cumsum(weights[order]) / total
-    else:
-        cum = np.cumsum(weights[order]) / n_target
-    threshold = 1.0 - alpha
+    weights = shift_weights(trial, odds, policy, design)
+    mass = float(weights.sum()) if normalized else n_target
+    if mass <= 0:
+        return None
+    cal = CalibrationSet.from_shift_weights(trial.losses, weights)
     # evaluate only at the last index of each tie group (right continuity)
-    if losses.shape[0] == 1:
-        ends = np.array([0])
-    else:
-        ends = np.append(np.flatnonzero(losses[1:] != losses[:-1]), losses.shape[0] - 1)
-    reached = cum[ends] >= threshold
+    reached = (np.cumsum(cal.lower) / mass)[cal.group_ends] >= 1.0 - alpha
     if not reached.any():
         return None
-    return float(losses[ends[int(np.argmax(reached))]])
+    return float(cal.losses[cal.group_ends[int(np.argmax(reached))]])

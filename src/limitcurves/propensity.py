@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import json
 import math
 
 import numpy as np
 
-from .fileio import atomic_write_text
+from .fileio import atomic_write_text, read_csv_rows
 
 LOGIT_CLAMP = 30.0
 
@@ -57,7 +56,7 @@ class FitReport:
 class LabeledPool:
     """Covariate rows labeled 0 (target) or 1 (trial)."""
 
-    def __init__(self, x, labels, strict: bool = True):
+    def __init__(self, x, labels):
         self.x = np.asarray(x, dtype=np.float64)
         if self.x.ndim != 2 or self.x.shape[0] == 0:
             raise ValueError("pool covariates must be a nonempty 2-d array")
@@ -68,7 +67,7 @@ class LabeledPool:
             raise ValueError("labels must be 0 (target) or 1 (trial)")
         if len(np.unique(self.labels)) < 2:
             raise ValueError("pool must contain both target and trial rows")
-        if strict and not np.all(np.isfinite(self.x)):
+        if not np.all(np.isfinite(self.x)):
             raise ValueError("pool covariates must be finite")
 
     @property
@@ -83,7 +82,7 @@ class LabeledPool:
         if not 0 <= k < self.dim:
             raise ValueError(f"feature index {k} out of range for d={self.dim}")
         kept = np.delete(self.x, k, axis=1)
-        return LabeledPool(kept, self.labels, strict=False)
+        return LabeledPool(kept, self.labels)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -132,12 +131,14 @@ def _gradient_and_hessian(z1, s, theta, logits, softplus, l2):
 
 
 def _newton_direction(grad, hess):
-    """The Newton direction, or the gradient when the system is singular or
-    its solution does not point downhill."""
+    """The Newton direction, or the gradient when its solution does not point
+    downhill. A singular system (a constant covariate at ``l2 == 0``) takes
+    the minimum-norm least-squares step, which leaves the coefficients of
+    the flat directions unchanged."""
     try:
         delta = np.linalg.solve(hess, grad)
     except np.linalg.LinAlgError:
-        return grad
+        delta = np.linalg.lstsq(hess, grad, rcond=None)[0]
     if not np.all(np.isfinite(delta)) or not float(grad @ delta) > 0.0:
         return grad
     return delta
@@ -217,77 +218,36 @@ def predict_odds(model: LogisticModel, x) -> np.ndarray | float:
     return np.exp(-logits) if isinstance(logits, np.ndarray) else math.exp(-logits)
 
 
-class OddsTable:
-    """Per-row nominal selection odds aligned to a dataset, with a provenance tag."""
-
-    def __init__(self, values, provenance: str):
-        self.values = np.asarray(values, dtype=np.float64)
-        if self.values.ndim != 1 or self.values.shape[0] == 0:
-            raise ValueError("odds table must be a nonempty vector")
-        if not np.all(np.isfinite(self.values)) or np.any(self.values <= 0):
-            raise ValueError("odds must be strictly positive and finite")
-        if provenance not in ("fitted", "external"):
-            raise ValueError("provenance must be 'fitted' or 'external'")
-        self.provenance = provenance
-
-    def __len__(self) -> int:
-        return self.values.shape[0]
-
-    def aligned(self, n_rows: int) -> np.ndarray:
-        if len(self) != n_rows:
-            raise ValueError(f"odds table has {len(self)} rows, dataset has {n_rows}")
-        return self.values
-
-
-def odds_table_from_model(model: LogisticModel, x) -> OddsTable:
-    return OddsTable(predict_odds(model, np.asarray(x, dtype=np.float64)), "fitted")
-
-
-def load_external_scores(path, prior_correction: float = 1.0) -> OddsTable:
-    """Read an ``id,p_s1`` or ``id,odds`` score file; ids must cover 0..N-1.
+def load_external_scores(path, prior_correction: float = 1.0) -> np.ndarray:
+    """Per-row selection odds from an ``id,p_s1`` or ``id,odds`` score file;
+    ids must cover 0..N-1 and the odds come back in id order.
 
     ``prior_correction`` multiplies the odds, for scores produced by models
     trained with class balancing.
     """
     if prior_correction <= 0 or not math.isfinite(prior_correction):
         raise ValueError("prior_correction must be a positive finite number")
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ValueError(f"{path}: empty score file") from None
-        header = [h.strip() for h in header]
-        if len(header) != 2 or header[0] != "id" or header[1] not in ("p_s1", "odds"):
-            raise ValueError(f"{path}: header must be 'id,p_s1' or 'id,odds'")
-        kind = header[1]
-        ids, vals = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 2:
-                raise ValueError(f"{path}:{lineno}: expected two columns")
-            try:
-                ids.append(int(row[0]))
-                vals.append(float(row[1]))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: parse failure: {exc}") from None
-    if not ids:
-        raise ValueError(f"{path}: no score rows")
+    header, rows = read_csv_rows(path)
+    if header not in (["id", "p_s1"], ["id", "odds"]):
+        raise ValueError(f"{path}: header must be 'id,p_s1' or 'id,odds'")
+    try:
+        ids = np.array([int(row[0]) for row in rows])
+        vals = np.array([float(row[1]) for row in rows])
+    except ValueError as exc:
+        raise ValueError(f"{path}: parse failure: {exc}") from None
     order = np.argsort(ids)
-    ids_arr = np.asarray(ids, dtype=np.int64)[order]
-    vals_arr = np.asarray(vals, dtype=np.float64)[order]
-    if not np.array_equal(ids_arr, np.arange(len(ids_arr))):
-        raise ValueError(f"{path}: ids must be exactly 0..{len(ids_arr) - 1} with no gaps")
-    if kind == "p_s1":
-        if np.any(vals_arr <= 0) or np.any(vals_arr >= 1):
+    if not np.array_equal(ids[order], np.arange(len(ids))):
+        raise ValueError(f"{path}: ids must be exactly 0..{len(ids) - 1} with no gaps")
+    vals = vals[order]
+    if header[1] == "p_s1":
+        if np.any(vals <= 0) or np.any(vals >= 1):
             raise ValueError(f"{path}: p_s1 values must lie strictly inside (0, 1)")
-        odds = (1.0 - vals_arr) / vals_arr
+        odds = (1.0 - vals) / vals
     else:
-        odds = vals_arr
+        odds = vals
     if np.any(odds <= 0) or not np.all(np.isfinite(odds)):
         raise ValueError(f"{path}: odds must be strictly positive and finite")
-    return OddsTable(odds * prior_correction, "external")
+    return odds * prior_correction
 
 
 def save_model(model: LogisticModel, path) -> None:
@@ -379,7 +339,7 @@ def reliability_diagram(odds, labels, bins: int = 5) -> list[ReliabilityBin]:
     Quantile edges are deduplicated, so heavily tied odds collapse into fewer
     effective bins (a constant table yields a single bin).
     """
-    values = np.asarray(getattr(odds, "values", odds), dtype=np.float64)
+    values = np.asarray(odds, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     if values.shape != labels.shape:
         raise ValueError("odds and labels must align")

@@ -14,19 +14,10 @@ import math
 
 import numpy as np
 
-from .conformal import CalibrationSet, WeightBoundSet, default_beta_grid, limit
-from .data import (
-    PolicySpec,
-    TargetCovariates,
-    TrialDataset,
-    TrialDesign,
-    matched_split,
-    random_split,
-    sample_actions,
-)
+from .conformal import certify, default_beta_grid, limit
+from .data import PolicySpec, TargetCovariates, TrialDataset, TrialDesign, sample_actions
 from .ipsw import ipsw_quantile
 from .propensity import LabeledPool, LogisticConfig, fit_logistic, predict_odds
-from .weights import action_probability_ratios
 
 LOSS_NOISE_SD = 1.0
 
@@ -66,7 +57,6 @@ class SimScenario:
     n: int = 2000
     m: int = 500
     m_train: int = 500
-    seed: int = 0
 
     def __post_init__(self):
         if self.n < 1 or self.m < 1 or self.m_train < 1:
@@ -84,6 +74,18 @@ def _rng(seed) -> np.random.Generator:
     return seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
 
 
+def _draw_population(
+    params: PopulationParams, n: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Covariate rows (x0, x1) and the hidden factor u, from one (n, 3)
+    standard-normal draw."""
+    draws = rng.standard_normal((n, 3))
+    x0 = params.mean_x0 + math.sqrt(params.var_x0) * draws[:, 0]
+    x1 = params.mean_x1 + math.sqrt(params.var_x1) * draws[:, 1]
+    u = params.mean_u + math.sqrt(params.var_u) * draws[:, 2]
+    return np.column_stack([x0, x1]), u
+
+
 def sample_target(
     params: PopulationParams, n: int, seed
 ) -> tuple[TargetCovariates, np.ndarray]:
@@ -91,12 +93,8 @@ def sample_target(
     and only for oracle use."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    rng = _rng(seed)
-    draws = rng.standard_normal((n, 3))
-    x0 = params.mean_x0 + math.sqrt(params.var_x0) * draws[:, 0]
-    x1 = params.mean_x1 + math.sqrt(params.var_x1) * draws[:, 1]
-    u = params.mean_u + math.sqrt(params.var_u) * draws[:, 2]
-    return TargetCovariates(np.column_stack([x0, x1])), u
+    x, u = _draw_population(params, n, _rng(seed))
+    return TargetCovariates(x), u
 
 
 def loss_mean(actions, x, u) -> np.ndarray:
@@ -118,11 +116,7 @@ def sample_trial(
     if m < 1:
         raise ValueError("m must be at least 1")
     rng = _rng(seed)
-    draws = rng.standard_normal((m, 3))
-    x0 = params.mean_x0 + math.sqrt(params.var_x0) * draws[:, 0]
-    x1 = params.mean_x1 + math.sqrt(params.var_x1) * draws[:, 1]
-    u = params.mean_u + math.sqrt(params.var_u) * draws[:, 2]
-    x = np.column_stack([x0, x1])
+    x, u = _draw_population(params, m, rng)
     actions = sample_actions(
         np.broadcast_to(design.probs, (m, design.k_actions)), rng
     )
@@ -244,35 +238,14 @@ def run_rng(master_seed: int, run_index: int) -> np.random.Generator:
     )
 
 
-def _fitted_trial_odds(scn: SimScenario, target_x: np.ndarray, trial: TrialDataset, method, rng):
-    train_covs, _ = sample_target(scn.trial, scn.m_train, rng)
-    pool = LabeledPool(
-        np.vstack([target_x, train_covs.x]),
-        np.concatenate([np.zeros(target_x.shape[0], dtype=np.int64),
-                        np.ones(scn.m_train, dtype=np.int64)]),
-    )
-    model = fit_logistic(pool, method.fit)
-    return predict_odds(model, trial.x)
-
-
-def _certified_limits(scn, trial, odds_values, policy, method, alphas, rng):
-    split_seed = int(rng.integers(0, 2**63 - 1))
-    if method.split == "matched":
-        split = matched_split(trial, policy, scn.design, seed=split_seed)
-        base_prime = odds_values[split.idx_prime]
-        base_double = odds_values[split.idx_double_prime]
-    else:
-        split = random_split(trial, frac=method.split_frac, seed=split_seed)
-        ratios = action_probability_ratios(policy, scn.design, trial)
-        base = odds_values * ratios
-        base_prime = base[split.idx_prime]
-        base_double = base[split.idx_double_prime]
-    cal = CalibrationSet.from_shift_weights(split.d_double_prime.losses, base_double)
-    ws = WeightBoundSet(base_prime)
-    return {
-        a: limit(cal, ws, a, method.gamma, default_beta_grid(a, method.beta_points))
-        for a in alphas
-    }
+def sample_pool(
+    target_x: np.ndarray, trial: PopulationParams, m_train: int, seed
+) -> LabeledPool:
+    """Labeled pool for the odds fit: the target rows (label 0) stacked over
+    ``m_train`` fresh rows drawn from the trial population (label 1)."""
+    train, _ = sample_target(trial, m_train, seed)
+    labels = np.repeat(np.array([0, 1], dtype=np.int64), [target_x.shape[0], m_train])
+    return LabeledPool(np.vstack([target_x, train.x]), labels)
 
 
 def miscoverage_gap(
@@ -304,20 +277,24 @@ def miscoverage_gap(
         target_covs, _ = sample_target(scn.target, scn.n, rng)
         trial, _ = sample_trial(scn.trial, scn.m, scn.design, rng)
         if method.odds_source == "oracle":
-            odds_values = np.asarray(
-                true_odds(trial.x, scn.target, scn.trial, prior_ratio=scn.n / scn.m_train)
-            )
+            odds = true_odds(trial.x, scn.target, scn.trial, prior_ratio=scn.n / scn.m_train)
         else:
-            odds_values = np.asarray(
-                _fitted_trial_odds(scn, target_covs.x, trial, method, rng)
-            )
+            pool = sample_pool(target_covs.x, scn.trial, scn.m_train, rng)
+            odds = predict_odds(fit_logistic(pool, method.fit), trial.x)
 
         if isinstance(method, CertifiedMethod):
-            limits = _certified_limits(scn, trial, odds_values, policy, method, alphas, rng)
+            split_seed = int(rng.integers(0, 2**63 - 1))
+            cal, ws, _ = certify(
+                trial, odds, policy, scn.design, method.split, method.split_frac, split_seed
+            )
+            limits = {
+                a: limit(cal, ws, a, method.gamma, default_beta_grid(a, method.beta_points))
+                for a in alphas
+            }
         else:
             limits = {
                 a: ipsw_quantile(
-                    trial, odds_values, policy, scn.design, scn.n, a, method.normalized
+                    trial, odds, policy, scn.design, scn.n, a, method.normalized
                 )
                 for a in alphas
             }

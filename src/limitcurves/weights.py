@@ -25,34 +25,38 @@ class WeightPair:
     upper: float
 
 
-def policy_ratio(
-    policy: PolicySpec,
-    design: TrialDesign,
-    x,
-    a: int,
-    split_strategy: str = "random",
-) -> float:
-    """Action-probability ratio p_policy(a|x) / p_design(a).
-
-    Matched-split samples carry ratio 1: conditional on inclusion, their
-    actions are already distributed as the evaluated policy.
-    """
-    if split_strategy == "matched":
-        return 1.0
-    if a < 0 or a >= design.k_actions:
-        raise ValueError("action index out of range")
-    if policy.kind == "table":
-        raise ValueError("row-aligned table policies need the vectorized form")
-    row = policy.prob_matrix(1, design.k_actions)[0]
-    return float(row[a] / design.probs[a])
-
-
 def action_probability_ratios(
     policy: PolicySpec, design: TrialDesign, trial: TrialDataset
 ) -> np.ndarray:
     """Vector of p_policy(a_i|x_i) / p_design(a_i) over all trial rows."""
+    if design.k_actions != trial.k_actions:
+        raise ValueError("design action count does not match the trial dataset")
     probs = policy.prob_matrix(trial.m, trial.k_actions)
     return probs[np.arange(trial.m), trial.actions] / design.probs[trial.actions]
+
+
+def trial_odds(trial: TrialDataset, odds) -> np.ndarray:
+    """Selection odds as a float vector, checked to be aligned with the trial
+    rows, strictly positive and finite."""
+    values = np.asarray(odds, dtype=np.float64)
+    if values.shape != (trial.m,):
+        raise ValueError(
+            f"odds must align with the {trial.m} trial rows, got shape {values.shape}"
+        )
+    if not np.all(np.isfinite(values)) or np.any(values <= 0):
+        raise ValueError("odds must be strictly positive and finite")
+    return values
+
+
+def shift_weights(
+    trial: TrialDataset, odds, policy: PolicySpec, design: TrialDesign
+) -> np.ndarray:
+    """Covariate-shift weights odds_i * p_policy(a_i|x_i) / p_design(a_i).
+
+    Samples kept by a matched split carry ratio 1 instead: their actions
+    already follow the policy, so their weights are :func:`trial_odds`.
+    """
+    return trial_odds(trial, odds) * action_probability_ratios(policy, design, trial)
 
 
 def bounded_weights(odds: float, ratio: float, gamma: float) -> WeightPair:
@@ -64,18 +68,3 @@ def bounded_weights(odds: float, ratio: float, gamma: float) -> WeightPair:
     g = check_gamma(gamma)
     base = odds * ratio
     return WeightPair(base / g, base * g)
-
-
-def bounded_weight_arrays(odds, ratios, gamma: float) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized :func:`bounded_weights` over aligned odds and ratio vectors."""
-    odds = np.asarray(odds, dtype=np.float64)
-    ratios = np.asarray(ratios, dtype=np.float64)
-    if odds.shape != ratios.shape:
-        raise ValueError("odds and ratios must align")
-    if np.any(odds <= 0) or not np.all(np.isfinite(odds)):
-        raise ValueError("odds must be strictly positive and finite")
-    if np.any(ratios < 0):
-        raise ValueError("ratios must be nonnegative")
-    g = check_gamma(gamma)
-    base = odds * ratios
-    return base / g, base * g

@@ -309,6 +309,14 @@ class TestBadInputs:
         )
 
     @staticmethod
+    def evaluate_scores(tmp_path, trial, target, scores):
+        return run(
+            "evaluate", "--trial", trial, "--target", target, "--scores", scores,
+            "--policy", "constant:1", "--l-max", 100.0,
+            "--out-json", tmp_path / "o.json", "--out-csv", tmp_path / "o.csv",
+        )
+
+    @staticmethod
     def assert_error_line(capsys, text):
         err = capsys.readouterr().err
         assert err.startswith("error: ") and text in err
@@ -345,6 +353,11 @@ class TestBadInputs:
         assert self.evaluate(tmp_path, trial, target, model, f"table:{empty}") == 1
         self.assert_error_line(capsys, "empty.csv: empty file")
 
+    def test_empty_score_file(self, tmp_path, simulated, empty, capsys):
+        target, trial, _ = simulated
+        assert self.evaluate_scores(tmp_path, trial, target, empty) == 1
+        self.assert_error_line(capsys, "empty.csv: empty file")
+
     def test_short_trial_row(self, tmp_path, simulated, model, capsys):
         target, _, _ = simulated
         trial = tmp_path / "ragged.csv"
@@ -371,6 +384,48 @@ class TestBadInputs:
         table.write_text("p0,p1\n0.5,0.5\n0.25,0.5,0.25\n")
         assert self.evaluate(tmp_path, trial, target, model, f"table:{table}") == 1
         self.assert_error_line(capsys, "ragged.csv:3: expected 2 columns, got 3")
+
+    def test_long_score_row(self, tmp_path, simulated, capsys):
+        target, trial, _ = simulated
+        scores = tmp_path / "ragged.csv"
+        scores.write_text("id,odds\n0,1.0\n1,1.0,2.0\n")
+        assert self.evaluate_scores(tmp_path, trial, target, scores) == 1
+        self.assert_error_line(capsys, "ragged.csv:3: expected 2 columns, got 3")
+
+    @pytest.fixture
+    def nan_table(self, tmp_path, simulated):
+        m = len(simulated[1].read_text().splitlines()) - 1
+        table = tmp_path / "nan.csv"
+        table.write_text("p0,p1\n" + "nan,0.5\n" * m)
+        return table
+
+    def test_nan_policy_table_matched_evaluate(self, tmp_path, simulated, model, nan_table, capsys):
+        target, trial, _ = simulated
+        assert run(
+            "evaluate", "--trial", trial, "--target", target, "--model", model,
+            "--policy", f"table:{nan_table}", "--split", "matched", "--l-max", 100.0,
+            "--out-json", tmp_path / "o.json", "--out-csv", tmp_path / "o.csv",
+        ) == 1
+        self.assert_error_line(capsys, "policy probabilities must be finite")
+        assert not (tmp_path / "o.json").exists()
+
+    def test_nan_policy_table_ipsw(self, tmp_path, simulated, model, nan_table, capsys):
+        target, trial, _ = simulated
+        assert run(
+            "ipsw", "--trial", trial, "--target", target, "--model", model,
+            "--policy", f"table:{nan_table}", "--out", tmp_path / "ipsw.json",
+        ) == 1
+        self.assert_error_line(capsys, "policy probabilities must be finite")
+        assert not (tmp_path / "ipsw.json").exists()
+
+    def test_nan_design_probability(self, tmp_path, simulated, model, capsys):
+        target, trial, _ = simulated
+        assert run(
+            "evaluate", "--trial", trial, "--target", target, "--model", model,
+            "--policy", "constant:1", "--design", "probs:nan,1", "--l-max", 100.0,
+            "--out-json", tmp_path / "o.json", "--out-csv", tmp_path / "o.csv",
+        ) == 1
+        self.assert_error_line(capsys, "design probabilities must be finite")
 
     def test_zero_feature_scale_in_model(self, tmp_path, simulated, model, capsys):
         target, trial, _ = simulated

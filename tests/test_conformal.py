@@ -12,6 +12,7 @@ import pytest
 from limitcurves.conformal import (
     CalibrationSet,
     WeightBoundSet,
+    certify,
     default_alpha_grid,
     default_beta_grid,
     limit,
@@ -20,6 +21,7 @@ from limitcurves.conformal import (
     stand_in_cdf,
     weight_bound,
 )
+from limitcurves.data import PolicySpec, TrialDataset, TrialDesign, matched_split, random_split
 
 
 def unit_cal(losses):
@@ -291,3 +293,67 @@ class TestGrids:
         cal = CalibrationSet([2.0, 1.0, 2.0], [0.1, 0.2, 0.3], [0.1, 0.2, 0.3])
         assert list(cal.order) == [1, 0, 2]
         assert list(cal.lower) == [0.2, 0.1, 0.3]
+
+
+class TestCertify:
+    """The split -> shift weights -> sets pipeline."""
+
+    POLICY = PolicySpec.constant(1)
+    DESIGN = TrialDesign([0.25, 0.75])
+
+    @staticmethod
+    def trial_and_odds(m=40, seed=0):
+        rng = np.random.default_rng(seed)
+        x, actions, losses = rng.normal(size=(m, 2)), rng.integers(0, 2, m), rng.normal(size=m)
+        return TrialDataset(x, actions, losses, 2), rng.lognormal(0.0, 1.0, m)
+
+    @staticmethod
+    def weights_by_loss(cal):
+        """The calibration weights keyed by their (distinct, continuous) loss."""
+        return dict(zip(cal.losses.tolist(), cal.lower.tolist()))
+
+    def test_matched_split_weights_are_plain_odds(self):
+        trial, odds = self.trial_and_odds()
+        cal, ws, split = certify(trial, odds, self.POLICY, self.DESIGN, "matched", seed=3)
+        expected = matched_split(trial, self.POLICY, self.DESIGN, seed=3)
+        assert split.strategy == "matched"
+        assert np.array_equal(split.idx_double_prime, expected.idx_double_prime)
+        double = split.idx_double_prime
+        assert self.weights_by_loss(cal) == dict(
+            zip(trial.losses[double].tolist(), odds[double].tolist())
+        )
+        assert np.array_equal(cal.lower, cal.upper)
+        assert np.array_equal(ws.upper, np.sort(odds[split.idx_prime]))
+
+    def test_random_split_weights_are_odds_times_ratio(self):
+        trial, odds = self.trial_and_odds(seed=1)
+        cal, ws, split = certify(trial, odds, self.POLICY, self.DESIGN, "random", 0.3, seed=5)
+        expected = random_split(trial, frac=0.3, seed=5)
+        assert np.array_equal(split.idx_prime, expected.idx_prime)
+        ratio = np.where(trial.actions == 1, 1.0 / 0.75, 0.0)
+        double = split.idx_double_prime
+        assert self.weights_by_loss(cal) == dict(
+            zip(trial.losses[double].tolist(), (odds * ratio)[double].tolist())
+        )
+        assert np.array_equal(ws.upper, np.sort((odds * ratio)[split.idx_prime]))
+
+    @pytest.mark.parametrize("strategy", ["matched", "random"])
+    def test_set_sizes_equal_split_sizes(self, strategy):
+        trial, odds = self.trial_and_odds(m=57, seed=2)
+        cal, ws, split = certify(trial, odds, PolicySpec.uniform(), self.DESIGN, strategy, seed=4)
+        assert cal.size == split.d_double_prime.m and ws.size == split.d_prime.m
+        assert cal.size + ws.size == trial.m
+
+    @pytest.mark.parametrize("strategy", ["matched", "random"])
+    @pytest.mark.parametrize(
+        "bad", [np.ones(39), *(np.r_[v, np.ones(39)] for v in (0.0, -1.0, np.nan, np.inf))]
+    )
+    def test_bad_odds_rejected(self, strategy, bad):
+        trial, _ = self.trial_and_odds()
+        with pytest.raises(ValueError, match="odds"):
+            certify(trial, bad, self.POLICY, self.DESIGN, strategy)
+
+    def test_unknown_split_rejected(self):
+        trial, odds = self.trial_and_odds()
+        with pytest.raises(ValueError, match="unknown split"):
+            certify(trial, odds, self.POLICY, self.DESIGN, "stratified")

@@ -8,7 +8,6 @@ from limitcurves.data import (
     TargetCovariates,
     TrialDataset,
     TrialDesign,
-    TrialSample,
     matched_split,
     random_split,
     validate_dataset,
@@ -23,13 +22,6 @@ def make_trial(m=10, d=2, k=2, seed=0):
 
 
 class TestContainers:
-    def test_from_samples_round_trip(self):
-        samples = [TrialSample(np.array([0.0, 1.0]), 1, 2.5), TrialSample(np.array([1.0, 0.0]), 0, -1.0)]
-        ds = TrialDataset.from_samples(samples, k_actions=2)
-        assert ds.m == 2 and ds.dim == 2
-        back = ds.samples()
-        assert back[0].a == 1 and back[1].l == -1.0
-
     def test_rejects_out_of_range_actions(self):
         with pytest.raises(ValueError):
             TrialDataset([[0.0]], [2], [1.0], k_actions=2)
@@ -48,6 +40,9 @@ class TestContainers:
             PolicySpec.from_table([[0.5, 0.4]])
         with pytest.raises(ValueError):
             PolicySpec.from_table([[-0.1, 1.1]])
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                PolicySpec.from_table([[bad, 0.5]])
         probs = PolicySpec.constant(1).prob_matrix(3, 2)
         assert np.array_equal(probs, [[0.0, 1.0]] * 3)
 
@@ -56,6 +51,9 @@ class TestContainers:
             TrialDesign([0.5, 0.0, 0.5])
         with pytest.raises(ValueError):
             TrialDesign([0.6, 0.6])
+        for bad in ([np.nan, 1.0], [np.inf, 0.5]):
+            with pytest.raises(ValueError, match="finite"):
+                TrialDesign(bad)
         assert TrialDesign.uniform(4).probs[0] == 0.25
 
 

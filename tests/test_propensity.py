@@ -7,18 +7,19 @@ import math
 import numpy as np
 import pytest
 
+from limitcurves.data import PolicySpec, TrialDataset, TrialDesign
 from limitcurves.propensity import (
     LabeledPool,
     LogisticConfig,
     fit_logistic,
     load_external_scores,
     load_model,
-    odds_table_from_model,
     predict_logit,
     predict_odds,
     reliability_diagram,
     save_model,
 )
+from limitcurves.weights import shift_weights
 
 
 def sigmoid(z):
@@ -77,6 +78,12 @@ class TestFitLogistic:
         with pytest.raises(ValueError):
             LabeledPool(np.zeros((4, 1)), [1, 1, 1, 1])
 
+    def test_nonfinite_covariates_rejected(self):
+        with pytest.raises(ValueError, match="pool covariates must be finite"):
+            LabeledPool([[0.0], [np.nan]], [0, 1])
+        with pytest.raises(ValueError, match="pool covariates must be finite"):
+            LabeledPool([[np.inf, 1.0], [0.0, 1.0]], [0, 1])
+
     def test_separable_without_penalty_reports_non_converged(self):
         model = fit_logistic(separable_pool(), LogisticConfig(l2=0.0, max_iter=400))
         assert not model.report.converged
@@ -107,6 +114,17 @@ class TestFitLogistic:
         model = fit_logistic(noise_pool(), LogisticConfig(l2=1e-6))
         assert model.report.converged
         assert model.report.iterations <= 10
+
+    def test_constant_covariate_keeps_newton_steps(self):
+        """At l2 = 0 a constant column makes the Hessian singular; the
+        least-squares step keeps Newton's iteration count and leaves that
+        coefficient at 0 up to rounding."""
+        base = noise_pool(n=500, seed=6)
+        pool = LabeledPool(np.column_stack([base.x, np.full(base.n, 3.0)]), base.labels)
+        model = fit_logistic(pool, LogisticConfig(l2=0.0))
+        assert model.report.converged
+        assert model.report.iterations <= 10
+        assert abs(model.coefficients[-1]) < 1e-12
 
     def test_separable_without_penalty_non_converged_at_default_max_iter(self):
         model = fit_logistic(separable_pool(), LogisticConfig(l2=0.0))
@@ -234,14 +252,11 @@ class TestExternalScores:
 
     def test_p_s1_converted_to_odds(self, tmp_path):
         path = self.write(tmp_path, ["id,p_s1", "0,0.25", "1,0.5"])
-        table = load_external_scores(path)
-        assert np.array_equal(table.values, [3.0, 1.0])
-        assert table.provenance == "external"
+        assert np.array_equal(load_external_scores(path), [3.0, 1.0])
 
     def test_odds_passthrough_and_prior_correction(self, tmp_path):
         path = self.write(tmp_path, ["id,odds", "1,2.0", "0,0.5"])
-        table = load_external_scores(path, prior_correction=2.0)
-        assert np.array_equal(table.values, [1.0, 4.0])
+        assert np.array_equal(load_external_scores(path, prior_correction=2.0), [1.0, 4.0])
 
     def test_zero_probability_rejected(self, tmp_path):
         path = self.write(tmp_path, ["id,p_s1", "0,0.0"])
@@ -264,10 +279,12 @@ class TestExternalScores:
             load_external_scores(path)
 
     def test_alignment_length_checked(self, tmp_path):
+        """Two scores for three trial rows: the weights refuse them."""
         path = self.write(tmp_path, ["id,odds", "0,1.0", "1,2.0"])
-        table = load_external_scores(path)
-        with pytest.raises(ValueError):
-            table.aligned(3)
+        trial = TrialDataset(np.zeros((3, 1)), [0, 1, 0], [1.0, 2.0, 3.0], 2)
+        odds = load_external_scores(path)
+        with pytest.raises(ValueError, match="align"):
+            shift_weights(trial, odds, PolicySpec.uniform(), TrialDesign.uniform(2))
 
 
 class TestReliabilityDiagram:
@@ -331,13 +348,6 @@ class TestReliabilityDiagram:
         labels = np.array([0, 1, 0, 0])
         bins = reliability_diagram(odds, labels, bins=2)
         assert math.isnan(bins[-1].observed)
-
-    def test_fitted_table_provenance(self):
-        pool = noise_pool(n=200, seed=10)
-        model = fit_logistic(pool, LogisticConfig(l2=1e-2))
-        table = odds_table_from_model(model, pool.x)
-        assert table.provenance == "fitted"
-        assert len(table) == pool.n
 
     def test_banded_model_keeps_bins_inside_band(self):
         """A model whose odds deviate from the mechanism by at most a factor
