@@ -291,15 +291,17 @@ def limit_curve(
 ) -> LimitCurve:
     """Limit curves for every (gamma, alpha) pair.
 
-    ``l_max`` is the declared upper bound of the loss support; entries whose
-    stand-in CDF never reaches the level are reported at ``l_max`` with
-    ``trivial=True``. Informativeness per gamma is one minus the smallest
-    alpha with a nontrivial limit (0 when there is none). Weights are sorted
-    once; every cell reuses the same prefix sums.
+    ``l_max`` is the declared, finite upper bound of the loss support;
+    entries whose stand-in CDF never reaches the level are reported at
+    ``l_max`` with ``trivial=True``. Informativeness per gamma is one minus
+    the smallest alpha with a nontrivial limit (0 when there is none).
+    Weights are sorted once; every cell reuses the same prefix sums.
     """
     if l_max is None:
         raise ValueError("l_max (declared loss-support upper bound) is required")
     l_max = float(l_max)
+    if not math.isfinite(l_max):
+        raise ValueError("l_max must be finite")
     if float(cal.losses[-1]) >= l_max:
         raise ValueError("all observed losses must lie strictly below l_max")
     alphas = (

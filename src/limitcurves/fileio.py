@@ -12,6 +12,7 @@ import json
 import math
 import os
 import tempfile
+import warnings
 
 import numpy as np
 
@@ -30,7 +31,11 @@ def atomic_write_text(path, text: str) -> None:
     """Write via a temp file in the same directory plus rename."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    except OSError as exc:
+        # name the requested path, not the temp file that could not be made
+        raise type(exc)(exc.errno, exc.strerror, path) from None
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
@@ -42,7 +47,8 @@ def atomic_write_text(path, text: str) -> None:
 
 
 def write_json(path, payload: dict) -> None:
-    atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
+    """Refuses NaN and infinities, which are not JSON (``jsonable`` maps NaN to null)."""
+    atomic_write_text(path, json.dumps(payload, indent=2, allow_nan=False) + "\n")
 
 
 def _csv_text(header, rows) -> str:
@@ -85,32 +91,83 @@ def _covariate_header(dim: int) -> list[str]:
     return [f"x{j}" for j in range(dim)]
 
 
-def read_columns(path, prefix: str, tail=()) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Read a CSV whose header is ``prefix0,...,prefix{d-1}`` (d >= 1)
-    followed by the ``tail`` columns, given as ``(name, parse)`` pairs.
-
-    Returns the prefix block as an (n, d) float matrix and one array per tail
-    column, each cell parsed with ``float`` or the column's ``parse``.
-    """
+def _row_error(path, fields_for) -> None:
+    """Re-read ``path`` row by row with ``csv`` and ``float``/``int`` and
+    raise the first defect found, with its message: an empty file, a row
+    whose width differs from the header's, no data rows, a wrong header, or
+    a cell that does not parse (fields in order, row by row within one)."""
     header, rows = read_csv_rows(path)
-    names = [name for name, _ in tail]
-    dim = len(header) - len(names)
-    if dim < 1 or header != [f"{prefix}{j}" for j in range(dim)] + names:
-        last = dim - 1 if dim >= 1 else "{d-1}"
-        expected = ",".join([f"{prefix}0,...,{prefix}{last}", *names])
-        raise ValueError(f"{path}: expected header {expected}")
-    # drop the tail cells lazily and only when there are any: a list of
-    # sliced rows would add to the parse time and to the peak memory
-    cells = (row[:dim] for row in rows) if tail else rows
+    fields = fields_for(header)
+    start = 0
     try:
-        x = np.array([[float(v) for v in row] for row in cells])
-        columns = [
-            np.array([parse(row[j]) for row in rows])
-            for j, (_, parse) in enumerate(tail, start=dim)
-        ]
+        for _, parse, shape in fields:
+            stop = start + math.prod(shape)
+            for row in rows:
+                for cell in row[start:stop]:
+                    parse(cell)
+            start = stop
     except ValueError as exc:
         raise ValueError(f"{path}: parse failure: {exc}") from None
-    return x, columns
+
+
+def read_table(path, fields_for) -> np.ndarray:
+    """The data rows of a CSV file as one structured array, in one
+    ``np.loadtxt`` pass.
+
+    ``fields_for(header)`` gets the stripped header cells and returns the
+    fields as ``(name, parse, shape)`` triples, ``parse`` being ``int``
+    (read as int64) or ``float`` (float64) and ``shape`` ``()`` for one
+    column or ``(d,)`` for a block of d; it raises ``ValueError`` for a
+    wrong header. Any bad input is read again row by row only to name the
+    defect (``_row_error``); what that pass accepts but ``loadtxt`` does not,
+    such as ``1_0`` or an integer outside int64, is reported with
+    ``loadtxt``'s message.
+    """
+    with open(path, newline="") as fh:
+        header = [h.strip() for h in next(csv.reader(fh), [])]
+    try:
+        dtype = [
+            (name, np.int64 if parse is int else np.float64, shape)
+            for name, parse, shape in fields_for(header)
+        ]
+        with warnings.catch_warnings():
+            # a file without data rows only warns; fail it like any bad input
+            warnings.filterwarnings("error", "loadtxt: input contained no data", UserWarning)
+            return np.loadtxt(
+                path,
+                dtype=dtype,
+                delimiter=",",
+                skiprows=1,
+                ndmin=1,
+                comments=None,
+                quotechar='"',
+            )
+    except (ValueError, UserWarning) as exc:
+        _row_error(path, fields_for)
+        raise ValueError(f"{path}: parse failure: {exc}") from None
+
+
+def read_columns(path, prefix: str, tail=()) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Read a CSV whose header is ``prefix0,...,prefix{d-1}`` (d >= 1)
+    followed by the ``tail`` columns, given as ``(name, parse)`` pairs with
+    ``parse`` ``int`` or ``float``.
+
+    Returns the prefix block as an (n, d) float64 matrix and one int64 or
+    float64 array per tail column (see ``read_table``).
+    """
+    names = [name for name, _ in tail]
+
+    def fields_for(header):
+        dim = len(header) - len(names)
+        if dim < 1 or header != [f"{prefix}{j}" for j in range(dim)] + names:
+            last = dim - 1 if dim >= 1 else "{d-1}"
+            expected = ",".join([f"{prefix}0,...,{prefix}{last}", *names])
+            raise ValueError(f"{path}: expected header {expected}")
+        return [("x", float, (dim,)), *((name, parse, ()) for name, parse in tail)]
+
+    data = read_table(path, fields_for)
+    # a field of ``data`` is a strided view that keeps every column alive
+    return np.ascontiguousarray(data["x"]), [np.ascontiguousarray(data[n]) for n in names]
 
 
 def write_target_csv(path, target) -> None:

@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from .fileio import atomic_write_text, read_csv_rows
+from .fileio import atomic_write_text, read_table
 
 LOGIT_CLAMP = 30.0
 
@@ -37,6 +37,9 @@ class LogisticConfig:
     max_coef: float = 100.0
 
     def __post_init__(self):
+        for name in ("l2", "tol", "backtrack", "armijo", "max_coef"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.l2 < 0:
             raise ValueError("l2 must be nonnegative")
         if self.max_iter < 1:
@@ -227,19 +230,20 @@ def load_external_scores(path, prior_correction: float = 1.0) -> np.ndarray:
     """
     if prior_correction <= 0 or not math.isfinite(prior_correction):
         raise ValueError("prior_correction must be a positive finite number")
-    header, rows = read_csv_rows(path)
-    if header not in (["id", "p_s1"], ["id", "odds"]):
-        raise ValueError(f"{path}: header must be 'id,p_s1' or 'id,odds'")
-    try:
-        ids = np.array([int(row[0]) for row in rows])
-        vals = np.array([float(row[1]) for row in rows])
-    except ValueError as exc:
-        raise ValueError(f"{path}: parse failure: {exc}") from None
+
+    def fields_for(header):
+        if header not in (["id", "p_s1"], ["id", "odds"]):
+            raise ValueError(f"{path}: header must be 'id,p_s1' or 'id,odds'")
+        return [("id", int, ()), (header[1], float, ())]
+
+    data = read_table(path, fields_for)
+    kind = data.dtype.names[1]
+    ids, vals = data["id"], data[kind]
     order = np.argsort(ids)
     if not np.array_equal(ids[order], np.arange(len(ids))):
         raise ValueError(f"{path}: ids must be exactly 0..{len(ids) - 1} with no gaps")
     vals = vals[order]
-    if header[1] == "p_s1":
+    if kind == "p_s1":
         if np.any(vals <= 0) or np.any(vals >= 1):
             raise ValueError(f"{path}: p_s1 values must lie strictly inside (0, 1)")
         odds = (1.0 - vals) / vals

@@ -392,6 +392,42 @@ class TestBadInputs:
         assert self.evaluate_scores(tmp_path, trial, target, scores) == 1
         self.assert_error_line(capsys, "ragged.csv:3: expected 2 columns, got 3")
 
+    def test_out_of_range_action_evaluate(self, tmp_path, simulated, model, capsys):
+        target, _, _ = simulated
+        trial = tmp_path / "big.csv"
+        trial.write_text("x0,x1,a,l\n0.1,0.2,1,3.0\n0.5,0.1,99999999999999999999,1.0\n")
+        assert self.evaluate(tmp_path, trial, target, model) == 1
+        self.assert_error_line(capsys, "big.csv: parse failure: ")
+        assert not (tmp_path / "o.json").exists()
+
+    def test_out_of_range_label_fit(self, tmp_path, capsys):
+        pool = tmp_path / "big.csv"
+        pool.write_text("x0,s\n0.1,0\n0.2,99999999999999999999\n")
+        assert run("fit", "--pool", pool, "--out", tmp_path / "m.json") == 1
+        self.assert_error_line(capsys, "big.csv: parse failure: ")
+
+    def test_infinite_l_max(self, tmp_path, simulated, model, capsys):
+        target, trial, _ = simulated
+        assert run(
+            "evaluate", "--trial", trial, "--target", target, "--model", model,
+            "--policy", "constant:1", "--l-max", "inf",
+            "--out-json", tmp_path / "o.json", "--out-csv", tmp_path / "o.csv",
+        ) == 1
+        self.assert_error_line(capsys, "l_max must be finite")
+        assert not (tmp_path / "o.json").exists()
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_nan_l2(self, tmp_path, simulated, capsys):
+        assert run("fit", "--pool", simulated[2], "--l2", "nan", "--out", tmp_path / "m.json") == 1
+        self.assert_error_line(capsys, "l2 must be finite")
+
+    def test_missing_output_directory(self, tmp_path, simulated, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run("fit", "--pool", simulated[2], "--out", "nodir/m.json") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "'nodir/m.json'" in err
+        assert ".tmp-" not in err
+
     @pytest.fixture
     def nan_table(self, tmp_path, simulated):
         m = len(simulated[1].read_text().splitlines()) - 1

@@ -267,6 +267,9 @@ class TestLimitCurve:
             limit_curve(cal, ws, l_max=2.0)
         with pytest.raises(ValueError):
             limit_curve(cal, ws, l_max=None)
+        for l_max in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="l_max must be finite"):
+                limit_curve(cal, ws, l_max=l_max)
 
     def test_monotone_in_alpha_with_default_grids(self):
         cal, ws, l_max = self.make_inputs()
