@@ -131,8 +131,10 @@ def read_table(path, fields_for) -> np.ndarray:
             for name, parse, shape in fields_for(header)
         ]
         with warnings.catch_warnings():
-            # a file without data rows only warns; fail it like any bad input
-            warnings.filterwarnings("error", "loadtxt: input contained no data", UserWarning)
+            # fail on any warning: a file without data rows only warns, and
+            # numpy 1.x casts a non-integer int64 cell (``1.5``) after a
+            # DeprecationWarning instead of refusing it
+            warnings.simplefilter("error")
             return np.loadtxt(
                 path,
                 dtype=dtype,
@@ -141,8 +143,9 @@ def read_table(path, fields_for) -> np.ndarray:
                 ndmin=1,
                 comments=None,
                 quotechar='"',
+                encoding=None,  # open()'s locale encoding, as for the header
             )
-    except (ValueError, UserWarning) as exc:
+    except (ValueError, Warning) as exc:
         _row_error(path, fields_for)
         raise ValueError(f"{path}: parse failure: {exc}") from None
 

@@ -406,6 +406,23 @@ class TestBadInputs:
         assert run("fit", "--pool", pool, "--out", tmp_path / "m.json") == 1
         self.assert_error_line(capsys, "big.csv: parse failure: ")
 
+    # the default warning filters, as outside pytest
+    @pytest.mark.filterwarnings("default")
+    def test_fractional_action_evaluate(self, tmp_path, simulated, model, capsys):
+        target, _, _ = simulated
+        trial = tmp_path / "frac.csv"
+        trial.write_text("x0,x1,a,l\n0.1,0.2,1,3.0\n0.5,0.1,1.5,1.0\n")
+        assert self.evaluate(tmp_path, trial, target, model) == 1
+        self.assert_error_line(capsys, "frac.csv: parse failure: ")
+        assert not (tmp_path / "o.json").exists()
+
+    @pytest.mark.filterwarnings("default")
+    def test_fractional_label_fit(self, tmp_path, capsys):
+        pool = tmp_path / "frac.csv"
+        pool.write_text("x0,s\n0.1,0\n0.2,0.5\n")
+        assert run("fit", "--pool", pool, "--out", tmp_path / "m.json") == 1
+        self.assert_error_line(capsys, "frac.csv: parse failure: ")
+
     def test_infinite_l_max(self, tmp_path, simulated, model, capsys):
         target, trial, _ = simulated
         assert run(

@@ -207,6 +207,24 @@ class TestReadColumns:
             fileio.read_columns(path, "x", tail)
         assert str(info.value) == f"{path}{message}"
 
+    @pytest.mark.filterwarnings("default")
+    def test_cast_warning_is_a_parse_failure(self, tmp_path, monkeypatch):
+        """numpy 1.x reads an int64 cell ``1.5`` as 1 after a
+        DeprecationWarning; the reader refuses it whatever the warning filters."""
+
+        def casting_loadtxt(fname, dtype, **kwargs):
+            warnings.warn("Parsing an integer via a float is deprecated", DeprecationWarning)
+            return np.ones(1, dtype=dtype)
+
+        monkeypatch.setattr(np, "loadtxt", casting_loadtxt)
+        path = tmp_path / "t.csv"
+        path.write_text("x0,a,l\n0.5,1.5,2\n")
+        with pytest.raises(ValueError) as info:
+            fileio.read_columns(path, "x", TRIAL_TAIL)
+        assert str(info.value) == (
+            f"{path}: parse failure: invalid literal for int() with base 10: '1.5'"
+        )
+
     def test_header_only_file_does_not_warn(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("x0,x1\n")
