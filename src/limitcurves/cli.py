@@ -7,12 +7,13 @@ written atomically and JSON payloads embed the resolved configuration.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
 
 from . import fileio, simlab
-from .conformal import certify, limit_curve
+from .conformal import MAX_GRID_POINTS, certify, limit_curve
 from .data import PolicySpec, TrialDesign, validate_dataset
 from .gamma_bench import benchmark_all
 from .ipsw import ipsw_quantile, ipsw_value
@@ -36,15 +37,20 @@ def parse_floats(text: str) -> list[float]:
 
 
 def parse_alpha_grid(text: str) -> np.ndarray:
-    """Grid spec ``start:stop:step`` with an inclusive stop."""
+    """Grid spec ``start:stop:step`` with an inclusive stop and at most
+    ``MAX_GRID_POINTS`` points."""
     parts = text.split(":")
     if len(parts) != 3:
         raise ValueError(f"alpha grid must be start:stop:step, got {text!r}")
     start, stop, step = (float(p) for p in parts)
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        raise ValueError(f"alpha grid {text!r} must have a finite start, stop and step")
     if step <= 0 or stop < start:
         raise ValueError(f"bad alpha grid {text!r}")
-    count = int(round((stop - start) / step)) + 1
-    grid = start + step * np.arange(count)
+    span = (stop - start) / step  # inf when a tiny step overflows it
+    if math.isinf(span) or round(span) >= MAX_GRID_POINTS:
+        raise ValueError(f"alpha grid {text!r} has more than {MAX_GRID_POINTS} points")
+    grid = start + step * np.arange(int(round(span)) + 1)
     grid = grid[(grid > 0) & (grid < 1)]
     if grid.size == 0:
         raise ValueError(f"alpha grid {text!r} has no points inside (0, 1)")
@@ -76,6 +82,9 @@ def _config_ns(ns: argparse.Namespace) -> dict:
 
 def _fit_config(ns: argparse.Namespace) -> LogisticConfig:
     return LogisticConfig(l2=ns.l2, max_iter=ns.max_iter, tol=ns.tol)
+
+
+BETA_POINTS_HELP = f"beta grid points per alpha, at most {MAX_GRID_POINTS}"
 
 
 def _add_fit_flags(sub) -> None:
@@ -326,8 +335,10 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     s.add_argument("--policy", required=True, help="constant:<a>, uniform, or table:<path>")
     s.add_argument("--design", default="uniform:2", help="uniform:<K> or probs:<p0,...>")
     s.add_argument("--gammas", default="1", help="comma-separated miscalibration factors")
-    s.add_argument("--alpha-grid", default="0.01:0.99:0.01", help="start:stop:step")
-    s.add_argument("--beta-points", type=int, default=49)
+    s.add_argument(
+        "--alpha-grid", default="0.01:0.99:0.01", help=f"start:stop:step, at most {MAX_GRID_POINTS} points"
+    )
+    s.add_argument("--beta-points", type=int, default=49, help=BETA_POINTS_HELP)
     s.add_argument("--split", choices=("random", "matched"), default="random")
     s.add_argument("--frac", type=float, default=0.5, help="random-split fraction for the weight-bound half")
     s.add_argument("--seed", type=int, default=0)
@@ -375,7 +386,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     s.add_argument("--policy", default="constant:1")
     s.add_argument("--design", default="uniform:2")
     s.add_argument("--alphas", default="0.05,0.1,0.2")
-    s.add_argument("--beta-points", type=int, default=49)
+    s.add_argument("--beta-points", type=int, default=49, help=BETA_POINTS_HELP)
     s.add_argument("--runs", type=int, default=200)
     s.add_argument("--per-run", type=int, default=500)
     s.add_argument("--seed", type=int, default=0)

@@ -18,6 +18,9 @@ from .data import PolicySpec, SplitResult, TrialDataset, TrialDesign, matched_sp
 from .weights import check_gamma, shift_weights, trial_odds
 
 
+MAX_GRID_POINTS = 10**6  # per generated alpha or beta grid, checked before allocating
+
+
 def default_alpha_grid() -> np.ndarray:
     """Miscoverage grid 0.01, 0.02, ..., 0.99."""
     return np.arange(1, 100) / 100.0
@@ -29,6 +32,8 @@ def default_beta_grid(alpha: float, points: int = 49) -> np.ndarray:
         raise ValueError("alpha must lie strictly inside (0, 1)")
     if points < 1:
         raise ValueError("need at least one grid point")
+    if points > MAX_GRID_POINTS:
+        raise ValueError(f"need at most {MAX_GRID_POINTS} grid points")
     return alpha * np.arange(1, points + 1) / (points + 1)
 
 
@@ -79,10 +84,6 @@ class CalibrationSet:
         base = np.asarray(base_weights, dtype=np.float64)
         return cls(losses, base, base)
 
-    def scaled(self, gamma: float) -> "CalibrationSet":
-        g = check_gamma(gamma)
-        return CalibrationSet(self.losses, self.lower / g, self.upper * g)
-
 
 class WeightBoundSet:
     """Ascending upper shift weights of the weight-bound half."""
@@ -98,10 +99,6 @@ class WeightBoundSet:
     @property
     def size(self) -> int:
         return self.upper.shape[0]
-
-    def scaled(self, gamma: float) -> "WeightBoundSet":
-        g = check_gamma(gamma)
-        return WeightBoundSet(self.upper * g)
 
 
 def certify(
@@ -223,11 +220,21 @@ def quantile(cal: CalibrationSet, w_bound: float, alpha: float, beta: float) -> 
     return None if idx < 0 else float(loss_ends[idx])
 
 
-def _best_limit(loss_ends, prefix, denom_base, sorted_upper_bound, alpha, betas):
-    wbars = _weight_bound_values(sorted_upper_bound, betas)
-    thresholds = (1.0 - alpha) / (1.0 - betas)
-    idx = backend.best_stop_index(prefix, denom_base, wbars, thresholds)
-    return None if idx < 0 else float(loss_ends[idx])
+def _limits(cal: CalibrationSet, ws: WeightBoundSet, gamma: float, cells) -> list[float | None]:
+    """The ``limit`` of every ``(alpha, betas)`` cell at a checked ``gamma``.
+    The gamma-scaled sums are built once, and each cell is one kernel call, so
+    an iterator of cells keeps one beta grid in memory."""
+    loss_ends, prefix, denom_base = _scan_arrays(
+        cal.losses, cal.lower / gamma, cal.upper * gamma, cal.group_ends
+    )
+    sorted_bound = ws.upper * gamma
+    out = []
+    for alpha, betas in cells:
+        wbars = _weight_bound_values(sorted_bound, betas)
+        thresholds = (1.0 - alpha) / (1.0 - betas)
+        idx = backend.best_stop_index(prefix, denom_base, wbars, thresholds)
+        out.append(None if idx < 0 else float(loss_ends[idx]))
+    return out
 
 
 def limit(
@@ -251,10 +258,7 @@ def limit(
         raise ValueError("beta grid must be a nonempty vector")
     if np.any(betas <= 0) or np.any(betas >= alpha):
         raise ValueError("beta grid must lie strictly inside (0, alpha)")
-    loss_ends, prefix, denom_base = _scan_arrays(
-        cal.losses, cal.lower / g, cal.upper * g, cal.group_ends
-    )
-    return _best_limit(loss_ends, prefix, denom_base, ws.upper * g, alpha, betas)
+    return _limits(cal, ws, g, [(alpha, betas)])[0]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -319,17 +323,11 @@ def limit_curve(
 
     points: list[LimitPoint] = []
     informativeness: dict[float, float] = {}
+    alpha_list = [float(a) for a in alphas]
     for g in gamma_list:
-        loss_ends, prefix, denom_base = _scan_arrays(
-            cal.losses, cal.lower / g, cal.upper * g, cal.group_ends
-        )
-        sorted_bound = ws.upper * g
+        cells = ((a, default_beta_grid(a, beta_points)) for a in alpha_list)
         finite_alphas = []
-        for a in alphas:
-            a = float(a)
-            value = _best_limit(
-                loss_ends, prefix, denom_base, sorted_bound, a, default_beta_grid(a, beta_points)
-            )
+        for a, value in zip(alpha_list, _limits(cal, ws, g, cells)):
             if value is None:
                 points.append(LimitPoint(g, a, l_max, True))
             else:

@@ -23,12 +23,11 @@ def _as_matrix(rows, name: str) -> np.ndarray:
 class TrialDataset:
     """Trial records (covariates, action, loss) with a fixed action count.
 
-    With ``strict=True`` non-finite covariates or losses are rejected at
-    construction; loaders pass ``strict=False`` and rely on
-    :func:`validate_dataset` to report problems instead.
+    Non-finite covariates or losses and out-of-range actions are rejected at
+    construction.
     """
 
-    def __init__(self, x, actions, losses, k_actions: int, strict: bool = True):
+    def __init__(self, x, actions, losses, k_actions: int):
         self.x = _as_matrix(x, "trial covariates")
         self.actions = np.asarray(actions, dtype=np.int64)
         self.losses = np.asarray(losses, dtype=np.float64)
@@ -39,11 +38,10 @@ class TrialDataset:
         self.k_actions = int(k_actions)
         if self.actions.min() < 0 or self.actions.max() >= self.k_actions:
             raise ValueError("action indices must lie in [0, k_actions)")
-        if strict:
-            if not np.all(np.isfinite(self.x)):
-                raise ValueError("trial covariates must be finite")
-            if not np.all(np.isfinite(self.losses)):
-                raise ValueError("trial losses must be finite")
+        if not np.all(np.isfinite(self.x)):
+            raise ValueError("trial covariates must be finite")
+        if not np.all(np.isfinite(self.losses)):
+            raise ValueError("trial losses must be finite")
 
     @property
     def m(self) -> int:
@@ -55,17 +53,16 @@ class TrialDataset:
 
     def subset(self, indices: np.ndarray) -> "TrialDataset":
         idx = np.asarray(indices, dtype=np.int64)
-        return TrialDataset(
-            self.x[idx], self.actions[idx], self.losses[idx], self.k_actions, strict=False
-        )
+        return TrialDataset(self.x[idx], self.actions[idx], self.losses[idx], self.k_actions)
 
 
 class TargetCovariates:
-    """Covariate-only rows drawn from the target population."""
+    """Covariate-only rows drawn from the target population; non-finite
+    covariates are rejected at construction."""
 
-    def __init__(self, rows, strict: bool = True):
+    def __init__(self, rows):
         self.x = _as_matrix(rows, "target covariates")
-        if strict and not np.all(np.isfinite(self.x)):
+        if not np.all(np.isfinite(self.x)):
             raise ValueError("target covariates must be finite")
 
     @property
@@ -190,33 +187,20 @@ class ValidationReport:
 def validate_dataset(
     trial: TrialDataset, target: TargetCovariates, l_max: float | None = None
 ) -> ValidationReport:
-    """Report-only consistency checks between a trial dataset and target covariates."""
-    checks = []
-    checks.append(
+    """Report-only checks across a trial dataset and target covariates: equal
+    covariate dimensions and, given ``l_max``, every loss below it. Each
+    container checks its own values at construction."""
+    checks = [
         CheckResult(
             "dimension_match",
             trial.dim == target.dim,
             f"trial d={trial.dim}, target d={target.dim}",
         )
-    )
-    checks.append(
-        CheckResult("trial_covariates_finite", bool(np.all(np.isfinite(trial.x))))
-    )
-    checks.append(CheckResult("trial_losses_finite", bool(np.all(np.isfinite(trial.losses)))))
-    checks.append(
-        CheckResult("target_covariates_finite", bool(np.all(np.isfinite(target.x))))
-    )
-    checks.append(
-        CheckResult(
-            "actions_in_range",
-            bool(trial.actions.min() >= 0 and trial.actions.max() < trial.k_actions),
-            f"k_actions={trial.k_actions}",
-        )
-    )
+    ]
     if l_max is not None:
-        finite = trial.losses[np.isfinite(trial.losses)]
-        below = finite.size == trial.losses.size and bool(np.all(finite < l_max))
-        checks.append(CheckResult("losses_below_l_max", below, f"l_max={l_max}"))
+        checks.append(
+            CheckResult("losses_below_l_max", bool(np.all(trial.losses < l_max)), f"l_max={l_max}")
+        )
     return ValidationReport(tuple(checks))
 
 

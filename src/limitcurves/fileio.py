@@ -183,7 +183,7 @@ def read_target_csv(path):
     from .data import TargetCovariates
 
     x, _ = read_columns(path, "x")
-    return TargetCovariates(x, strict=False)
+    return TargetCovariates(x)
 
 
 def write_trial_csv(path, trial) -> None:
@@ -200,7 +200,7 @@ def read_trial_csv(path, k_actions: int | None = None):
 
     x, (actions, losses) = read_columns(path, "x", (("a", int), ("l", float)))
     k = int(actions.max()) + 1 if k_actions is None else k_actions
-    return TrialDataset(x, actions, losses, k, strict=False)
+    return TrialDataset(x, actions, losses, k)
 
 
 def write_pool_csv(path, pool) -> None:

@@ -202,23 +202,22 @@ def fit_logistic(pool: LabeledPool, config: LogisticConfig = LogisticConfig()) -
     return LogisticModel(theta[:-1].copy(), float(theta[-1]), mean, scale, report)
 
 
-def predict_logit(model: LogisticModel, x) -> np.ndarray | float:
-    """Clamped log-odds of trial membership, ``log p(S=1|x) / p(S=0|x)``."""
+def predict_logit(model: LogisticModel, x) -> np.ndarray:
+    """Clamped log-odds of trial membership, ``log p(S=1|x) / p(S=0|x)``, one
+    per row of the 2-d covariate array ``x``."""
     arr = np.asarray(x, dtype=np.float64)
-    single = arr.ndim == 1
-    if single:
-        arr = arr.reshape(1, -1)
+    if arr.ndim != 2:
+        raise ValueError("x must be a 2-d array of covariate rows")
     if arr.shape[1] != model.dim:
         raise ValueError(f"expected {model.dim} features, got {arr.shape[1]}")
     z = (arr - model.feature_mean) / model.feature_scale
-    logits = np.clip(z @ model.coefficients + model.intercept, -LOGIT_CLAMP, LOGIT_CLAMP)
-    return float(logits[0]) if single else logits
+    return np.clip(z @ model.coefficients + model.intercept, -LOGIT_CLAMP, LOGIT_CLAMP)
 
 
-def predict_odds(model: LogisticModel, x) -> np.ndarray | float:
-    """Nominal selection odds ``p(S=0|x) / p(S=1|x)``; strictly positive and finite."""
-    logits = predict_logit(model, x)
-    return np.exp(-logits) if isinstance(logits, np.ndarray) else math.exp(-logits)
+def predict_odds(model: LogisticModel, x) -> np.ndarray:
+    """Nominal selection odds ``p(S=0|x) / p(S=1|x)`` per row of ``x``;
+    strictly positive and finite."""
+    return np.exp(-predict_logit(model, x))
 
 
 def load_external_scores(path, prior_correction: float = 1.0) -> np.ndarray:

@@ -18,6 +18,7 @@ from .conformal import certify, default_beta_grid, limit
 from .data import PolicySpec, TargetCovariates, TrialDataset, TrialDesign, sample_actions
 from .ipsw import ipsw_quantile
 from .propensity import LabeledPool, LogisticConfig, fit_logistic, predict_odds
+from .weights import check_gamma
 
 LOSS_NOISE_SD = 1.0
 
@@ -131,46 +132,41 @@ def _gaussian_log_density(v, mean: float, var: float) -> np.ndarray:
 
 def true_odds(
     x, target: PopulationParams, trial: PopulationParams, prior_ratio: float = 1.0
-) -> np.ndarray | float:
-    """Exact covariate selection odds via Bayes on the two Gaussian families,
-    with the hidden factor marginalized out (it is independent of x)."""
+) -> np.ndarray:
+    """Exact covariate selection odds per row of the 2-d ``x``, via Bayes on
+    the two Gaussian families, with the hidden factor marginalized out (it is
+    independent of x)."""
     if prior_ratio <= 0:
         raise ValueError("prior_ratio must be positive")
     arr = np.asarray(x, dtype=np.float64)
-    single = arr.ndim == 1
-    if single:
-        arr = arr.reshape(1, -1)
-    if arr.shape[1] != 2:
-        raise ValueError("expected two covariates per row")
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise ValueError("x must be a 2-d array of rows with two covariates")
     log_ratio = (
         _gaussian_log_density(arr[:, 0], target.mean_x0, target.var_x0)
         - _gaussian_log_density(arr[:, 0], trial.mean_x0, trial.var_x0)
         + _gaussian_log_density(arr[:, 1], target.mean_x1, target.var_x1)
         - _gaussian_log_density(arr[:, 1], trial.mean_x1, trial.var_x1)
     )
-    odds = prior_ratio * np.exp(log_ratio)
-    return float(odds[0]) if single else odds
+    return prior_ratio * np.exp(log_ratio)
 
 
 def true_odds_with_u(
     x, u, target: PopulationParams, trial: PopulationParams, prior_ratio: float = 1.0
-) -> np.ndarray | float:
-    """Selection odds given covariates and the hidden factor."""
-    base = true_odds(x, target, trial, prior_ratio)
-    u_arr = np.asarray(u, dtype=np.float64)
+) -> np.ndarray:
+    """Selection odds per row of ``x`` given the hidden factor ``u`` of each row."""
     factor = np.exp(
-        _gaussian_log_density(u_arr, target.mean_u, target.var_u)
-        - _gaussian_log_density(u_arr, trial.mean_u, trial.var_u)
+        _gaussian_log_density(u, target.mean_u, target.var_u)
+        - _gaussian_log_density(u, trial.mean_u, trial.var_u)
     )
-    out = base * factor
-    return float(out) if np.isscalar(base) and u_arr.ndim == 0 else out
+    return true_odds(x, target, trial, prior_ratio) * factor
 
 
 def true_miscalibration(
     x, u, model_odds, scenario: SimScenario, prior_ratio: float = 1.0
-) -> np.ndarray | float:
+) -> np.ndarray:
     """Ratio of the exact selection odds (with the hidden factor) to the
-    model's nominal odds; 1 everywhere means a perfectly calibrated model."""
+    model's nominal odds, per row; 1 everywhere means a perfectly calibrated
+    model."""
     model_odds = np.asarray(model_odds, dtype=np.float64)
     if np.any(model_odds <= 0):
         raise ValueError("model odds must be strictly positive")
@@ -194,8 +190,7 @@ class CertifiedMethod:
             raise ValueError("split must be 'matched' or 'random'")
         if self.odds_source not in ("fitted", "oracle"):
             raise ValueError("odds_source must be 'fitted' or 'oracle'")
-        if self.gamma < 1.0:
-            raise ValueError("gamma must be >= 1")
+        check_gamma(self.gamma)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -49,6 +49,12 @@ class TestParsing:
         assert grid.shape == (99,)
         with pytest.raises(ValueError):
             parse_alpha_grid("0.5")
+        # a subnormal step makes (stop - start) / step overflow to inf
+        with pytest.raises(ValueError, match="more than 1000000 points"):
+            parse_alpha_grid("0.01:0.99:5e-324")
+        assert parse_alpha_grid("0:0.999999:0.000001").shape == (999999,)
+        with pytest.raises(ValueError, match="more than 1000000 points"):
+            parse_alpha_grid("0:1:0.000001")
 
 
 class TestSimulate:
@@ -479,6 +485,67 @@ class TestBadInputs:
             "--out-json", tmp_path / "o.json", "--out-csv", tmp_path / "o.csv",
         ) == 1
         self.assert_error_line(capsys, "design probabilities must be finite")
+
+    @staticmethod
+    def with_cell(tmp_path, source, row, col, value):
+        """Copy of the CSV ``source`` with one data cell replaced."""
+        lines = source.read_text().splitlines()
+        cells = lines[row + 1].split(",")
+        cells[col] = value
+        lines[row + 1] = ",".join(cells)
+        path = tmp_path / f"bad-{source.name}"
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    @staticmethod
+    def assert_only_error_line(capsys, line):
+        assert capsys.readouterr().err == f"error: {line}\n"
+
+    def test_nan_trial_loss_evaluate(self, tmp_path, simulated, model, capsys):
+        target, trial, _ = simulated
+        bad = self.with_cell(tmp_path, trial, 3, -1, "nan")
+        assert self.evaluate(tmp_path, bad, target, model) == 1
+        self.assert_only_error_line(capsys, "trial losses must be finite")
+        assert not (tmp_path / "o.json").exists()
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_nan_trial_loss_ipsw(self, tmp_path, simulated, model, capsys):
+        target, trial, _ = simulated
+        bad = self.with_cell(tmp_path, trial, 3, -1, "nan")
+        assert run(
+            "ipsw", "--trial", bad, "--target", target, "--model", model,
+            "--policy", "constant:1", "--out", tmp_path / "ipsw.json",
+        ) == 1
+        self.assert_only_error_line(capsys, "trial losses must be finite")
+        assert not (tmp_path / "ipsw.json").exists()
+
+    def test_infinite_target_covariate_evaluate(self, tmp_path, simulated, model, capsys):
+        target, trial, _ = simulated
+        bad = self.with_cell(tmp_path, target, 5, 1, "inf")
+        assert self.evaluate(tmp_path, trial, bad, model) == 1
+        self.assert_only_error_line(capsys, "target covariates must be finite")
+        assert not (tmp_path / "o.json").exists()
+        assert not (tmp_path / "o.csv").exists()
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--alpha-grid", "0.01:inf:0.01", "must have a finite start, stop and step"),
+            ("--alpha-grid", "0.01:0.99:nan", "must have a finite start, stop and step"),
+            ("--alpha-grid", "0.01:0.99:1e-15", "has more than 1000000 points"),
+            ("--beta-points", "1000000000000000", "need at most 1000000 grid points"),
+        ],
+    )
+    def test_grid_flags_refused(self, tmp_path, simulated, model, capsys, flag, value, message):
+        target, trial, _ = simulated
+        assert run(
+            "evaluate", "--trial", trial, "--target", target, "--model", model,
+            "--policy", "constant:1", "--l-max", 100.0, flag, value,
+            "--out-json", tmp_path / "o.json", "--out-csv", tmp_path / "o.csv",
+        ) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
+        assert not (tmp_path / "o.json").exists()
 
     def test_zero_feature_scale_in_model(self, tmp_path, simulated, model, capsys):
         target, trial, _ = simulated

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from limitcurves.conformal import (
+    MAX_GRID_POINTS,
     CalibrationSet,
     WeightBoundSet,
     certify,
@@ -166,8 +167,8 @@ class TestLimit:
             alpha = float(rng.uniform(0.1, 0.9))
             gamma = float(rng.uniform(1.0, 3.0))
             betas = default_beta_grid(alpha, 17)
-            scaled = cal.scaled(gamma)
-            ws_scaled = ws.scaled(gamma)
+            scaled = CalibrationSet(cal.losses, cal.lower / gamma, cal.upper * gamma)
+            ws_scaled = WeightBoundSet(ws.upper * gamma)
             candidates = [
                 quantile(scaled, weight_bound(ws_scaled, float(b)), alpha, float(b))
                 for b in betas
@@ -291,6 +292,12 @@ class TestGrids:
             grid = default_beta_grid(alpha)
             assert grid.shape == (49,)
             assert grid[0] > 0 and grid[-1] < alpha
+
+    def test_default_beta_grid_point_cap(self):
+        assert default_beta_grid(0.5, MAX_GRID_POINTS).shape == (MAX_GRID_POINTS,)
+        for points in (MAX_GRID_POINTS + 1, 10**15):
+            with pytest.raises(ValueError, match="at most 1000000 grid points"):
+                default_beta_grid(0.5, points)
 
     def test_sorted_tie_order_stable(self):
         cal = CalibrationSet([2.0, 1.0, 2.0], [0.1, 0.2, 0.3], [0.1, 0.2, 0.3])

@@ -26,10 +26,14 @@ class TestContainers:
         with pytest.raises(ValueError):
             TrialDataset([[0.0]], [2], [1.0], k_actions=2)
 
-    def test_rejects_nonfinite_when_strict(self):
-        with pytest.raises(ValueError):
-            TrialDataset([[0.0]], [0], [np.inf], k_actions=1)
-        TrialDataset([[0.0]], [0], [np.inf], k_actions=1, strict=False)
+    def test_rejects_nonfinite_values(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="trial losses must be finite"):
+                TrialDataset([[0.0]], [0], [bad], k_actions=1)
+            with pytest.raises(ValueError, match="trial covariates must be finite"):
+                TrialDataset([[bad]], [0], [1.0], k_actions=1)
+            with pytest.raises(ValueError, match="target covariates must be finite"):
+                TargetCovariates([[0.0, bad]])
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -67,11 +71,12 @@ class TestValidateDataset:
         assert not report.passed
         assert any(c.name == "dimension_match" for c in report.failures())
 
-    def test_infinite_loss_flagged(self):
-        trial = TrialDataset([[0.0], [1.0]], [0, 0], [1.0, np.inf], 1, strict=False)
-        report = validate_dataset(trial, TargetCovariates(np.zeros((2, 1))))
-        assert not report.passed
-        assert any(c.name == "trial_losses_finite" for c in report.failures())
+    def test_only_cross_file_checks(self):
+        target = TargetCovariates(np.zeros((5, 2)))
+        report = validate_dataset(make_trial(d=2), target)
+        assert [c.name for c in report.checks] == ["dimension_match"]
+        report = validate_dataset(make_trial(d=2), target, l_max=50.0)
+        assert [c.name for c in report.checks] == ["dimension_match", "losses_below_l_max"]
 
     def test_l_max_check(self):
         trial = TrialDataset([[0.0]], [0], [5.0], 1)
@@ -158,7 +163,7 @@ class TestMatchedSplit:
         counts = np.zeros(m)
         for rep in range(reps):
             actions = (rng.random(m) < design.probs[1]).astype(int)
-            trial = TrialDataset(x, actions, np.zeros(m), 2, strict=True)
+            trial = TrialDataset(x, actions, np.zeros(m), 2)
             try:
                 split = matched_split(trial, policy, design, seed=rep)
             except ValueError:

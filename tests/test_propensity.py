@@ -147,19 +147,19 @@ class TestPredictOdds:
         from limitcurves.propensity import LogisticModel
 
         model = LogisticModel(np.zeros(2), 0.0, np.zeros(2), np.ones(2))
-        assert predict_odds(model, np.array([3.0, -1.0])) == 1.0
+        assert np.array_equal(predict_odds(model, np.array([[3.0, -1.0]])), [1.0])
 
     def test_definition_at_log_three(self):
         from limitcurves.propensity import LogisticModel
 
         model = LogisticModel(np.zeros(1), math.log(3.0), np.zeros(1), np.ones(1))
-        assert predict_odds(model, np.array([0.0])) == pytest.approx(1.0 / 3.0, rel=1e-15)
+        assert predict_odds(model, np.array([[0.0]]))[0] == pytest.approx(1.0 / 3.0, rel=1e-15)
 
     def test_clamped_logit(self):
         from limitcurves.propensity import LogisticModel
 
         model = LogisticModel(np.zeros(1), -40.0, np.zeros(1), np.ones(1))
-        assert predict_odds(model, np.array([0.0])) == math.exp(30.0)
+        assert np.array_equal(predict_odds(model, np.array([[0.0]])), [math.exp(30.0)])
 
     def test_odds_times_probability_ratio_is_one(self):
         model = self.zero_model()
@@ -171,8 +171,14 @@ class TestPredictOdds:
 
     def test_dimension_mismatch(self):
         model = self.zero_model(d=2)
-        with pytest.raises(ValueError):
-            predict_odds(model, np.zeros(3))
+        with pytest.raises(ValueError, match="expected 2 features, got 3"):
+            predict_odds(model, np.zeros((1, 3)))
+
+    def test_refuses_one_dimensional_rows(self):
+        model = self.zero_model(d=2)
+        for fn in (predict_logit, predict_odds):
+            with pytest.raises(ValueError, match="2-d"):
+                fn(model, np.zeros(2))
 
 
 class TestModelFile:

@@ -71,14 +71,14 @@ class TestGenerators:
 class TestTrueOdds:
     def test_identical_populations(self):
         p = POPULATIONS["trial"]
-        assert true_odds(np.array([0.3, -0.7]), p, p) == pytest.approx(1.0, rel=1e-15)
+        assert true_odds(np.array([[0.3, -0.7]]), p, p) == pytest.approx([1.0], rel=1e-15)
 
     def test_population_a_at_half(self):
-        value = true_odds(np.array([0.5, 0.5]), POPULATIONS["A"], POPULATIONS["trial"])
-        assert value == pytest.approx(math.exp(0.25), rel=1e-12)
+        value = true_odds(np.array([[0.5, 0.5]]), POPULATIONS["A"], POPULATIONS["trial"])
+        assert value == pytest.approx([math.exp(0.25)], rel=1e-12)
 
     def test_prior_ratio_is_linear(self):
-        x = np.array([1.0, -2.0])
+        x = np.array([[1.0, -2.0]])
         base = true_odds(x, POPULATIONS["B"], POPULATIONS["trial"], prior_ratio=1.0)
         assert true_odds(
             x, POPULATIONS["B"], POPULATIONS["trial"], prior_ratio=2.0
@@ -110,9 +110,19 @@ class TestTrueOdds:
         )
         assert np.max(np.abs(got / expected - 1.0)) <= 1e-12
 
+    def test_refuses_one_dimensional_rows(self):
+        p = POPULATIONS["trial"]
+        scn = scenario("A")
+        with pytest.raises(ValueError, match="2-d"):
+            true_odds(np.array([0.3, -0.7]), p, p)
+        with pytest.raises(ValueError, match="2-d"):
+            true_odds_with_u(np.array([0.3, -0.7]), np.array([0.5]), p, p)
+        with pytest.raises(ValueError, match="2-d"):
+            true_miscalibration(np.array([0.3, -0.7]), np.array([0.5]), np.ones(1), scn)
+
     def test_with_hidden_factor_identical_populations(self):
         p = POPULATIONS["trial"]
-        assert true_odds_with_u(np.array([0.1, 0.2]), 0.5, p, p) == pytest.approx(1.0)
+        assert true_odds_with_u(np.array([[0.1, 0.2]]), np.array([0.5]), p, p) == pytest.approx([1.0])
 
 
 class TestTrueMiscalibration:
@@ -130,7 +140,7 @@ class TestTrueMiscalibration:
         rng = np.random.default_rng(5)
         x = rng.normal(size=(30, 2))
         u = rng.normal(size=30)
-        model_odds = np.asarray(true_odds(x, scn.target, scn.trial))
+        model_odds = true_odds(x, scn.target, scn.trial)
         ratio = true_miscalibration(x, u, model_odds, scn)
         expected = scipy.stats.norm.pdf(u, 0.5, 1.0) / scipy.stats.norm.pdf(u, 0.0, 1.0)
         assert np.allclose(ratio, expected, rtol=1e-12)
@@ -139,8 +149,8 @@ class TestTrueMiscalibration:
         """Share of draws whose miscalibration stays within a factor of 2."""
         scn = scenario("A")
         covs, u = sample_target(scn.target, 20000, seed=6)
-        model_odds = np.asarray(true_odds(covs.x, scn.target, scn.trial))
-        ratio = np.asarray(true_miscalibration(covs.x, u, model_odds, scn))
+        model_odds = true_odds(covs.x, scn.target, scn.trial)
+        ratio = true_miscalibration(covs.x, u, model_odds, scn)
         sym = np.maximum(ratio, 1.0 / ratio)
         within = float(np.mean(sym <= 2.0))
         # P(|0.5 U - 0.125| <= log 2) for U ~ N(0.5, 1), computable directly
@@ -151,6 +161,11 @@ class TestTrueMiscalibration:
 
 
 class TestMiscoverage:
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, 0.5])
+    def test_certified_method_checks_gamma(self, gamma):
+        with pytest.raises(ValueError, match="gamma must be a finite real >= 1"):
+            CertifiedMethod(gamma=gamma)
+
     def test_trivial_limits_give_gap_equal_alpha(self):
         scn = scenario("A", n=50, m=40, m_train=40)
         report = miscoverage_gap(
@@ -186,8 +201,8 @@ class TestMiscoverage:
         certificate even when the hidden factor moves the loss."""
         scn = scenario("A", n=800, m=400, m_train=400)
         covs, u = sample_target(scn.target, 4000, seed=7)
-        model = np.asarray(true_odds(covs.x, scn.target, scn.trial))
-        ratio = np.asarray(true_miscalibration(covs.x, u, model, scn))
+        model = true_odds(covs.x, scn.target, scn.trial)
+        ratio = true_miscalibration(covs.x, u, model, scn)
         gamma = float(np.max(np.maximum(ratio, 1.0 / ratio)))
         report = miscoverage_gap(
             scn,
