@@ -29,7 +29,6 @@ from .data import (
     TargetCovariates,
     TrialDataset,
     TrialDesign,
-    ValidationReport,
     matched_split,
     random_split,
     validate_dataset,
@@ -88,7 +87,6 @@ __all__ = [
     "TargetCovariates",
     "TrialDataset",
     "TrialDesign",
-    "ValidationReport",
     "WeightBoundSet",
     "WeightPair",
     "benchmark_all",

@@ -75,9 +75,11 @@ def parse_design(text: str) -> TrialDesign:
     raise ValueError(f"bad design {text!r}; use uniform:<K> or probs:<p0,...>")
 
 
-def _config_ns(ns: argparse.Namespace) -> dict:
-    skip = {"func", "config"}
-    return fileio.jsonable({k: v for k, v in vars(ns).items() if k not in skip})
+def _write_payload(ns: argparse.Namespace, path, kind: str, body: dict) -> None:
+    """Write ``body`` after the schema_version, kind and config (resolved flags) keys."""
+    config = {k: v for k, v in vars(ns).items() if k not in ("func", "config")}
+    payload = {"schema_version": fileio.SCHEMA_VERSION, "kind": kind, "config": config, **body}
+    fileio.write_json(path, fileio.jsonable(payload))
 
 
 def _fit_config(ns: argparse.Namespace) -> LogisticConfig:
@@ -116,11 +118,14 @@ def _resolve_odds(ns, x_rows: np.ndarray) -> np.ndarray:
     return load_external_scores(ns.scores, ns.prior_correction)
 
 
-def _require_valid(trial, target, l_max=None) -> None:
-    report = validate_dataset(trial, target, l_max)
-    if not report.passed:
-        details = "; ".join(f"{c.name} ({c.detail})" if c.detail else c.name for c in report.failures())
-        raise ValueError(f"dataset validation failed: {details}")
+def _read_study(ns, l_max=None):
+    """Design, trial, target (checked against the trial), policy and odds."""
+    design = parse_design(ns.design)
+    trial = fileio.read_trial_csv(ns.trial, k_actions=design.k_actions)
+    target = fileio.read_target_csv(ns.target)
+    validate_dataset(trial, target, l_max)
+    policy = parse_policy(ns.policy)
+    return design, trial, target, policy, _resolve_odds(ns, trial.x)
 
 
 # ---------------------------------------------------------------------------
@@ -163,12 +168,7 @@ def _cmd_fit(ns) -> int:
 
 
 def _cmd_evaluate(ns) -> int:
-    design = parse_design(ns.design)
-    trial = fileio.read_trial_csv(ns.trial, k_actions=design.k_actions)
-    target = fileio.read_target_csv(ns.target)
-    _require_valid(trial, target, ns.l_max)
-    policy = parse_policy(ns.policy)
-    odds = _resolve_odds(ns, trial.x)
+    design, trial, _, policy, odds = _read_study(ns, ns.l_max)
     cal, ws, split = certify(trial, odds, policy, design, ns.split, ns.frac, ns.seed)
     curve = limit_curve(
         cal,
@@ -178,10 +178,7 @@ def _cmd_evaluate(ns) -> int:
         l_max=ns.l_max,
         beta_points=ns.beta_points,
     )
-    payload = {
-        "schema_version": fileio.SCHEMA_VERSION,
-        "kind": "limit-curves",
-        "config": _config_ns(ns),
+    body = {
         "l_max": curve.l_max,
         "gammas": list(curve.gammas),
         "split_sizes": {"d_prime": split.d_prime.m, "d_double_prime": split.d_double_prime.m},
@@ -191,7 +188,7 @@ def _cmd_evaluate(ns) -> int:
             for p in curve.points
         ],
     }
-    fileio.write_json(ns.out_json, fileio.jsonable(payload))
+    _write_payload(ns, ns.out_json, "limit-curves", body)
     fileio.write_limit_curve_csv(ns.out_csv, curve)
     return 0
 
@@ -199,10 +196,7 @@ def _cmd_evaluate(ns) -> int:
 def _cmd_benchmark_gamma(ns) -> int:
     pool = fileio.read_pool_csv(ns.pool)
     reports = benchmark_all(pool, _fit_config(ns), rows=ns.rows)
-    payload = {
-        "schema_version": fileio.SCHEMA_VERSION,
-        "kind": "gamma-benchmark",
-        "config": _config_ns(ns),
+    body = {
         "reports": [
             {
                 "feature": r.feature,
@@ -213,7 +207,7 @@ def _cmd_benchmark_gamma(ns) -> int:
             for r in reports
         ],
     }
-    fileio.write_json(ns.out, fileio.jsonable(payload))
+    _write_payload(ns, ns.out, "gamma-benchmark", body)
     return 0
 
 
@@ -225,27 +219,19 @@ def _cmd_reliability(ns) -> int:
 
 
 def _cmd_ipsw(ns) -> int:
-    design = parse_design(ns.design)
-    trial = fileio.read_trial_csv(ns.trial, k_actions=design.k_actions)
-    target = fileio.read_target_csv(ns.target)
-    _require_valid(trial, target)
-    policy = parse_policy(ns.policy)
-    odds = _resolve_odds(ns, trial.x)
+    design, trial, target, policy, odds = _read_study(ns)
     alphas = parse_floats(ns.alphas)
     quantiles = []
     for a in alphas:
         q = ipsw_quantile(trial, odds, policy, design, target.n, a, ns.normalized)
         quantiles.append({"alpha": a, "limit": q, "trivial": q is None})
-    payload = {
-        "schema_version": fileio.SCHEMA_VERSION,
-        "kind": "ipsw-baseline",
-        "config": _config_ns(ns),
+    body = {
         "n": target.n,
         "m": trial.m,
         "value": ipsw_value(trial, odds, policy, design, target.n),
         "quantiles": quantiles,
     }
-    fileio.write_json(ns.out, fileio.jsonable(payload))
+    _write_payload(ns, ns.out, "ipsw-baseline", body)
     return 0
 
 
@@ -277,10 +263,7 @@ def _cmd_miscoverage(ns) -> int:
         seed=ns.seed,
         policy=parse_policy(ns.policy),
     )
-    payload = {
-        "schema_version": fileio.SCHEMA_VERSION,
-        "kind": "miscoverage",
-        "config": _config_ns(ns),
+    body = {
         "runs": report.runs,
         "per_run": report.per_run,
         "method": report.method,
@@ -289,7 +272,7 @@ def _cmd_miscoverage(ns) -> int:
             for r in report.rows
         ],
     }
-    fileio.write_json(ns.out, fileio.jsonable(payload))
+    _write_payload(ns, ns.out, "miscoverage", body)
     return 0
 
 

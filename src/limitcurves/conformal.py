@@ -26,14 +26,18 @@ def default_alpha_grid() -> np.ndarray:
     return np.arange(1, 100) / 100.0
 
 
-def default_beta_grid(alpha: float, points: int = 49) -> np.ndarray:
-    """Evenly spaced grid strictly inside (0, alpha), proportional to alpha."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie strictly inside (0, 1)")
+def check_grid_points(points: int) -> None:
     if points < 1:
         raise ValueError("need at least one grid point")
     if points > MAX_GRID_POINTS:
         raise ValueError(f"need at most {MAX_GRID_POINTS} grid points")
+
+
+def default_beta_grid(alpha: float, points: int = 49) -> np.ndarray:
+    """Evenly spaced grid strictly inside (0, alpha), proportional to alpha."""
+    if not 0.0 < alpha < 1.0:
+        raise ValueError("alpha must lie strictly inside (0, 1)")
+    check_grid_points(points)
     return alpha * np.arange(1, points + 1) / (points + 1)
 
 
@@ -141,10 +145,7 @@ def weight_bound(ws: WeightBoundSet, beta: float) -> float:
     """
     if not 0.0 < beta < 1.0:
         raise ValueError("beta must lie strictly inside (0, 1)")
-    position = math.ceil((ws.size + 1.0) * (1.0 - beta))
-    if position > ws.size:
-        return math.inf
-    return float(ws.upper[position - 1])
+    return float(_weight_bound_values(ws.upper, np.array([beta]))[0])
 
 
 def _weight_bound_values(sorted_upper: np.ndarray, betas: np.ndarray) -> np.ndarray:
@@ -152,8 +153,7 @@ def _weight_bound_values(sorted_upper: np.ndarray, betas: np.ndarray) -> np.ndar
     positions = np.ceil((m + 1.0) * (1.0 - betas))
     out = np.full(betas.shape, math.inf)
     ok = positions <= m
-    if ok.any():
-        out[ok] = sorted_upper[positions[ok].astype(np.int64) - 1]
+    out[ok] = sorted_upper[positions[ok].astype(np.int64) - 1]
     return out
 
 
@@ -197,6 +197,14 @@ def _scan_arrays(losses_sorted, lower, upper, group_ends):
     return losses_sorted[group_ends], prefix, denom_base
 
 
+def _stop_loss(scan, wbars, alpha: float, betas) -> float | None:
+    """Smallest loss of ``scan`` (from ``_scan_arrays``) where the stand-in CDF
+    with weight ``wbars[j]`` reaches (1-alpha)/(1-betas[j]) for some j, or None."""
+    loss_ends, prefix, denom_base = scan
+    idx = backend.best_stop_index(prefix, denom_base, wbars, (1.0 - alpha) / (1.0 - betas))
+    return None if idx < 0 else float(loss_ends[idx])
+
+
 def quantile(cal: CalibrationSet, w_bound: float, alpha: float, beta: float) -> float | None:
     """Smallest observed loss where the stand-in CDF reaches (1-alpha)/(1-beta).
 
@@ -206,35 +214,22 @@ def quantile(cal: CalibrationSet, w_bound: float, alpha: float, beta: float) -> 
     """
     if not 0.0 < beta < alpha < 1.0:
         raise ValueError("need 0 < beta < alpha < 1")
-    if math.isinf(w_bound):
-        return None
     if w_bound < 0:
         raise ValueError("weight bound must be nonnegative")
-    loss_ends, prefix, denom_base = _scan_arrays(
-        cal.losses, cal.lower, cal.upper, cal.group_ends
-    )
-    threshold = (1.0 - alpha) / (1.0 - beta)
-    idx = backend.best_stop_index(
-        prefix, denom_base, np.array([w_bound]), np.array([threshold])
-    )
-    return None if idx < 0 else float(loss_ends[idx])
+    scan = _scan_arrays(cal.losses, cal.lower, cal.upper, cal.group_ends)
+    return _stop_loss(scan, np.array([w_bound]), alpha, np.array([beta]))
 
 
 def _limits(cal: CalibrationSet, ws: WeightBoundSet, gamma: float, cells) -> list[float | None]:
     """The ``limit`` of every ``(alpha, betas)`` cell at a checked ``gamma``.
     The gamma-scaled sums are built once, and each cell is one kernel call, so
     an iterator of cells keeps one beta grid in memory."""
-    loss_ends, prefix, denom_base = _scan_arrays(
-        cal.losses, cal.lower / gamma, cal.upper * gamma, cal.group_ends
-    )
+    scan = _scan_arrays(cal.losses, cal.lower / gamma, cal.upper * gamma, cal.group_ends)
     sorted_bound = ws.upper * gamma
-    out = []
-    for alpha, betas in cells:
-        wbars = _weight_bound_values(sorted_bound, betas)
-        thresholds = (1.0 - alpha) / (1.0 - betas)
-        idx = backend.best_stop_index(prefix, denom_base, wbars, thresholds)
-        out.append(None if idx < 0 else float(loss_ends[idx]))
-    return out
+    return [
+        _stop_loss(scan, _weight_bound_values(sorted_bound, betas), alpha, betas)
+        for alpha, betas in cells
+    ]
 
 
 def limit(

@@ -11,8 +11,6 @@ PROB_TOL = 1e-9
 
 def _as_matrix(rows, name: str) -> np.ndarray:
     x = np.asarray(rows, dtype=np.float64)
-    if x.ndim == 1:
-        x = x.reshape(-1, 1)
     if x.ndim != 2:
         raise ValueError(f"{name} must be a 2-d array of covariate rows")
     if x.shape[0] == 0:
@@ -165,43 +163,14 @@ class SplitResult:
     idx_double_prime: np.ndarray
 
 
-@dataclasses.dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
-
-
-@dataclasses.dataclass(frozen=True)
-class ValidationReport:
-    checks: tuple[CheckResult, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def failures(self) -> list[CheckResult]:
-        return [c for c in self.checks if not c.passed]
-
-
-def validate_dataset(
-    trial: TrialDataset, target: TargetCovariates, l_max: float | None = None
-) -> ValidationReport:
-    """Report-only checks across a trial dataset and target covariates: equal
-    covariate dimensions and, given ``l_max``, every loss below it. Each
+def validate_dataset(trial: TrialDataset, target: TargetCovariates, l_max: float | None = None):
+    """Raise ``ValueError`` at the first cross-file rule that fails: equal
+    covariate dimensions, then, given ``l_max``, every loss below it. Each
     container checks its own values at construction."""
-    checks = [
-        CheckResult(
-            "dimension_match",
-            trial.dim == target.dim,
-            f"trial d={trial.dim}, target d={target.dim}",
-        )
-    ]
-    if l_max is not None:
-        checks.append(
-            CheckResult("losses_below_l_max", bool(np.all(trial.losses < l_max)), f"l_max={l_max}")
-        )
-    return ValidationReport(tuple(checks))
+    if trial.dim != target.dim:
+        raise ValueError(f"covariate dimensions differ: trial d={trial.dim}, target d={target.dim}")
+    if l_max is not None and not np.all(trial.losses < l_max):
+        raise ValueError(f"trial losses must lie strictly below l_max={l_max}")
 
 
 def sample_actions(prob_matrix: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -212,10 +181,14 @@ def sample_actions(prob_matrix: np.ndarray, rng: np.random.Generator) -> np.ndar
     return np.minimum(drawn, prob_matrix.shape[1] - 1).astype(np.int64)
 
 
-def random_split(trial: TrialDataset, frac: float = 0.5, seed: int = 0) -> SplitResult:
-    """Seeded random partition with |D'| = round(frac * m)."""
+def check_split_frac(frac: float) -> None:
     if not 0.0 < frac < 1.0:
         raise ValueError("frac must lie strictly inside (0, 1)")
+
+
+def random_split(trial: TrialDataset, frac: float = 0.5, seed: int = 0) -> SplitResult:
+    """Seeded random partition with |D'| = round(frac * m)."""
+    check_split_frac(frac)
     m_prime = int(np.floor(frac * trial.m + 0.5))
     if m_prime < 1 or m_prime >= trial.m:
         raise ValueError(

@@ -33,6 +33,13 @@ class OmissionReport:
     rows_used: int
 
 
+def _check_omission(pool: LabeledPool, rows: str) -> None:
+    if pool.dim < 2:
+        raise ValueError("need at least two covariates to omit one")
+    if rows not in ("all", "trial", "target"):
+        raise ValueError("rows must be one of 'all', 'trial', 'target'")
+
+
 def omitted_covariate_ratios(
     pool: LabeledPool,
     feature: int,
@@ -44,16 +51,15 @@ def omitted_covariate_ratios(
     ``rows`` restricts the evaluation rows to "trial" (label 1), "target"
     (label 0), or uses the whole pool.
     """
-    if pool.dim < 2:
-        raise ValueError("need at least two covariates to omit one")
+    _check_omission(pool, rows)
     if not 0 <= feature < pool.dim:
         raise ValueError(f"feature index {feature} out of range for d={pool.dim}")
-    if rows not in ("all", "trial", "target"):
-        raise ValueError("rows must be one of 'all', 'trial', 'target'")
+    return _omission_report(pool, fit_logistic(pool, config), feature, config, rows)
 
-    full = fit_logistic(pool, config)
+
+def _omission_report(pool, full, feature, config, rows) -> OmissionReport:
+    """``omitted_covariate_ratios`` on checked arguments and a fitted full model."""
     reduced = fit_logistic(pool.drop_feature(feature), config)
-
     if rows == "all":
         mask = np.ones(pool.n, dtype=bool)
     else:
@@ -75,5 +81,7 @@ def omitted_covariate_ratios(
 def benchmark_all(
     pool: LabeledPool, config: LogisticConfig = LogisticConfig(), rows: str = "all"
 ) -> list[OmissionReport]:
-    """One omission report per covariate."""
-    return [omitted_covariate_ratios(pool, k, config, rows) for k in range(pool.dim)]
+    """One omission report per covariate, all against one fit of the full model."""
+    _check_omission(pool, rows)
+    full = fit_logistic(pool, config)
+    return [_omission_report(pool, full, k, config, rows) for k in range(pool.dim)]

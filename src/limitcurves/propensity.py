@@ -11,16 +11,19 @@ import numpy as np
 from .fileio import atomic_write_text, read_table
 
 LOGIT_CLAMP = 30.0
+BACKTRACK = 0.5  # step-length factor of the line search
+ARMIJO = 1e-4  # share of the predicted decrease a step must achieve
+MAX_COEF = 100.0  # separation guard on the standardized coefficients
 
 
 @dataclasses.dataclass(frozen=True)
 class LogisticConfig:
     """Hyperparameters of the damped Newton (IRLS) fit.
 
-    Each Newton step starts at length 1 and is halved by ``backtrack`` until
-    the objective drops by at least ``armijo`` times the predicted decrease.
-    The fit converges when the largest absolute penalized gradient entry is
-    at most ``tol``. ``max_coef`` is a separation guard: once any
+    Each Newton step starts at length 1 and is multiplied by ``BACKTRACK``
+    until the objective drops by at least ``ARMIJO`` times the predicted
+    decrease. The fit converges when the largest absolute penalized gradient
+    entry is at most ``tol``. ``MAX_COEF`` is a separation guard: once any
     standardized coefficient exceeds it the likelihood is effectively
     degenerate and the fit is reported as non-converged. With ``l2 == 0`` a
     fit whose every row lies on the correct side of the decision boundary is
@@ -32,12 +35,9 @@ class LogisticConfig:
     l2: float = 1e-6
     max_iter: int = 1000
     tol: float = 1e-6
-    backtrack: float = 0.5
-    armijo: float = 1e-4
-    max_coef: float = 100.0
 
     def __post_init__(self):
-        for name in ("l2", "tol", "backtrack", "armijo", "max_coef"):
+        for name in ("l2", "tol"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         if self.l2 < 0:
@@ -152,11 +152,11 @@ def fit_logistic(pool: LabeledPool, config: LogisticConfig = LogisticConfig()) -
     (iteratively reweighted least squares) with Armijo backtracking.
 
     Standardization is fitted on the pool; the intercept is not penalized and
-    no class reweighting is applied. Each step solves the (d+1)x(d+1) system
-    ``H delta = g``; when that fails or gives no descent direction, the step
-    follows the gradient instead. The report is non-converged when the
-    gradient stays above ``tol``, a coefficient passes ``max_coef``, or, at
-    ``l2 == 0``, the fitted logits separate the two classes completely.
+    no class reweighting is applied. Each step solves ``H delta = g``, or
+    follows the gradient when that fails or does not descend, shrinking by
+    ``BACKTRACK`` until the ``ARMIJO`` condition holds. The report is
+    non-converged when the gradient stays above ``tol``, a coefficient passes
+    ``MAX_COEF``, or, at ``l2 == 0``, the logits separate the classes completely.
     """
     n, d = pool.x.shape
     mean = pool.x.mean(axis=0)
@@ -183,18 +183,18 @@ def fit_logistic(pool: LabeledPool, config: LogisticConfig = LogisticConfig()) -
         while step > 1e-18:
             candidate = theta - step * delta
             cand_obj, cand_logits, cand_softplus = _objective(z1, s, candidate, config.l2)
-            if cand_obj <= obj - config.armijo * step * decrease:
+            if cand_obj <= obj - ARMIJO * step * decrease:
                 break
-            step *= config.backtrack
+            step *= BACKTRACK
         else:
             break  # line search stalled
         theta, obj, logits, softplus = candidate, cand_obj, cand_logits, cand_softplus
         grad, hess = _gradient_and_hessian(z1, s, theta, logits, softplus, config.l2)
         objectives.append(obj)
-        if float(np.max(np.abs(theta[:-1]))) > config.max_coef:
+        if float(np.max(np.abs(theta[:-1]))) > MAX_COEF:
             break  # separation guard
     gmax = float(np.max(np.abs(grad)))
-    converged = gmax <= config.tol and float(np.max(np.abs(theta[:-1]))) <= config.max_coef
+    converged = gmax <= config.tol and float(np.max(np.abs(theta[:-1]))) <= MAX_COEF
     if converged and config.l2 == 0:
         # every margin (2s - 1) * logit positive: no finite MLE exists
         converged = not bool(np.all(np.where(pool.labels == 1, logits, -logits) > 0))

@@ -14,8 +14,8 @@ import math
 
 import numpy as np
 
-from .conformal import certify, default_beta_grid, limit
-from .data import PolicySpec, TargetCovariates, TrialDataset, TrialDesign, sample_actions
+from .conformal import certify, check_grid_points, default_beta_grid, limit
+from .data import PolicySpec, TargetCovariates, TrialDataset, TrialDesign, check_split_frac, sample_actions
 from .ipsw import ipsw_quantile
 from .propensity import LabeledPool, LogisticConfig, fit_logistic, predict_odds
 from .weights import check_gamma
@@ -176,7 +176,7 @@ def true_miscalibration(
 
 @dataclasses.dataclass(frozen=True)
 class CertifiedMethod:
-    """Certified limit configuration for the miscoverage harness."""
+    """Certified limit configuration for the miscoverage harness, checked when built."""
 
     gamma: float
     split: str = "matched"
@@ -191,6 +191,9 @@ class CertifiedMethod:
         if self.odds_source not in ("fitted", "oracle"):
             raise ValueError("odds_source must be 'fitted' or 'oracle'")
         check_gamma(self.gamma)
+        check_grid_points(self.beta_points)
+        if self.split == "random":
+            check_split_frac(self.split_frac)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -159,17 +159,19 @@ class TestEvaluate:
                 "--out-json", tmp_path / f"c{a}.json", "--out-csv", tmp_path / f"c{a}.csv",
             ) == 0
 
-    def test_dimension_mismatch_fails(self, tmp_path, simulated):
+    def test_dimension_mismatch_fails(self, tmp_path, simulated, capsys):
         _, trial, pool = simulated
         bad_target = tmp_path / "bad.csv"
         bad_target.write_text("x0,x1,x2\n0.0,0.0,0.0\n")
         model = tmp_path / "model.json"
         assert run("fit", "--pool", pool, "--out", model) == 0
+        capsys.readouterr()
         assert run(
             "evaluate", "--trial", trial, "--target", bad_target, "--model", model,
             "--policy", "constant:1", "--l-max", 100.0,
             "--out-json", tmp_path / "o.json", "--out-csv", tmp_path / "o.csv",
         ) == 1
+        assert capsys.readouterr().err == "error: covariate dimensions differ: trial d=2, target d=3\n"
 
     def test_scores_input(self, tmp_path, simulated):
         target, trial, _ = simulated
@@ -263,6 +265,21 @@ class TestMiscoverage:
         p1.pop("config")
         p2.pop("config")
         assert p1 == p2
+
+    @pytest.mark.parametrize(
+        "flags", [("--beta-points", 0), ("--split", "random", "--frac", 1.5)]
+    )
+    def test_bad_setting_fails_before_first_run(self, tmp_path, monkeypatch, capsys, flags):
+        def no_study(*args, **kwargs):
+            raise AssertionError("a study ran")
+
+        monkeypatch.setattr("limitcurves.cli.miscoverage_gap", no_study)
+        assert run(
+            "miscoverage", "--pop", "A", "--method", "certified", *flags,
+            "--out", tmp_path / "mc.json",
+        ) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (tmp_path / "mc.json").exists()
 
 
 class TestConfigFile:
@@ -439,6 +456,20 @@ class TestBadInputs:
         self.assert_error_line(capsys, "l_max must be finite")
         assert not (tmp_path / "o.json").exists()
         assert not (tmp_path / "o.csv").exists()
+
+    def test_l_max_not_above_losses(self, tmp_path, simulated, model, capsys):
+        target, trial, _ = simulated
+        largest = max(float(row.rsplit(",", 1)[1]) for row in trial.read_text().splitlines()[1:])
+        for l_max in (largest, largest - 1.0):
+            assert run(
+                "evaluate", "--trial", trial, "--target", target, "--model", model,
+                "--policy", "constant:1", "--l-max", repr(l_max),
+                "--out-json", tmp_path / "o.json", "--out-csv", tmp_path / "o.csv",
+            ) == 1
+            err = capsys.readouterr().err
+            assert err.splitlines() == [f"error: trial losses must lie strictly below l_max={l_max!r}"]
+            assert not (tmp_path / "o.json").exists()
+            assert not (tmp_path / "o.csv").exists()
 
     def test_nan_l2(self, tmp_path, simulated, capsys):
         assert run("fit", "--pool", simulated[2], "--l2", "nan", "--out", tmp_path / "m.json") == 1

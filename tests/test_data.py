@@ -35,6 +35,12 @@ class TestContainers:
             with pytest.raises(ValueError, match="target covariates must be finite"):
                 TargetCovariates([[0.0, bad]])
 
+    def test_one_dimensional_covariates_rejected(self):
+        with pytest.raises(ValueError, match="trial covariates must be a 2-d array"):
+            TrialDataset([0.0, 1.0], [0, 0], [1.0, 2.0], k_actions=1)
+        with pytest.raises(ValueError, match="target covariates must be a 2-d array"):
+            TargetCovariates([0.0, 1.0])
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             TargetCovariates(np.empty((0, 2)))
@@ -63,26 +69,26 @@ class TestContainers:
 
 class TestValidateDataset:
     def test_consistent_dimensions_pass(self):
-        report = validate_dataset(make_trial(d=2), TargetCovariates(np.zeros((5, 2))))
-        assert report.passed
+        assert validate_dataset(make_trial(d=2), TargetCovariates(np.zeros((5, 2)))) is None
 
     def test_dimension_mismatch_flagged(self):
-        report = validate_dataset(make_trial(d=2), TargetCovariates(np.zeros((5, 3))))
-        assert not report.passed
-        assert any(c.name == "dimension_match" for c in report.failures())
+        with pytest.raises(ValueError, match="^covariate dimensions differ: trial d=2, target d=3$"):
+            validate_dataset(make_trial(d=2), TargetCovariates(np.zeros((5, 3))))
 
     def test_only_cross_file_checks(self):
-        target = TargetCovariates(np.zeros((5, 2)))
-        report = validate_dataset(make_trial(d=2), target)
-        assert [c.name for c in report.checks] == ["dimension_match"]
-        report = validate_dataset(make_trial(d=2), target, l_max=50.0)
-        assert [c.name for c in report.checks] == ["dimension_match", "losses_below_l_max"]
+        trial = TrialDataset([[0.0]], [0], [1e300], 1)
+        # without l_max the losses are not compared with anything
+        validate_dataset(trial, TargetCovariates(np.zeros((1, 1))))
+        # the dimension rule is checked first
+        with pytest.raises(ValueError, match="covariate dimensions differ"):
+            validate_dataset(trial, TargetCovariates(np.zeros((1, 2))), l_max=5.0)
 
     def test_l_max_check(self):
         trial = TrialDataset([[0.0]], [0], [5.0], 1)
         target = TargetCovariates(np.zeros((1, 1)))
-        assert validate_dataset(trial, target, l_max=6.0).passed
-        assert not validate_dataset(trial, target, l_max=5.0).passed
+        validate_dataset(trial, target, l_max=6.0)
+        with pytest.raises(ValueError, match="^trial losses must lie strictly below l_max=5.0$"):
+            validate_dataset(trial, target, l_max=5.0)
 
 
 class TestRandomSplit:

@@ -84,11 +84,15 @@ class TestFitLogistic:
         with pytest.raises(ValueError, match="pool covariates must be finite"):
             LabeledPool([[np.inf, 1.0], [0.0, 1.0]], [0, 1])
 
-    @pytest.mark.parametrize("field", ["l2", "tol", "backtrack", "armijo", "max_coef"])
+    @pytest.mark.parametrize("field", ["l2", "tol"])
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_nonfinite_config_rejected(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be finite"):
             LogisticConfig(**{field: value})
+
+    def test_config_fields(self):
+        names = [f.name for f in dataclasses.fields(LogisticConfig)]
+        assert names == ["l2", "max_iter", "tol"]
 
     def test_separable_without_penalty_reports_non_converged(self):
         model = fit_logistic(separable_pool(), LogisticConfig(l2=0.0, max_iter=400))

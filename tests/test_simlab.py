@@ -166,6 +166,21 @@ class TestMiscoverage:
         with pytest.raises(ValueError, match="gamma must be a finite real >= 1"):
             CertifiedMethod(gamma=gamma)
 
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            ({"beta_points": 0}, "need at least one grid point"),
+            ({"beta_points": 2_000_000}, "need at most 1000000 grid points"),
+            ({"split": "random", "split_frac": 2.0}, "frac must lie strictly inside"),
+        ],
+    )
+    def test_certified_method_checks_settings(self, settings, message):
+        with pytest.raises(ValueError, match=message):
+            CertifiedMethod(gamma=1.0, **settings)
+
+    def test_matched_split_ignores_frac(self):
+        assert CertifiedMethod(gamma=1.0, split="matched", split_frac=2.0).split_frac == 2.0
+
     def test_trivial_limits_give_gap_equal_alpha(self):
         scn = scenario("A", n=50, m=40, m_train=40)
         report = miscoverage_gap(
