@@ -289,7 +289,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     registry: dict[str, argparse.ArgumentParser] = {}
 
     def sub(name: str, help_text: str) -> argparse.ArgumentParser:
-        s = subparsers.add_parser(name, help=help_text)
+        s = subparsers.add_parser(name, help=help_text, allow_abbrev=False)
         s.add_argument("--config", help="key=value settings file; flags override it")
         registry[name] = s
         return s
@@ -380,38 +380,31 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     return parser, registry
 
 
-def _bool_from_text(text: str) -> bool:
-    return text.strip().lower() in ("1", "true", "yes", "on")
+_SWITCH_WORDS = {"1": True, "true": True, "yes": True, "on": True,
+                 "0": False, "false": False, "no": False, "off": False}
+
+# reads the --config path ahead of the full parse, also refusing abbreviations
+_CONFIG_PATH = argparse.ArgumentParser(prog="limitcurves", add_help=False, allow_abbrev=False)
+_CONFIG_PATH.add_argument("--config")
 
 
-def _apply_config_defaults(sub: argparse.ArgumentParser, path: str) -> None:
-    entries = fileio.read_config_file(path)
-    actions = {a.dest: a for a in sub._actions}
-    defaults = {}
-    for key, raw in entries.items():
-        dest = key.replace("-", "_")
-        action = actions.get(dest)
-        if action is None or dest in ("help", "config"):
+def _config_flags(sub: argparse.ArgumentParser, path: str) -> list[str]:
+    """The settings of config file ``path`` as flag tokens of ``sub``; argparse
+    then checks them like command-line flags, which come later and win."""
+    flags = {opt: a for a in sub._actions for opt in a.option_strings}
+    tokens = []
+    for key, raw in fileio.read_config_file(path).items():
+        flag = "--" + key
+        action = flags.get(flag)
+        if action is None or key in ("help", "config"):
             raise ValueError(f"unknown config key {key!r}")
-        if isinstance(action, argparse._StoreTrueAction):
-            defaults[dest] = _bool_from_text(raw)
-        elif action.type is not None:
-            defaults[dest] = action.type(raw)
-        else:
-            defaults[dest] = raw
-        action.required = False
-    sub.set_defaults(**defaults)
-
-
-def _config_path_from_argv(argv: list[str]) -> str | None:
-    for i, token in enumerate(argv):
-        if token == "--config":
-            if i + 1 >= len(argv):
-                raise ValueError("--config needs a path")
-            return argv[i + 1]
-        if token.startswith("--config="):
-            return token.split("=", 1)[1]
-    return None
+        if action.nargs != 0:
+            tokens.append(f"{flag}={raw}")
+        elif raw.lower() not in _SWITCH_WORDS:
+            raise ValueError(f"{path}: {key}={raw!r} is not one of {', '.join(_SWITCH_WORDS)}")
+        elif _SWITCH_WORDS[raw.lower()]:
+            tokens.append(flag)
+    return tokens
 
 
 def main(argv=None) -> int:
@@ -419,18 +412,13 @@ def main(argv=None) -> int:
     parser, registry = build_parser()
     try:
         if argv and argv[0] in registry:
-            config_path = _config_path_from_argv(argv[1:])
-            if config_path:
-                _apply_config_defaults(registry[argv[0]], config_path)
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    try:
+            path = _CONFIG_PATH.parse_known_args(argv[1:])[0].config
+            if path:
+                argv[1:1] = _config_flags(registry[argv[0]], path)
         ns = parser.parse_args(argv)
+        return ns.func(ns)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        return ns.func(ns)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -14,7 +14,8 @@ import math
 import numpy as np
 
 from . import backend
-from .data import PolicySpec, SplitResult, TrialDataset, TrialDesign, matched_split, random_split
+from .data import PolicySpec, SplitResult, TrialDataset, TrialDesign, check_l_max
+from .data import matched_split, random_split
 from .weights import check_gamma, shift_weights, trial_odds
 
 
@@ -296,11 +297,7 @@ def limit_curve(
     the smallest alpha with a nontrivial limit (0 when there is none).
     Weights are sorted once; every cell reuses the same prefix sums.
     """
-    if l_max is None:
-        raise ValueError("l_max (declared loss-support upper bound) is required")
-    l_max = float(l_max)
-    if not math.isfinite(l_max):
-        raise ValueError("l_max must be finite")
+    l_max = check_l_max(l_max)
     if float(cal.losses[-1]) >= l_max:
         raise ValueError("all observed losses must lie strictly below l_max")
     alphas = (

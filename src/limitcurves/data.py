@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -163,13 +164,22 @@ class SplitResult:
     idx_double_prime: np.ndarray
 
 
+def check_l_max(l_max) -> float:
+    """The declared loss-support upper bound: required and finite."""
+    if l_max is None:
+        raise ValueError("l_max (declared loss-support upper bound) is required")
+    if not math.isfinite(float(l_max)):
+        raise ValueError("l_max must be finite")
+    return float(l_max)
+
+
 def validate_dataset(trial: TrialDataset, target: TargetCovariates, l_max: float | None = None):
     """Raise ``ValueError`` at the first cross-file rule that fails: equal
-    covariate dimensions, then, given ``l_max``, every loss below it. Each
-    container checks its own values at construction."""
+    covariate dimensions, then, given ``l_max``, a finite ``l_max`` above
+    every loss. Each container checks its own values at construction."""
     if trial.dim != target.dim:
         raise ValueError(f"covariate dimensions differ: trial d={trial.dim}, target d={target.dim}")
-    if l_max is not None and not np.all(trial.losses < l_max):
+    if l_max is not None and not np.all(trial.losses < check_l_max(l_max)):
         raise ValueError(f"trial losses must lie strictly below l_max={l_max}")
 
 

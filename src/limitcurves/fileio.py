@@ -252,7 +252,8 @@ def jsonable(value):
 
 
 def read_config_file(path) -> dict[str, str]:
-    """Line-oriented ``key=value`` settings; '#' starts a comment line."""
+    """Line-oriented ``key=value`` settings; '#' starts a comment line. Keys
+    are returned with '-' for '_', and a key set twice is refused."""
     entries: dict[str, str] = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -262,5 +263,8 @@ def read_config_file(path) -> dict[str, str]:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value")
             key, _, value = line.partition("=")
-            entries[key.strip()] = value.strip()
+            key = key.strip().replace("_", "-")
+            if key in entries:
+                raise ValueError(f"{path}:{lineno}: {key!r} is set twice")
+            entries[key] = value.strip()
     return entries

@@ -31,6 +31,13 @@ def simulated(tmp_path):
     return target, trial, pool
 
 
+@pytest.fixture
+def model(tmp_path, simulated):
+    path = tmp_path / "model.json"
+    assert run("fit", "--pool", simulated[2], "--out", path) == 0
+    return path
+
+
 class TestParsing:
     def test_policy_flags(self):
         assert parse_policy("constant:1").kind == "constant"
@@ -308,6 +315,70 @@ class TestConfigFile:
             "--target-out", tmp_path / "t.csv", "--trial-out", tmp_path / "d.csv",
         ) == 1
 
+    @staticmethod
+    def miscoverage(tmp_path, settings, *flags):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(settings)
+        return run(
+            "miscoverage", "--config", cfg, "--pop", "A", "--n", 100, "--m", 50,
+            "--m-train", 50, "--runs", 2, "--per-run", 40, "--out", tmp_path / "gap.json", *flags,
+        )
+
+    def test_bad_choice_is_refused(self, tmp_path):
+        assert self.miscoverage(tmp_path, "method=certifed\n") == 2
+        assert not (tmp_path / "gap.json").exists()
+
+    def test_bad_switch_word_is_refused(self, tmp_path, capsys):
+        assert self.miscoverage(tmp_path, "normalized=ture\n", "--method", "ipsw") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "run.cfg" in err
+        assert not (tmp_path / "gap.json").exists()
+
+    def test_switch_word_reads_true(self, tmp_path):
+        assert self.miscoverage(tmp_path, "normalized=yes\n", "--method", "ipsw") == 0
+        assert read_json(tmp_path / "gap.json")["config"]["normalized"] is True
+
+    def test_setting_given_twice(self, tmp_path, capsys):
+        assert self.miscoverage(tmp_path, "m-train=30\nm_train=40\n", "--method", "ipsw") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "run.cfg" in err and "'m-train'" in err
+        assert not (tmp_path / "gap.json").exists()
+
+    def test_abbreviated_config_flag(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("n=40\n")
+        assert run(
+            "simulate", "--conf", cfg, "--pop", "A", "--n", 10, "--m", 10,
+            "--target-out", tmp_path / "t.csv", "--trial-out", tmp_path / "d.csv",
+        ) == 2
+        assert not (tmp_path / "t.csv").exists()
+
+    def test_model_from_file(self, tmp_path, simulated, model, monkeypatch):
+        target, trial, _ = simulated
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"model={model}\n")
+        outputs = []
+        for name, source in (("file", ["--config", cfg]), ("flag", ["--model", model])):
+            workdir = tmp_path / name
+            workdir.mkdir()
+            monkeypatch.chdir(workdir)
+            assert run(
+                "evaluate", "--trial", trial, "--target", target, *source,
+                "--policy", "constant:1", "--l-max", 100.0, "--out-json", "o.json", "--out-csv", "o.csv",
+            ) == 0
+            outputs.append(((workdir / "o.json").read_bytes(), (workdir / "o.csv").read_bytes()))
+        assert outputs[0] == outputs[1]
+
+    def test_file_model_with_flag_scores(self, tmp_path, simulated, model):
+        _, _, pool = simulated
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"model={model}\n")
+        assert run(
+            "reliability", "--config", cfg, "--pool", pool, "--scores", tmp_path / "s.csv",
+            "--out", tmp_path / "r.csv",
+        ) == 2
+        assert not (tmp_path / "r.csv").exists()
+
 
 class TestExitCodes:
     def test_missing_file(self, tmp_path):
@@ -344,12 +415,6 @@ class TestBadInputs:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and text in err
         assert "Traceback" not in err
-
-    @pytest.fixture
-    def model(self, tmp_path, simulated):
-        path = tmp_path / "model.json"
-        assert run("fit", "--pool", simulated[2], "--out", path) == 0
-        return path
 
     @pytest.fixture
     def empty(self, tmp_path):
@@ -446,11 +511,12 @@ class TestBadInputs:
         assert run("fit", "--pool", pool, "--out", tmp_path / "m.json") == 1
         self.assert_error_line(capsys, "frac.csv: parse failure: ")
 
-    def test_infinite_l_max(self, tmp_path, simulated, model, capsys):
+    @pytest.mark.parametrize("l_max", ["inf", "nan"])
+    def test_infinite_l_max(self, tmp_path, simulated, model, capsys, l_max):
         target, trial, _ = simulated
         assert run(
             "evaluate", "--trial", trial, "--target", target, "--model", model,
-            "--policy", "constant:1", "--l-max", "inf",
+            "--policy", "constant:1", "--l-max", l_max,
             "--out-json", tmp_path / "o.json", "--out-csv", tmp_path / "o.csv",
         ) == 1
         self.assert_error_line(capsys, "l_max must be finite")

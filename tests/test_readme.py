@@ -1,12 +1,25 @@
-"""Every fenced ``python`` block of README.md runs as documented."""
+"""Every fenced ``python`` block and every ``limitcurves`` command of
+README.md runs as documented."""
 
 import pathlib
 import re
+import shlex
 
 import pytest
 
+from limitcurves import cli
+
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
-BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(), flags=re.M | re.S)
+TEXT = README.read_text()
+BLOCKS = re.findall(r"^```python\n(.*?)^```", TEXT, flags=re.M | re.S)
+# config files: each ``ini`` block starts with a comment line naming its file
+CONFIGS = re.findall(r"^```ini\n# (\S+)\n(.*?)^```", TEXT, flags=re.M | re.S)
+COMMANDS = [
+    line
+    for block in re.findall(r"^```sh\n(.*?)^```", TEXT, flags=re.M | re.S)
+    for line in block.replace("\\\n", " ").splitlines()
+    if line.startswith("limitcurves ")
+]
 
 
 def test_readme_has_python_blocks():
@@ -17,3 +30,13 @@ def test_readme_has_python_blocks():
 def test_readme_block_runs(code, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     exec(compile(code, str(README), "exec"), {"__name__": "__readme__"})
+
+
+def test_readme_commands_run(tmp_path, monkeypatch):
+    """The commands depend on each other's outputs, so they run in order."""
+    assert COMMANDS and CONFIGS
+    monkeypatch.chdir(tmp_path)
+    for name, body in CONFIGS:
+        (tmp_path / name).write_text(body)
+    for line in COMMANDS:
+        assert cli.main(shlex.split(line)[1:]) == 0, line
