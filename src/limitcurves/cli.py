@@ -397,7 +397,7 @@ def _config_flags(sub: argparse.ArgumentParser, path: str) -> list[str]:
         flag = "--" + key
         action = flags.get(flag)
         if action is None or key in ("help", "config"):
-            raise ValueError(f"unknown config key {key!r}")
+            raise ValueError(f"{path}: unknown config key {key!r}")
         if action.nargs != 0:
             tokens.append(f"{flag}={raw}")
         elif raw.lower() not in _SWITCH_WORDS:
@@ -419,7 +419,7 @@ def main(argv=None) -> int:
         return ns.func(ns)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

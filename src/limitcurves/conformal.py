@@ -312,6 +312,8 @@ def limit_curve(
     gamma_list = [check_gamma(g) for g in gammas]
     if not gamma_list:
         raise ValueError("need at least one gamma")
+    if len(set(gamma_list)) != len(gamma_list):
+        raise ValueError("gammas must be distinct")
 
     points: list[LimitPoint] = []
     informativeness: dict[float, float] = {}

@@ -10,7 +10,13 @@ the certified limits but matters for the reweighting baseline).
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
+import os
+import pickle
+import signal
+import threading
+import warnings
 
 import numpy as np
 
@@ -246,31 +252,10 @@ def sample_pool(
     return LabeledPool(np.vstack([target_x, train.x]), labels)
 
 
-def miscoverage_gap(
-    scn: SimScenario,
-    method,
-    alphas,
-    runs: int,
-    per_run: int,
-    seed: int = 0,
-    policy: PolicySpec | None = None,
-) -> MiscoverageReport:
-    """Monte Carlo miscoverage of a method: regenerate the study ``runs`` times,
-    compute the per-alpha limits, then draw ``per_run`` fresh target individuals
-    under the policy and count losses exceeding the limit. Trivial limits cover
-    by construction and contribute no exceed events."""
-    if runs < 1 or per_run < 1:
-        raise ValueError("runs and per_run must be at least 1")
-    alphas = [float(a) for a in alphas]
-    if not alphas or any(not 0.0 < a < 1.0 for a in alphas):
-        raise ValueError("alphas must lie strictly inside (0, 1)")
-    if policy is None:
-        policy = PolicySpec.constant(1)
-    if not isinstance(method, (CertifiedMethod, IpswMethod)):
-        raise ValueError("method must be a CertifiedMethod or an IpswMethod")
-
+def _exceed_counts(scn, method, alphas, per_run, seed, policy, run_indices) -> list[int]:
+    """Exceed counts per alpha, summed over the studies ``run_indices``."""
     exceed = {a: 0 for a in alphas}
-    for run_index in range(runs):
+    for run_index in run_indices:
         rng = run_rng(seed, run_index)
         target_covs, _ = sample_target(scn.target, scn.n, rng)
         trial, _ = sample_trial(scn.trial, scn.m, scn.design, rng)
@@ -306,11 +291,181 @@ def miscoverage_gap(
             bound = limits[a]
             if bound is not None:
                 exceed[a] += int(np.sum(fresh_losses > bound))
+    return [exceed[a] for a in alphas]
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on, or 1 where forking is unavailable or
+    unsafe: no ``sched_getaffinity`` (Windows has no fork; on macOS it is
+    unsafe), or another Python thread that could hold a lock the child
+    inherits."""
+    if not hasattr(os, "sched_getaffinity") or threading.active_count() > 1:
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+# Item indices travel through the queue pipe as 4-byte records. A pipe holds
+# at least one 4096-byte page, so up to 1024 records are written before any
+# worker starts without blocking. The pipe is never written again and every
+# read asks for whole records, so no worker gets part of one.
+_RECORD = 4
+_MAX_QUEUED = 4096 // _RECORD
+
+
+def _run_queued(fn, items: list, queue_fd: int) -> tuple[dict, tuple | None]:
+    """Take item indices from the queue pipe one at a time and run ``fn`` on
+    each item until the queue is empty. Returns the results by index and the
+    first failure as ``(index, exception)``, or None. A failing worker empties
+    the queue: every item still in it comes after the failed one, so none of
+    them can change which error the caller raises."""
+    results = {}
+    while record := os.read(queue_fd, _RECORD):
+        index = int.from_bytes(record, "little")
+        try:
+            results[index] = fn(items[index])
+        except Exception as exc:
+            while os.read(queue_fd, 4096):
+                pass
+            return results, (index, exc)
+    return results, None
+
+
+def _fork_child(work) -> tuple[int, int]:
+    """Fork a child that sends ``work()`` back pickled and leaves by
+    ``os._exit``; returns its pid and the read end of its pipe."""
+    read_fd, write_fd = os.pipe()
+    try:
+        with warnings.catch_warnings():
+            # Python 3.12+ warns when a process with several OS threads forks.
+            # numpy's OpenBLAS pool is such a thread; OpenBLAS resets its pool
+            # in the child through pthread_atfork, and the child runs only
+            # numpy code and leaves by os._exit.
+            warnings.filterwarnings(
+                "ignore",
+                message=r"This process \(pid=\d+\) is multi-threaded, use of fork\(\)",
+                category=DeprecationWarning,
+            )
+            pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            reply = work()
+            with os.fdopen(write_fd, "wb") as pipe:
+                pickle.dump(reply, pipe)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    return pid, read_fd
+
+
+def _reap(pid: int, read_fd: int) -> tuple[int, bytes]:
+    """Read a child's reply to the end, then reap it; returns its exit code
+    and the reply bytes."""
+    with os.fdopen(read_fd, "rb") as pipe:
+        reply = pipe.read()
+    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]), reply
+
+
+def _fork_map(fn, items: list, workers: int) -> list:
+    """``[fn(item) for item in items]`` on ``workers`` processes: this one and
+    ``workers - 1`` forked children; one worker forks nothing. Every worker
+    takes the next item from one shared queue whenever it is free, so a worker
+    slowed by other load on the host takes fewer items instead of holding up
+    the rest.
+
+    Raises the error of the first failing item in item order, as the
+    sequential loop would, after every child is reaped; a child that exits
+    without a reply raises ``ChildProcessError``. If this process is
+    interrupted, the children are killed and reaped first."""
+    workers = min(workers, len(items))
+    if workers <= 1:
+        return [fn(item) for item in items]
+    if len(items) > _MAX_QUEUED:
+        raise ValueError(f"at most {_MAX_QUEUED} items can be queued")
+    queue_fd, feed_fd = os.pipe()
+    try:
+        os.write(feed_fd, b"".join(i.to_bytes(_RECORD, "little") for i in range(len(items))))
+    finally:
+        os.close(feed_fd)
+    work = functools.partial(_run_queued, fn, items, queue_fd)
+    children = []
+    try:
+        for _ in range(workers - 1):
+            children.append(_fork_child(work))
+        results, failure = work()
+    except BaseException:
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        os.close(queue_fd)
+        replies = [_reap(pid, read_fd) for pid, read_fd in children]
+
+    failures = [failure]
+    for (pid, _), (code, reply) in zip(children, replies):
+        if code != 0:
+            raise ChildProcessError(
+                f"worker process {pid} exited with status {code} before sending a result"
+            )
+        done, failure = pickle.loads(reply)
+        results.update(done)
+        failures.append(failure)
+    failures = [f for f in failures if f is not None]
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
+    return [results[i] for i in range(len(items))]
+
+
+def miscoverage_gap(
+    scn: SimScenario,
+    method,
+    alphas,
+    runs: int,
+    per_run: int,
+    seed: int = 0,
+    policy: PolicySpec | None = None,
+) -> MiscoverageReport:
+    """Monte Carlo miscoverage of a method: regenerate the study ``runs`` times,
+    compute the per-alpha limits, then draw ``per_run`` fresh target individuals
+    under the policy and count losses exceeding the limit. Trivial limits cover
+    by construction and contribute no exceed events.
+
+    The runs are spread over one worker per usable CPU: this process and
+    forked children, each taking the next run whenever it is free. Every run
+    draws from its own ``run_rng(seed, run_index)`` and the counts are
+    integers, so the report does not depend on which worker ran which run."""
+    if runs < 1 or per_run < 1:
+        raise ValueError("runs and per_run must be at least 1")
+    alphas = [float(a) for a in alphas]
+    if not alphas or any(not 0.0 < a < 1.0 for a in alphas):
+        raise ValueError("alphas must lie strictly inside (0, 1)")
+    if len(set(alphas)) != len(alphas):
+        raise ValueError("alphas must be distinct")
+    if policy is None:
+        policy = PolicySpec.constant(1)
+    if not isinstance(method, (CertifiedMethod, IpswMethod)):
+        raise ValueError("method must be a CertifiedMethod or an IpswMethod")
+
+    # one run per queued item, or contiguous chunks of runs past the queue's size
+    items = min(runs, _MAX_QUEUED)
+    bounds = [runs * i // items for i in range(items + 1)]
+    item_counts = _fork_map(
+        functools.partial(_exceed_counts, scn, method, alphas, per_run, seed, policy),
+        [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])],
+        _usable_cpus(),
+    )
+    exceed = [sum(counts) for counts in zip(*item_counts)]
 
     total = runs * per_run
     rows = []
-    for a in alphas:
-        rate = exceed[a] / total
+    for a, count in zip(alphas, exceed):
+        rate = count / total
         rows.append(
             MiscoverageRow(a, rate, a - rate, math.sqrt(rate * (1.0 - rate) / total))
         )

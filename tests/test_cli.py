@@ -289,6 +289,30 @@ class TestMiscoverage:
         assert not (tmp_path / "mc.json").exists()
 
 
+    def test_duplicate_alphas_refused(self, tmp_path, capsys):
+        out = tmp_path / "mc.json"
+        assert run(
+            "miscoverage", "--pop", "B", "--n", 60, "--m", 40, "--m-train", 40,
+            "--method", "certified", "--gamma", 2, "--alphas", "0.1,0.1",
+            "--runs", 2, "--per-run", 20, "--seed", 1, "--out", out,
+        ) == 1
+        assert capsys.readouterr().err == "error: alphas must be distinct\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_impossible_allocation(self, tmp_path, monkeypatch, capsys, cpus):
+        # 10^16 rows exceed any address space, so the allocation fails at once
+        monkeypatch.setattr("limitcurves.simlab._usable_cpus", lambda: cpus)
+        out = tmp_path / "mc.json"
+        assert run(
+            "miscoverage", "--pop", "B", "--n", 60, "--m", 40, "--m-train", 40,
+            "--method", "certified", "--runs", 2, "--per-run", 10**16, "--out", out,
+        ) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: Unable to allocate") and "Traceback" not in err
+        assert not out.exists()
+
+
 class TestConfigFile:
     def test_config_supplies_defaults_and_flags_override(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -307,13 +331,14 @@ class TestConfigFile:
         ) == 0
         assert len(t2.read_text().splitlines()) == 26
 
-    def test_unknown_config_key(self, tmp_path):
+    def test_unknown_config_key(self, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("bogus=1\n")
         assert run(
             "simulate", "--config", cfg, "--pop", "A", "--n", 10, "--m", 10,
             "--target-out", tmp_path / "t.csv", "--trial-out", tmp_path / "d.csv",
         ) == 1
+        assert capsys.readouterr().err == f"error: {cfg}: unknown config key 'bogus'\n"
 
     @staticmethod
     def miscoverage(tmp_path, settings, *flags):
@@ -536,6 +561,25 @@ class TestBadInputs:
             assert err.splitlines() == [f"error: trial losses must lie strictly below l_max={l_max!r}"]
             assert not (tmp_path / "o.json").exists()
             assert not (tmp_path / "o.csv").exists()
+
+    def test_duplicate_gammas(self, tmp_path, simulated, model, capsys):
+        target, trial, _ = simulated
+        assert run(
+            "evaluate", "--trial", trial, "--target", target, "--model", model,
+            "--policy", "constant:1", "--gammas", "1,1", "--l-max", 100.0,
+            "--out-json", tmp_path / "o.json", "--out-csv", tmp_path / "o.csv",
+        ) == 1
+        self.assert_error_line(capsys, "gammas must be distinct")
+        assert not (tmp_path / "o.json").exists()
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_simulate_impossible_allocation(self, tmp_path, capsys):
+        assert run(
+            "simulate", "--pop", "A", "--n", 10**16,
+            "--target-out", tmp_path / "t.csv", "--trial-out", tmp_path / "d.csv",
+        ) == 1
+        self.assert_error_line(capsys, "Unable to allocate")
+        assert not (tmp_path / "t.csv").exists()
 
     def test_nan_l2(self, tmp_path, simulated, capsys):
         assert run("fit", "--pool", simulated[2], "--l2", "nan", "--out", tmp_path / "m.json") == 1

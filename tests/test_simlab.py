@@ -1,11 +1,14 @@
 """Tests for the synthetic lab: generators, odds oracles, miscoverage harness."""
 
 import math
+import os
+import select
 
 import numpy as np
 import pytest
 import scipy.stats
 
+from limitcurves import simlab
 from limitcurves.data import PolicySpec, TrialDesign
 from limitcurves.simlab import (
     POPULATIONS,
@@ -273,3 +276,129 @@ class TestMiscoverage:
         scn = scenario("A", n=10, m=10, m_train=10)
         with pytest.raises(ValueError):
             miscoverage_gap(scn, object(), [0.1], runs=1, per_run=1, seed=0)
+
+    def test_duplicate_alphas_refused(self):
+        scn = scenario("B", n=50, m=40, m_train=40)
+        with pytest.raises(ValueError, match="alphas must be distinct"):
+            miscoverage_gap(scn, CertifiedMethod(gamma=2.0), [0.1, 0.1], runs=2, per_run=10)
+
+
+class TestForkedRuns:
+    """Runs spread over forked workers give the report of one sequential loop."""
+
+    @staticmethod
+    def report(monkeypatch, cpus, method, runs, m=40):
+        monkeypatch.setattr(simlab, "_usable_cpus", lambda: cpus)
+        scn = scenario("B", n=60, m=m, m_train=40)
+        return miscoverage_gap(scn, method, [0.1, 0.3], runs=runs, per_run=30, seed=11)
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    @pytest.mark.parametrize("runs", [2, 5])
+    @pytest.mark.parametrize(
+        "method", [CertifiedMethod(gamma=2.0), IpswMethod(normalized=True)], ids=["certified", "ipsw"]
+    )
+    def test_reports_match_one_worker(self, monkeypatch, cpus, runs, method):
+        sequential = self.report(monkeypatch, 1, method, runs)
+        assert self.report(monkeypatch, cpus, method, runs) == sequential
+
+    def test_runs_past_the_queue_size_go_in_chunks(self, monkeypatch):
+        sequential = self.report(monkeypatch, 1, CertifiedMethod(gamma=2.0), 5)
+        monkeypatch.setattr(simlab, "_MAX_QUEUED", 2)
+        assert self.report(monkeypatch, 2, CertifiedMethod(gamma=2.0), 5) == sequential
+
+    def test_too_many_items_refused(self):
+        with pytest.raises(ValueError, match="at most 1024 items"):
+            simlab._fork_map(abs, list(range(1025)), 2)
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_failing_runs_raise_and_leave_no_child(self, monkeypatch, cpus):
+        # one trial row cannot be split in two matched halves
+        with pytest.raises(ValueError, match="degenerate matched split"):
+            self.report(monkeypatch, cpus, CertifiedMethod(gamma=2.0), runs=4, m=1)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @staticmethod
+    def handshake():
+        """``(send, wait)``: ``wait(k)`` blocks until the other process has
+        called ``send`` ``k`` times, or raises ``TimeoutError`` after 30 s
+        without one. Holding this process's item until a child sends makes
+        sure the child takes an item."""
+        read_fd, write_fd = os.pipe()
+
+        def wait(k=1):
+            for _ in range(k):
+                if not select.select([read_fd], [], [], 30)[0]:
+                    raise TimeoutError("no signal from the other worker")
+                os.read(read_fd, 1)
+
+        return (lambda: os.write(write_fd, b"x")), wait
+
+    def test_child_without_result(self):
+        parent = os.getpid()
+        send, wait = self.handshake()
+
+        def exit_in_child(item):
+            if os.getpid() != parent:
+                send()
+                os._exit(3)
+            wait()
+            return item
+
+        with pytest.raises(ChildProcessError, match="status 3"):
+            simlab._fork_map(exit_in_child, [0, 1], 2)
+
+    def test_first_failing_item_wins(self):
+        # when both workers hold an item before either fails, the error of
+        # item 0 wins whichever worker ran it
+        parent = os.getpid()
+        send, wait = self.handshake()
+
+        def fail(item):
+            if os.getpid() != parent:
+                send()
+            else:
+                wait()
+            raise ValueError(f"item {item}")
+
+        with pytest.raises(ValueError, match="item 0"):
+            simlab._fork_map(fail, [0, 1, 2], 2)
+
+    def test_memory_error_in_child(self):
+        parent = os.getpid()
+        send, wait = self.handshake()
+
+        def allocate(item):
+            if os.getpid() != parent:
+                send()
+                # 10^16 rows exceed any address space, so nothing is touched
+                return np.empty((10**16, 3)).shape
+            wait()
+            return item
+
+        with pytest.raises(MemoryError):
+            simlab._fork_map(allocate, [0, 1], 2)
+
+    def test_held_up_worker_takes_fewer_items(self):
+        # once both workers hold an item, this process holds its item until the
+        # child has run the other five, which only a shared queue allows; the
+        # results keep item order
+        parent = os.getpid()
+        send_parent, wait_parent = self.handshake()
+        send_done, wait_done = self.handshake()
+        child_waited = []
+
+        def run(item):
+            if os.getpid() != parent:
+                if not child_waited:
+                    wait_parent()
+                    child_waited.append(True)
+                send_done()
+            else:
+                send_parent()
+                wait_done(5)
+            return item, os.getpid() == parent
+
+        results = simlab._fork_map(run, list(range(6)), 2)
+        assert [item for item, _ in results] == list(range(6))
+        assert sum(in_parent for _, in_parent in results) == 1
