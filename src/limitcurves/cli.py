@@ -14,7 +14,7 @@ import numpy as np
 
 from . import fileio, simlab
 from .conformal import MAX_GRID_POINTS, certify, limit_curve
-from .data import PolicySpec, TrialDesign, validate_dataset
+from .data import PolicySpec, TrialDesign, check_distinct, validate_dataset
 from .gamma_bench import benchmark_all
 from .ipsw import ipsw_quantile, ipsw_value
 from .propensity import (
@@ -219,8 +219,9 @@ def _cmd_reliability(ns) -> int:
 
 
 def _cmd_ipsw(ns) -> int:
-    design, trial, target, policy, odds = _read_study(ns)
     alphas = parse_floats(ns.alphas)
+    check_distinct(alphas, "alphas")
+    design, trial, target, policy, odds = _read_study(ns)
     quantiles = []
     for a in alphas:
         q = ipsw_quantile(trial, odds, policy, design, target.n, a, ns.normalized)
@@ -399,6 +400,10 @@ def _config_flags(sub: argparse.ArgumentParser, path: str) -> list[str]:
         if action is None or key in ("help", "config"):
             raise ValueError(f"{path}: unknown config key {key!r}")
         if action.nargs != 0:
+            try:
+                (action.type or str)(raw)
+            except ValueError:
+                raise ValueError(f"{path}: {key}={raw!r} is not a valid {action.type.__name__}") from None
             tokens.append(f"{flag}={raw}")
         elif raw.lower() not in _SWITCH_WORDS:
             raise ValueError(f"{path}: {key}={raw!r} is not one of {', '.join(_SWITCH_WORDS)}")

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import backend
 from .data import PolicySpec, SplitResult, TrialDataset, TrialDesign, check_l_max
-from .data import matched_split, random_split
+from .data import check_distinct, matched_split, random_split
 from .weights import check_gamma, shift_weights, trial_odds
 
 
@@ -309,15 +309,15 @@ def limit_curve(
         raise ValueError("alpha grid must be nonempty")
     if np.any(alphas <= 0) or np.any(alphas >= 1):
         raise ValueError("alpha grid must lie strictly inside (0, 1)")
+    alpha_list = alphas.tolist()
+    check_distinct(alpha_list, "alpha grid")
     gamma_list = [check_gamma(g) for g in gammas]
     if not gamma_list:
         raise ValueError("need at least one gamma")
-    if len(set(gamma_list)) != len(gamma_list):
-        raise ValueError("gammas must be distinct")
+    check_distinct(gamma_list, "gammas")
 
     points: list[LimitPoint] = []
     informativeness: dict[float, float] = {}
-    alpha_list = [float(a) for a in alphas]
     for g in gamma_list:
         cells = ((a, default_beta_grid(a, beta_points)) for a in alpha_list)
         finite_alphas = []

@@ -173,6 +173,11 @@ def check_l_max(l_max) -> float:
     return float(l_max)
 
 
+def check_distinct(values, name: str) -> None:
+    if len(set(values)) != len(values):
+        raise ValueError(f"{name} must be distinct")
+
+
 def validate_dataset(trial: TrialDataset, target: TargetCovariates, l_max: float | None = None):
     """Raise ``ValueError`` at the first cross-file rule that fails: equal
     covariate dimensions, then, given ``l_max``, a finite ``l_max`` above

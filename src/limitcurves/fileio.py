@@ -1,13 +1,12 @@
 """File formats: CSV schemas, JSON payloads, atomic writes.
 
-Numbers are written with ``repr``, the shortest decimal text that parses back
-to the same float, so outputs are byte-stable across reruns and locales.
+Outputs are byte-stable across reruns and locales: every CSV is written by
+``write_columns`` and every JSON file by ``write_json``.
 """
 
 from __future__ import annotations
 
 import csv
-import io
 import json
 import math
 import os
@@ -17,14 +16,6 @@ import warnings
 import numpy as np
 
 SCHEMA_VERSION = 1
-
-
-def fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
 
 
 def atomic_write_text(path, text: str) -> None:
@@ -51,12 +42,24 @@ def write_json(path, payload: dict) -> None:
     atomic_write_text(path, json.dumps(payload, indent=2, allow_nan=False) + "\n")
 
 
-def _csv_text(header, rows) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+def _column_text(column) -> list[str]:
+    values = np.asarray(column)
+    if values.dtype == np.bool_:
+        return ["true" if v else "false" for v in values.tolist()]
+    if np.issubdtype(values.dtype, np.integer):
+        return list(map(str, values.tolist()))
+    return list(map(repr, values.astype(np.float64).tolist()))
+
+
+def write_columns(path, header, columns) -> None:
+    """Write one CSV line per row of equal-length ``columns`` under ``header``,
+    with LF line ends. Each column is converted to text once, by its dtype:
+    bool as ``true``/``false``, integers as digits, anything else as the
+    ``repr`` of its float64 value, the shortest text that parses back to the
+    same float. Columns of unequal length raise ``ValueError``."""
+    cells = [_column_text(c) for c in columns]
+    lines = [",".join(header), *map(",".join, zip(*cells, strict=True))]
+    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def read_csv_rows(path) -> tuple[list[str], list[list[str]]]:
@@ -174,9 +177,7 @@ def read_columns(path, prefix: str, tail=()) -> tuple[np.ndarray, list[np.ndarra
 
 
 def write_target_csv(path, target) -> None:
-    header = _covariate_header(target.dim)
-    rows = [[fmt(v) for v in row] for row in target.x]
-    atomic_write_text(path, _csv_text(header, rows))
+    write_columns(path, _covariate_header(target.dim), target.x.T)
 
 
 def read_target_csv(path):
@@ -188,11 +189,7 @@ def read_target_csv(path):
 
 def write_trial_csv(path, trial) -> None:
     header = _covariate_header(trial.dim) + ["a", "l"]
-    rows = [
-        [fmt(v) for v in trial.x[i]] + [str(int(trial.actions[i])), fmt(trial.losses[i])]
-        for i in range(trial.m)
-    ]
-    atomic_write_text(path, _csv_text(header, rows))
+    write_columns(path, header, [*trial.x.T, trial.actions, trial.losses])
 
 
 def read_trial_csv(path, k_actions: int | None = None):
@@ -204,11 +201,7 @@ def read_trial_csv(path, k_actions: int | None = None):
 
 
 def write_pool_csv(path, pool) -> None:
-    header = _covariate_header(pool.dim) + ["s"]
-    rows = [
-        [fmt(v) for v in pool.x[i]] + [str(int(pool.labels[i]))] for i in range(pool.n)
-    ]
-    atomic_write_text(path, _csv_text(header, rows))
+    write_columns(path, _covariate_header(pool.dim) + ["s"], [*pool.x.T, pool.labels])
 
 
 def read_pool_csv(path):
@@ -219,18 +212,14 @@ def read_pool_csv(path):
 
 
 def write_limit_curve_csv(path, curve) -> None:
-    header = ["gamma", "alpha", "limit", "trivial"]
-    rows = [[fmt(p.gamma), fmt(p.alpha), fmt(p.limit), fmt(p.trivial)] for p in curve.points]
-    atomic_write_text(path, _csv_text(header, rows))
+    rows = ((p.gamma, p.alpha, p.limit, p.trivial) for p in curve.points)
+    write_columns(path, ["gamma", "alpha", "limit", "trivial"], zip(*rows))
 
 
 def write_reliability_csv(path, bins) -> None:
     header = ["bin_lower", "bin_upper", "mean_nominal", "observed", "n_target", "n_trial"]
-    rows = [
-        [fmt(b.lower), fmt(b.upper), fmt(b.mean_nominal), fmt(b.observed), str(b.n_target), str(b.n_trial)]
-        for b in bins
-    ]
-    atomic_write_text(path, _csv_text(header, rows))
+    rows = ((b.lower, b.upper, b.mean_nominal, b.observed, b.n_target, b.n_trial) for b in bins)
+    write_columns(path, header, zip(*rows))
 
 
 def jsonable(value):

@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from .fileio import atomic_write_text, read_table
+from .fileio import read_table, write_json
 
 LOGIT_CLAMP = 30.0
 BACKTRACK = 0.5  # step-length factor of the line search
@@ -265,7 +265,7 @@ def save_model(model: LogisticModel, path) -> None:
         "iterations": model.report.iterations if model.report else None,
         "grad_max": model.report.grad_max if model.report else None,
     }
-    atomic_write_text(path, json.dumps(payload, indent=2) + "\n")
+    write_json(path, payload)
 
 
 def load_model(path) -> LogisticModel:

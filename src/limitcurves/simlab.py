@@ -21,7 +21,7 @@ import warnings
 import numpy as np
 
 from .conformal import certify, check_grid_points, default_beta_grid, limit
-from .data import PolicySpec, TargetCovariates, TrialDataset, TrialDesign, check_split_frac, sample_actions
+from .data import PolicySpec, TargetCovariates, TrialDataset, TrialDesign, check_distinct, check_split_frac, sample_actions
 from .ipsw import ipsw_quantile
 from .propensity import LabeledPool, LogisticConfig, fit_logistic, predict_odds
 from .weights import check_gamma
@@ -445,8 +445,7 @@ def miscoverage_gap(
     alphas = [float(a) for a in alphas]
     if not alphas or any(not 0.0 < a < 1.0 for a in alphas):
         raise ValueError("alphas must lie strictly inside (0, 1)")
-    if len(set(alphas)) != len(alphas):
-        raise ValueError("alphas must be distinct")
+    check_distinct(alphas, "alphas")
     if policy is None:
         policy = PolicySpec.constant(1)
     if not isinstance(method, (CertifiedMethod, IpswMethod)):

@@ -340,6 +340,19 @@ class TestConfigFile:
         ) == 1
         assert capsys.readouterr().err == f"error: {cfg}: unknown config key 'bogus'\n"
 
+    def test_bad_value_names_the_file(self, tmp_path, capsys):
+        cfg = tmp_path / "e.cfg"
+        cfg.write_text("n=abc\n")
+        outputs = ("--target-out", tmp_path / "t.csv", "--trial-out", tmp_path / "d.csv")
+        assert run("simulate", "--config", cfg, "--pop", "A", *outputs) == 1
+        assert capsys.readouterr().err == f"error: {cfg}: n='abc' is not a valid int\n"
+        assert not (tmp_path / "t.csv").exists()
+        # the same value as a flag keeps argparse's usage error
+        assert run("simulate", "--n", "abc", "--pop", "A", *outputs) == 2
+        err = capsys.readouterr().err
+        assert err.endswith("limitcurves simulate: error: argument --n: invalid int value: 'abc'\n")
+        assert not (tmp_path / "t.csv").exists()
+
     @staticmethod
     def miscoverage(tmp_path, settings, *flags):
         cfg = tmp_path / "run.cfg"
@@ -572,6 +585,28 @@ class TestBadInputs:
         self.assert_error_line(capsys, "gammas must be distinct")
         assert not (tmp_path / "o.json").exists()
         assert not (tmp_path / "o.csv").exists()
+
+    def test_alpha_grid_with_repeated_values(self, tmp_path, simulated, model, capsys):
+        # a step below the spacing of floats near 0.5 rounds 555113 grid
+        # points onto two distinct alphas
+        target, trial, _ = simulated
+        assert run(
+            "evaluate", "--trial", trial, "--target", target, "--model", model,
+            "--policy", "constant:1", "--alpha-grid", "0.5:0.5000000000000001:2e-22",
+            "--l-max", 100.0, "--out-json", tmp_path / "o.json", "--out-csv", tmp_path / "o.csv",
+        ) == 1
+        self.assert_error_line(capsys, "alpha grid must be distinct")
+        assert not (tmp_path / "o.json").exists()
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_ipsw_duplicate_alphas(self, tmp_path, simulated, model, capsys):
+        target, trial, _ = simulated
+        assert run(
+            "ipsw", "--trial", trial, "--target", target, "--model", model,
+            "--policy", "constant:1", "--alphas", "0.1,0.1", "--out", tmp_path / "i.json",
+        ) == 1
+        self.assert_error_line(capsys, "alphas must be distinct")
+        assert not (tmp_path / "i.json").exists()
 
     def test_simulate_impossible_allocation(self, tmp_path, capsys):
         assert run(

@@ -272,6 +272,13 @@ class TestLimitCurve:
             with pytest.raises(ValueError, match="l_max must be finite"):
                 limit_curve(cal, ws, l_max=l_max)
 
+    def test_repeated_alpha_or_gamma_refused(self):
+        cal, ws, l_max = self.make_inputs()
+        with pytest.raises(ValueError, match="^alpha grid must be distinct$"):
+            limit_curve(cal, ws, alpha_grid=[0.5, 0.5], l_max=l_max)
+        with pytest.raises(ValueError, match="^gammas must be distinct$"):
+            limit_curve(cal, ws, gammas=(2.0, 2.0), l_max=l_max)
+
     def test_monotone_in_alpha_with_default_grids(self):
         cal, ws, l_max = self.make_inputs()
         curve = limit_curve(cal, ws, gammas=(1.0, 1.7), l_max=l_max)

@@ -11,24 +11,97 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from limitcurves import fileio
+from limitcurves.conformal import LimitCurve, LimitPoint
 from limitcurves.data import TargetCovariates, TrialDataset
-from limitcurves.propensity import LabeledPool
+from limitcurves.propensity import LabeledPool, ReliabilityBin
+
+
+def written_cells(tmp_path, column):
+    path = tmp_path / "cells.csv"
+    fileio.write_columns(path, ["v"], [column])
+    return path.read_text().splitlines()[1:]
 
 
 class TestNumberFormatting:
-    def test_round_trip_precision(self):
+    def test_round_trip_precision(self, tmp_path):
         rng = np.random.default_rng(0)
-        for v in rng.normal(size=200) * 10.0 ** rng.integers(-8, 8, 200):
-            assert float(fileio.fmt(float(v))) == float(v)
+        values = rng.normal(size=200) * 10.0 ** rng.integers(-8, 8, 200)
+        for v, text in zip(values, written_cells(tmp_path, values), strict=True):
+            assert float(text) == float(v)
 
-    def test_integers_and_bools(self):
-        assert fileio.fmt(3) == "3"
-        assert fileio.fmt(True) == "true"
-        assert fileio.fmt(False) == "false"
+    def test_integers_and_bools(self, tmp_path):
+        assert written_cells(tmp_path, [3]) == ["3"]
+        assert written_cells(tmp_path, [True, False]) == ["true", "false"]
+        assert written_cells(tmp_path, np.array([3], dtype=np.int32)) == ["3"]
+        assert written_cells(tmp_path, np.array([3], dtype=np.float32)) == ["3.0"]
 
-    def test_nan_text(self):
-        assert fileio.fmt(float("nan")) == "nan"
-        assert math.isnan(float(fileio.fmt(float("nan"))))
+    def test_nan_text(self, tmp_path):
+        assert written_cells(tmp_path, [float("nan")]) == ["nan"]
+        assert math.isnan(float(written_cells(tmp_path, [float("nan")])[0]))
+
+
+EXTREME_ROWS = [
+    (-0.0, -(2**63)),
+    (5e-324, 2**63 - 1),
+    (2.225073858507201e-308, 0),  # largest subnormal
+    (1.7976931348623157e308, -1),
+    (-1.7976931348623157e308, 1),
+]
+
+
+class TestWriteColumns:
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(st.lists(st.tuples(st.floats(allow_nan=False), st.integers(-(2**63), 2**63 - 1))))
+    def test_round_trip_is_bit_identical(self, tmp_path_factory, rows):
+        rows = EXTREME_ROWS + rows
+        floats = np.array([f for f, _ in rows], dtype=np.float64)
+        ints = np.array([i for _, i in rows], dtype=np.int64)
+        path = tmp_path_factory.mktemp("csv") / "t.csv"
+        fileio.write_columns(path, ["f", "i"], [floats, ints])
+        back = fileio.read_table(path, lambda header: [("f", float, ()), ("i", int, ())])
+        assert back["f"].tobytes() == floats.tobytes()
+        assert back["i"].tobytes() == ints.tobytes()
+
+    def test_unequal_columns_raise(self, tmp_path):
+        path = tmp_path / "t.csv"
+        with pytest.raises(ValueError):
+            fileio.write_columns(path, ["a", "b"], [[1.0, 2.0], [1.0]])
+        assert not path.exists()
+
+
+class TestGoldenBytes:
+    """Each writer's exact output on a tiny fixture."""
+
+    def test_target(self, tmp_path):
+        path = tmp_path / "t.csv"
+        fileio.write_target_csv(path, TargetCovariates([[0.1, -2.0], [1e-05, 3.0]]))
+        assert path.read_bytes() == b"x0,x1\n0.1,-2.0\n1e-05,3.0\n"
+
+    def test_trial(self, tmp_path):
+        path = tmp_path / "t.csv"
+        fileio.write_trial_csv(path, TrialDataset([[0.5], [-0.25]], [1, 0], [2.0, 0.1], 2))
+        assert path.read_bytes() == b"x0,a,l\n0.5,1,2.0\n-0.25,0,0.1\n"
+
+    def test_pool(self, tmp_path):
+        path = tmp_path / "t.csv"
+        fileio.write_pool_csv(path, LabeledPool([[1.5, 1e20], [-0.0, 2.0]], [0, 1]))
+        assert path.read_bytes() == b"x0,x1,s\n1.5,1e+20,0\n-0.0,2.0,1\n"
+
+    def test_limit_curve(self, tmp_path):
+        points = (LimitPoint(1.0, 0.1, 3.5, False), LimitPoint(2.0, 0.1, 10.0, True))
+        curve = LimitCurve(points, {1.0: 0.9, 2.0: 0.0}, np.array([0.1]), (1.0, 2.0), 10.0)
+        path = tmp_path / "t.csv"
+        fileio.write_limit_curve_csv(path, curve)
+        assert path.read_bytes() == b"gamma,alpha,limit,trivial\n1.0,0.1,3.5,false\n2.0,0.1,10.0,true\n"
+
+    def test_reliability(self, tmp_path):
+        bins = [ReliabilityBin(0.5, 1.25, 0.75, 1.0, 3, 3), ReliabilityBin(1.25, 2.0, 1.5, math.nan, 2, 0)]
+        path = tmp_path / "t.csv"
+        fileio.write_reliability_csv(path, bins)
+        assert path.read_bytes() == (
+            b"bin_lower,bin_upper,mean_nominal,observed,n_target,n_trial\n"
+            b"0.5,1.25,0.75,1.0,3,3\n1.25,2.0,1.5,nan,2,0\n"
+        )
 
 
 class TestCsvRoundTrips:
