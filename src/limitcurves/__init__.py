@@ -24,6 +24,7 @@ from .conformal import (
     weight_bound,
 )
 from .data import (
+    LabeledPool,
     PolicySpec,
     SplitResult,
     TargetCovariates,
@@ -36,7 +37,6 @@ from .data import (
 from .gamma_bench import OmissionReport, benchmark_all, omitted_covariate_ratios
 from .ipsw import ipsw_cdf, ipsw_quantile, ipsw_value
 from .propensity import (
-    LabeledPool,
     LogisticConfig,
     LogisticModel,
     ReliabilityBin,

@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from . import fileio, simlab
-from .conformal import MAX_GRID_POINTS, certify, limit_curve
+from .conformal import MAX_GRID_POINTS, certify, check_curve_args, limit_curve
 from .data import PolicySpec, TrialDesign, check_distinct, validate_dataset
 from .gamma_bench import benchmark_all
 from .ipsw import ipsw_quantile, ipsw_value
@@ -26,7 +26,7 @@ from .propensity import (
     reliability_diagram,
     save_model,
 )
-from .simlab import POPULATIONS, CertifiedMethod, IpswMethod, SimScenario, miscoverage_gap
+from .simlab import CertifiedMethod, IpswMethod, miscoverage_gap, scenario
 
 
 def parse_floats(text: str) -> list[float]:
@@ -50,7 +50,9 @@ def parse_alpha_grid(text: str) -> np.ndarray:
     span = (stop - start) / step  # inf when a tiny step overflows it
     if math.isinf(span) or round(span) >= MAX_GRID_POINTS:
         raise ValueError(f"alpha grid {text!r} has more than {MAX_GRID_POINTS} points")
-    grid = start + step * np.arange(int(round(span)) + 1)
+    # rounding drops the float error of start + step * k, so that the default
+    # grid equals default_alpha_grid() and 0.06 is written as 0.06
+    grid = np.round(start + step * np.arange(int(round(span)) + 1), 15)
     grid = grid[(grid > 0) & (grid < 1)]
     if grid.size == 0:
         raise ValueError(f"alpha grid {text!r} has no points inside (0, 1)")
@@ -95,6 +97,21 @@ def _add_fit_flags(sub) -> None:
     sub.add_argument("--tol", type=float, default=1e-6, help="gradient max-norm stop rule")
 
 
+def _add_population_flags(sub) -> None:
+    sub.add_argument("--pop", required=True, help="target population: A, B, C or D")
+    sub.add_argument("--n", type=int, default=2000, help="target covariate rows")
+    sub.add_argument("--m", type=int, default=500, help="trial rows")
+    sub.add_argument("--m-train", type=int, default=500, help="trial rows in the pool")
+
+
+def _add_study_flags(sub) -> None:
+    sub.add_argument("--trial", required=True)
+    sub.add_argument("--target", required=True)
+    _add_odds_source(sub)
+    sub.add_argument("--policy", required=True, help="constant:<a>, uniform, or table:<path>")
+    sub.add_argument("--design", default="uniform:2", help="uniform:<K> or probs:<p0,...>")
+
+
 def _add_odds_source(sub) -> None:
     group = sub.add_mutually_exclusive_group(required=True)
     group.add_argument("--model", help="logistic odds model JSON")
@@ -132,22 +149,15 @@ def _read_study(ns, l_max=None):
 # subcommand handlers
 
 
-def _target_population(name: str):
-    if name not in POPULATIONS or name == "trial":
-        raise ValueError(f"unknown population {name!r}; choose from A, B, C, D")
-    return POPULATIONS[name]
-
-
 def _cmd_simulate(ns) -> int:
-    params = _target_population(ns.pop)
+    scn = scenario(ns.pop)
     rng = np.random.default_rng(ns.seed)
-    design = TrialDesign.uniform(2)
-    target, _ = simlab.sample_target(params, ns.n, rng)
-    trial, _ = simlab.sample_trial(POPULATIONS["trial"], ns.m, design, rng)
+    target, _ = simlab.sample_target(scn.target, ns.n, rng)
+    trial, _ = simlab.sample_trial(scn.trial, ns.m, scn.design, rng)
     fileio.write_target_csv(ns.target_out, target)
     fileio.write_trial_csv(ns.trial_out, trial)
     if ns.pool_out:
-        pool = simlab.sample_pool(target.x, POPULATIONS["trial"], ns.m_train, rng)
+        pool = simlab.sample_pool(target.x, scn.trial, ns.m_train, rng)
         fileio.write_pool_csv(ns.pool_out, pool)
     return 0
 
@@ -168,16 +178,13 @@ def _cmd_fit(ns) -> int:
 
 
 def _cmd_evaluate(ns) -> int:
-    design, trial, _, policy, odds = _read_study(ns, ns.l_max)
-    cal, ws, split = certify(trial, odds, policy, design, ns.split, ns.frac, ns.seed)
-    curve = limit_curve(
-        cal,
-        ws,
-        alpha_grid=parse_alpha_grid(ns.alpha_grid),
-        gammas=parse_floats(ns.gammas),
-        l_max=ns.l_max,
-        beta_points=ns.beta_points,
+    # the grids need no data, so a bad one is refused before any file is read
+    alphas, gammas, l_max = check_curve_args(
+        parse_alpha_grid(ns.alpha_grid), parse_floats(ns.gammas), ns.l_max, ns.beta_points
     )
+    design, trial, _, policy, odds = _read_study(ns, l_max)
+    cal, ws, split = certify(trial, odds, policy, design, ns.split, ns.frac, ns.seed)
+    curve = limit_curve(cal, ws, alphas, gammas, l_max, ns.beta_points)
     body = {
         "l_max": curve.l_max,
         "gammas": list(curve.gammas),
@@ -237,13 +244,7 @@ def _cmd_ipsw(ns) -> int:
 
 
 def _cmd_miscoverage(ns) -> int:
-    scn = SimScenario(
-        target=_target_population(ns.pop),
-        design=parse_design(ns.design),
-        n=ns.n,
-        m=ns.m,
-        m_train=ns.m_train,
-    )
+    scn = scenario(ns.pop, design=parse_design(ns.design), n=ns.n, m=ns.m, m_train=ns.m_train)
     if ns.method == "certified":
         method = CertifiedMethod(
             gamma=ns.gamma,
@@ -296,14 +297,11 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         return s
 
     s = sub("simulate", "draw a synthetic target/trial study and write CSVs")
-    s.add_argument("--pop", required=True, help="target population: A, B, C or D")
-    s.add_argument("--n", type=int, default=2000, help="target covariate rows")
-    s.add_argument("--m", type=int, default=500, help="trial rows")
+    _add_population_flags(s)
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--target-out", required=True)
     s.add_argument("--trial-out", required=True)
     s.add_argument("--pool-out", help="optional labeled pool CSV for model training")
-    s.add_argument("--m-train", type=int, default=500, help="trial rows in the pool")
     s.set_defaults(func=_cmd_simulate)
 
     s = sub("fit", "fit the logistic selection-odds model on a labeled pool")
@@ -313,11 +311,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     s.set_defaults(func=_cmd_fit)
 
     s = sub("evaluate", "compute limit curves for a policy")
-    s.add_argument("--trial", required=True)
-    s.add_argument("--target", required=True)
-    _add_odds_source(s)
-    s.add_argument("--policy", required=True, help="constant:<a>, uniform, or table:<path>")
-    s.add_argument("--design", default="uniform:2", help="uniform:<K> or probs:<p0,...>")
+    _add_study_flags(s)
     s.add_argument("--gammas", default="1", help="comma-separated miscalibration factors")
     s.add_argument(
         "--alpha-grid", default="0.01:0.99:0.01", help=f"start:stop:step, at most {MAX_GRID_POINTS} points"
@@ -346,21 +340,14 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     s.set_defaults(func=_cmd_reliability)
 
     s = sub("ipsw", "reweighting baseline: value and quantile limits")
-    s.add_argument("--trial", required=True)
-    s.add_argument("--target", required=True)
-    _add_odds_source(s)
-    s.add_argument("--policy", required=True)
-    s.add_argument("--design", default="uniform:2")
+    _add_study_flags(s)
     s.add_argument("--alphas", default="0.05,0.1,0.2")
     s.add_argument("--normalized", action="store_true", help="rescale weights to total mass 1")
     s.add_argument("--out", required=True)
     s.set_defaults(func=_cmd_ipsw)
 
     s = sub("miscoverage", "Monte Carlo miscoverage gap on a synthetic scenario")
-    s.add_argument("--pop", required=True)
-    s.add_argument("--n", type=int, default=2000)
-    s.add_argument("--m", type=int, default=500)
-    s.add_argument("--m-train", type=int, default=500)
+    _add_population_flags(s)
     s.add_argument("--method", choices=("certified", "ipsw"), required=True)
     s.add_argument("--gamma", type=float, default=1.0)
     s.add_argument("--split", choices=("matched", "random"), default="matched")
@@ -401,9 +388,11 @@ def _config_flags(sub: argparse.ArgumentParser, path: str) -> list[str]:
             raise ValueError(f"{path}: unknown config key {key!r}")
         if action.nargs != 0:
             try:
-                (action.type or str)(raw)
+                value = (action.type or str)(raw)
             except ValueError:
                 raise ValueError(f"{path}: {key}={raw!r} is not a valid {action.type.__name__}") from None
+            if action.choices is not None and value not in action.choices:
+                raise ValueError(f"{path}: {key}={raw!r} is not one of {', '.join(action.choices)}")
             tokens.append(f"{flag}={raw}")
         elif raw.lower() not in _SWITCH_WORDS:
             raise ValueError(f"{path}: {key}={raw!r} is not one of {', '.join(_SWITCH_WORDS)}")

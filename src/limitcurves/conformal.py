@@ -15,7 +15,7 @@ import numpy as np
 
 from . import backend
 from .data import PolicySpec, SplitResult, TrialDataset, TrialDesign, check_l_max
-from .data import check_distinct, matched_split, random_split
+from .data import check_distinct, check_open_unit, matched_split, random_split
 from .weights import check_gamma, shift_weights, trial_odds
 
 
@@ -36,8 +36,7 @@ def check_grid_points(points: int) -> None:
 
 def default_beta_grid(alpha: float, points: int = 49) -> np.ndarray:
     """Evenly spaced grid strictly inside (0, alpha), proportional to alpha."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie strictly inside (0, 1)")
+    check_open_unit(alpha, "alpha")
     check_grid_points(points)
     return alpha * np.arange(1, points + 1) / (points + 1)
 
@@ -144,8 +143,7 @@ def weight_bound(ws: WeightBoundSet, beta: float) -> float:
     downstream code treats that as "no finite quantile" rather than doing
     arithmetic with the infinity.
     """
-    if not 0.0 < beta < 1.0:
-        raise ValueError("beta must lie strictly inside (0, 1)")
+    check_open_unit(beta, "beta")
     return float(_weight_bound_values(ws.upper, np.array([beta]))[0])
 
 
@@ -242,8 +240,7 @@ def limit(
 ) -> float | None:
     """Tightest certified limit at miscoverage ``alpha``: the minimum over the
     beta grid of the level-(1-beta) weight bound's quantile."""
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie strictly inside (0, 1)")
+    check_open_unit(alpha, "alpha")
     g = check_gamma(gamma)
     betas = (
         default_beta_grid(alpha)
@@ -281,6 +278,30 @@ class LimitCurve:
         return [p for p in self.points if p.gamma == gamma]
 
 
+def check_curve_args(
+    alpha_grid=None, gammas=(1.0,), l_max: float | None = None, beta_points: int = 49
+) -> tuple[list[float], list[float], float]:
+    """The arguments of ``limit_curve`` once checked: the sorted alpha grid
+    (``default_alpha_grid()`` when None), which must be distinct and inside
+    (0, 1); the gammas, each ``>= 1``, at least one and distinct; the finite
+    ``l_max``; and at most ``MAX_GRID_POINTS`` beta points. None of them
+    depends on the data, so a caller can check them before reading any."""
+    l_max = check_l_max(l_max)
+    alphas = (
+        default_alpha_grid()
+        if alpha_grid is None
+        else np.sort(np.asarray(alpha_grid, dtype=np.float64))
+    )
+    check_open_unit(alphas, "alpha grid")
+    check_distinct(alphas, "alpha grid")
+    gamma_list = [check_gamma(g) for g in gammas]
+    if not gamma_list:
+        raise ValueError("need at least one gamma")
+    check_distinct(gamma_list, "gammas")
+    check_grid_points(beta_points)
+    return alphas.tolist(), gamma_list, l_max
+
+
 def limit_curve(
     cal: CalibrationSet,
     ws: WeightBoundSet,
@@ -289,7 +310,8 @@ def limit_curve(
     l_max: float | None = None,
     beta_points: int = 49,
 ) -> LimitCurve:
-    """Limit curves for every (gamma, alpha) pair.
+    """Limit curves for every (gamma, alpha) pair, with the arguments checked
+    by ``check_curve_args``.
 
     ``l_max`` is the declared, finite upper bound of the loss support;
     entries whose stand-in CDF never reaches the level are reported at
@@ -297,24 +319,9 @@ def limit_curve(
     the smallest alpha with a nontrivial limit (0 when there is none).
     Weights are sorted once; every cell reuses the same prefix sums.
     """
-    l_max = check_l_max(l_max)
+    alpha_list, gamma_list, l_max = check_curve_args(alpha_grid, gammas, l_max, beta_points)
     if float(cal.losses[-1]) >= l_max:
         raise ValueError("all observed losses must lie strictly below l_max")
-    alphas = (
-        default_alpha_grid()
-        if alpha_grid is None
-        else np.sort(np.asarray(alpha_grid, dtype=np.float64))
-    )
-    if alphas.shape[0] == 0:
-        raise ValueError("alpha grid must be nonempty")
-    if np.any(alphas <= 0) or np.any(alphas >= 1):
-        raise ValueError("alpha grid must lie strictly inside (0, 1)")
-    alpha_list = alphas.tolist()
-    check_distinct(alpha_list, "alpha grid")
-    gamma_list = [check_gamma(g) for g in gammas]
-    if not gamma_list:
-        raise ValueError("need at least one gamma")
-    check_distinct(gamma_list, "gammas")
 
     points: list[LimitPoint] = []
     informativeness: dict[float, float] = {}
@@ -328,4 +335,4 @@ def limit_curve(
                 points.append(LimitPoint(g, a, value, False))
                 finite_alphas.append(a)
         informativeness[g] = (1.0 - min(finite_alphas)) if finite_alphas else 0.0
-    return LimitCurve(tuple(points), informativeness, alphas, tuple(gamma_list), l_max)
+    return LimitCurve(tuple(points), informativeness, np.array(alpha_list), tuple(gamma_list), l_max)

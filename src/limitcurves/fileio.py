@@ -15,6 +15,8 @@ import warnings
 
 import numpy as np
 
+from .data import LabeledPool, TargetCovariates, TrialDataset
+
 SCHEMA_VERSION = 1
 
 
@@ -181,8 +183,6 @@ def write_target_csv(path, target) -> None:
 
 
 def read_target_csv(path):
-    from .data import TargetCovariates
-
     x, _ = read_columns(path, "x")
     return TargetCovariates(x)
 
@@ -193,8 +193,6 @@ def write_trial_csv(path, trial) -> None:
 
 
 def read_trial_csv(path, k_actions: int | None = None):
-    from .data import TrialDataset
-
     x, (actions, losses) = read_columns(path, "x", (("a", int), ("l", float)))
     k = int(actions.max()) + 1 if k_actions is None else k_actions
     return TrialDataset(x, actions, losses, k)
@@ -205,8 +203,6 @@ def write_pool_csv(path, pool) -> None:
 
 
 def read_pool_csv(path):
-    from .propensity import LabeledPool
-
     x, (labels,) = read_columns(path, "x", (("s", int),))
     return LabeledPool(x, labels)
 

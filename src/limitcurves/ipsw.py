@@ -7,7 +7,7 @@ from __future__ import annotations
 import numpy as np
 
 from .conformal import CalibrationSet
-from .data import PolicySpec, TrialDataset, TrialDesign
+from .data import PolicySpec, TrialDataset, TrialDesign, check_open_unit
 from .weights import shift_weights
 
 
@@ -54,8 +54,7 @@ def ipsw_quantile(
     ``None`` when the total mass never reaches the level. ``normalized=True``
     rescales the weights to total mass 1 before the scan.
     """
-    if not 0.0 < alpha < 1.0:
-        raise ValueError("alpha must lie strictly inside (0, 1)")
+    check_open_unit(alpha, "alpha")
     if n_target < 1:
         raise ValueError("n_target must be at least 1")
     weights = shift_weights(trial, odds, policy, design)

@@ -1,4 +1,8 @@
-"""Selection-odds models: in-repo logistic fit, external scores, reliability diagnostics."""
+"""Selection-odds models: in-repo logistic fit, external scores, reliability diagnostics.
+
+The fit reads a ``LabeledPool``, which lives in ``data`` beside the other
+covariate containers and is importable from here as well.
+"""
 
 from __future__ import annotations
 
@@ -8,6 +12,7 @@ import math
 
 import numpy as np
 
+from .data import LabeledPool, check_odds, check_open_unit
 from .fileio import read_table, write_json
 
 LOGIT_CLAMP = 30.0
@@ -54,38 +59,6 @@ class FitReport:
     iterations: int
     grad_max: float
     objectives: tuple[float, ...]
-
-
-class LabeledPool:
-    """Covariate rows labeled 0 (target) or 1 (trial)."""
-
-    def __init__(self, x, labels):
-        self.x = np.asarray(x, dtype=np.float64)
-        if self.x.ndim != 2 or self.x.shape[0] == 0:
-            raise ValueError("pool covariates must be a nonempty 2-d array")
-        self.labels = np.asarray(labels, dtype=np.int64)
-        if self.labels.shape != (self.x.shape[0],):
-            raise ValueError("labels must align with the covariate rows")
-        if not np.all((self.labels == 0) | (self.labels == 1)):
-            raise ValueError("labels must be 0 (target) or 1 (trial)")
-        if len(np.unique(self.labels)) < 2:
-            raise ValueError("pool must contain both target and trial rows")
-        if not np.all(np.isfinite(self.x)):
-            raise ValueError("pool covariates must be finite")
-
-    @property
-    def n(self) -> int:
-        return self.x.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.x.shape[1]
-
-    def drop_feature(self, k: int) -> "LabeledPool":
-        if not 0 <= k < self.dim:
-            raise ValueError(f"feature index {k} out of range for d={self.dim}")
-        kept = np.delete(self.x, k, axis=1)
-        return LabeledPool(kept, self.labels)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -243,13 +216,11 @@ def load_external_scores(path, prior_correction: float = 1.0) -> np.ndarray:
         raise ValueError(f"{path}: ids must be exactly 0..{len(ids) - 1} with no gaps")
     vals = vals[order]
     if kind == "p_s1":
-        if np.any(vals <= 0) or np.any(vals >= 1):
-            raise ValueError(f"{path}: p_s1 values must lie strictly inside (0, 1)")
+        check_open_unit(vals, f"{path}: p_s1 values")
         odds = (1.0 - vals) / vals
     else:
         odds = vals
-    if np.any(odds <= 0) or not np.all(np.isfinite(odds)):
-        raise ValueError(f"{path}: odds must be strictly positive and finite")
+    check_odds(odds, f"{path}: odds")
     return odds * prior_correction
 
 

@@ -21,9 +21,10 @@ import warnings
 import numpy as np
 
 from .conformal import certify, check_grid_points, default_beta_grid, limit
-from .data import PolicySpec, TargetCovariates, TrialDataset, TrialDesign, check_distinct, check_split_frac, sample_actions
+from .data import LabeledPool, PolicySpec, TargetCovariates, TrialDataset, TrialDesign
+from .data import check_distinct, check_odds, check_open_unit, sample_actions
 from .ipsw import ipsw_quantile
-from .propensity import LabeledPool, LogisticConfig, fit_logistic, predict_odds
+from .propensity import LogisticConfig, fit_logistic, predict_odds
 from .weights import check_gamma
 
 LOSS_NOISE_SD = 1.0
@@ -71,9 +72,10 @@ class SimScenario:
 
 
 def scenario(name: str, **overrides) -> SimScenario:
-    """Scenario with a named built-in target population."""
-    if name not in POPULATIONS:
-        raise ValueError(f"unknown population {name!r}; choose from {sorted(POPULATIONS)}")
+    """Scenario with a named built-in target population: A, B, C or D. The
+    trial population is not a target."""
+    if name not in POPULATIONS or name == "trial":
+        raise ValueError(f"unknown population {name!r}; choose from A, B, C, D")
     return SimScenario(target=POPULATIONS[name], **overrides)
 
 
@@ -173,9 +175,7 @@ def true_miscalibration(
     """Ratio of the exact selection odds (with the hidden factor) to the
     model's nominal odds, per row; 1 everywhere means a perfectly calibrated
     model."""
-    model_odds = np.asarray(model_odds, dtype=np.float64)
-    if np.any(model_odds <= 0):
-        raise ValueError("model odds must be strictly positive")
+    check_odds(model_odds, "model odds")
     exact = true_odds_with_u(x, u, scenario.target, scenario.trial, prior_ratio)
     return exact / model_odds
 
@@ -199,7 +199,7 @@ class CertifiedMethod:
         check_gamma(self.gamma)
         check_grid_points(self.beta_points)
         if self.split == "random":
-            check_split_frac(self.split_frac)
+            check_open_unit(self.split_frac, "frac")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -443,8 +443,7 @@ def miscoverage_gap(
     if runs < 1 or per_run < 1:
         raise ValueError("runs and per_run must be at least 1")
     alphas = [float(a) for a in alphas]
-    if not alphas or any(not 0.0 < a < 1.0 for a in alphas):
-        raise ValueError("alphas must lie strictly inside (0, 1)")
+    check_open_unit(alphas, "alphas")
     check_distinct(alphas, "alphas")
     if policy is None:
         policy = PolicySpec.constant(1)

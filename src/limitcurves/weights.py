@@ -7,7 +7,7 @@ import math
 
 import numpy as np
 
-from .data import PolicySpec, TrialDataset, TrialDesign
+from .data import PolicySpec, TrialDataset, TrialDesign, check_odds
 
 
 def check_gamma(gamma: float) -> float:
@@ -43,8 +43,7 @@ def trial_odds(trial: TrialDataset, odds) -> np.ndarray:
         raise ValueError(
             f"odds must align with the {trial.m} trial rows, got shape {values.shape}"
         )
-    if not np.all(np.isfinite(values)) or np.any(values <= 0):
-        raise ValueError("odds must be strictly positive and finite")
+    check_odds(values, "odds")
     return values
 
 
@@ -61,8 +60,7 @@ def shift_weights(
 
 def bounded_weights(odds: float, ratio: float, gamma: float) -> WeightPair:
     """Weight pair (odds*ratio/gamma, gamma*odds*ratio) bracketing the unknown shift."""
-    if odds <= 0 or not math.isfinite(odds):
-        raise ValueError("odds must be strictly positive and finite")
+    check_odds(odds, "odds")
     if ratio < 0:
         raise ValueError("ratio must be nonnegative")
     g = check_gamma(gamma)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from limitcurves.cli import main, parse_alpha_grid, parse_design, parse_policy
+from limitcurves.conformal import default_alpha_grid
 
 
 def run(*argv):
@@ -62,6 +63,15 @@ class TestParsing:
         assert parse_alpha_grid("0:0.999999:0.000001").shape == (999999,)
         with pytest.raises(ValueError, match="more than 1000000 points"):
             parse_alpha_grid("0:1:0.000001")
+
+    @pytest.mark.parametrize(
+        "spec, points",
+        [("0.01:0.99:0.01", 100), ("0.05:0.95:0.05", 20), ("0.001:0.999:0.001", 1000)],
+    )
+    def test_alpha_grid_points_are_the_decimal_ones(self, spec, points):
+        # start + step * k misses 0.06 by an ulp; the parsed grid does not
+        assert parse_alpha_grid(spec).tobytes() == (np.arange(1, points) / points).tobytes()
+        assert parse_alpha_grid("0.01:0.99:0.01").tobytes() == default_alpha_grid().tobytes()
 
 
 class TestSimulate:
@@ -150,6 +160,9 @@ class TestEvaluate:
         for entry in payload["curves"]:
             by_gamma.setdefault(entry["gamma"], []).append(entry)
         assert len(by_gamma[1.0]) == 99
+        assert [e["alpha"] for e in by_gamma[1.0]] == default_alpha_grid().tolist()
+        assert any(entry["alpha"] == 0.1 for entry in by_gamma[1.0])
+        assert "\n1.0,0.1," in out_csv.read_text()
         for one, two in zip(by_gamma[1.0], by_gamma[2.0]):
             assert two["limit"] >= one["limit"]
         assert out_csv.read_text().splitlines()[0] == "gamma,alpha,limit,trivial"
@@ -362,8 +375,10 @@ class TestConfigFile:
             "--m-train", 50, "--runs", 2, "--per-run", 40, "--out", tmp_path / "gap.json", *flags,
         )
 
-    def test_bad_choice_is_refused(self, tmp_path):
-        assert self.miscoverage(tmp_path, "method=certifed\n") == 2
+    def test_bad_choice_is_refused(self, tmp_path, capsys):
+        assert self.miscoverage(tmp_path, "method=certifed\n") == 1
+        cfg = tmp_path / "run.cfg"
+        assert capsys.readouterr().err == f"error: {cfg}: method='certifed' is not one of certified, ipsw\n"
         assert not (tmp_path / "gap.json").exists()
 
     def test_bad_switch_word_is_refused(self, tmp_path, capsys):
@@ -585,6 +600,15 @@ class TestBadInputs:
         self.assert_error_line(capsys, "gammas must be distinct")
         assert not (tmp_path / "o.json").exists()
         assert not (tmp_path / "o.csv").exists()
+
+    def test_curve_flags_checked_before_any_file(self, tmp_path, capsys):
+        missing = tmp_path / "missing.csv"
+        assert run(
+            "evaluate", "--trial", missing, "--target", missing, "--model", missing,
+            "--policy", "constant:1", "--gammas", "1,1", "--l-max", 100.0,
+            "--out-json", tmp_path / "o.json", "--out-csv", tmp_path / "o.csv",
+        ) == 1
+        assert capsys.readouterr().err == "error: gammas must be distinct\n"
 
     def test_alpha_grid_with_repeated_values(self, tmp_path, simulated, model, capsys):
         # a step below the spacing of floats near 0.5 rounds 555113 grid

@@ -1,0 +1,149 @@
+"""The shared input rules of ``data`` and the exact message at every site
+that uses them: an open-interval value, selection odds, covariate rows."""
+
+import math
+import re
+
+import numpy as np
+import pytest
+
+import limitcurves
+import limitcurves.data
+import limitcurves.propensity
+from limitcurves.conformal import (
+    CalibrationSet,
+    WeightBoundSet,
+    default_beta_grid,
+    limit,
+    limit_curve,
+    weight_bound,
+)
+from limitcurves.data import (
+    LabeledPool,
+    PolicySpec,
+    TrialDataset,
+    TrialDesign,
+    check_open_unit,
+    random_split,
+)
+from limitcurves.ipsw import ipsw_quantile
+from limitcurves.propensity import load_external_scores
+from limitcurves.simlab import CertifiedMethod, miscoverage_gap, scenario, true_miscalibration
+from limitcurves.weights import bounded_weights, trial_odds
+
+OUTSIDE = [0.0, 1.0, math.nan, -0.5, 1.5, math.inf]
+NOT_ODDS = [0.0, -1.0, math.nan, math.inf, -math.inf]
+
+
+def raises_exactly(message):
+    return pytest.raises(ValueError, match=f"^{re.escape(message)}$")
+
+
+def trial(m=4):
+    return TrialDataset(np.zeros((m, 1)), [0, 1] * (m // 2), np.arange(m, dtype=float), 2)
+
+
+def sets():
+    return CalibrationSet.from_shift_weights([1.0, 2.0, 3.0], [1.0, 1.0, 1.0]), WeightBoundSet([1.0, 1.0])
+
+
+def scores_file(tmp_path, kind, value):
+    path = tmp_path / "scores.csv"
+    path.write_text(f"id,{kind}\n0,0.5\n1,{value!r}\n")
+    return path
+
+
+OPEN_UNIT_SITES = {
+    "default_beta_grid": ("alpha", lambda v: default_beta_grid(v)),
+    "weight_bound": ("beta", lambda v: weight_bound(sets()[1], v)),
+    "limit": ("alpha", lambda v: limit(*sets(), v)),
+    "limit_curve": ("alpha grid", lambda v: limit_curve(*sets(), alpha_grid=[0.5, v], l_max=9.0)),
+    "ipsw_quantile": (
+        "alpha",
+        lambda v: ipsw_quantile(trial(), np.ones(4), PolicySpec.uniform(), TrialDesign.uniform(2), 4, v),
+    ),
+    "miscoverage_gap": (
+        "alphas",
+        lambda v: miscoverage_gap(scenario("A"), CertifiedMethod(gamma=1.0), [0.5, v], runs=1, per_run=1),
+    ),
+    "random_split": ("frac", lambda v: random_split(trial(), frac=v)),
+    "CertifiedMethod": ("frac", lambda v: CertifiedMethod(gamma=1.0, split="random", split_frac=v)),
+}
+
+
+@pytest.mark.parametrize("value", OUTSIDE)
+@pytest.mark.parametrize("site", sorted(OPEN_UNIT_SITES))
+def test_open_interval_message_at_each_site(site, value):
+    name, call = OPEN_UNIT_SITES[site]
+    with raises_exactly(f"{name} must lie strictly inside (0, 1)"):
+        call(value)
+
+
+def test_empty_lists_are_outside_the_open_interval():
+    with raises_exactly("alpha grid must lie strictly inside (0, 1)"):
+        limit_curve(*sets(), alpha_grid=[], l_max=9.0)
+    with raises_exactly("alphas must lie strictly inside (0, 1)"):
+        miscoverage_gap(scenario("A"), CertifiedMethod(gamma=1.0), [], runs=1, per_run=1)
+    with raises_exactly("x must lie strictly inside (0, 1)"):
+        check_open_unit([], "x")
+    check_open_unit([1e-300, 0.5, 1 - 1e-16], "x")
+
+
+@pytest.mark.parametrize("value", [1.0, math.nan, 0.0, math.inf])
+def test_p_s1_scores_outside_the_open_interval(tmp_path, value):
+    path = scores_file(tmp_path, "p_s1", value)
+    with raises_exactly(f"{path}: p_s1 values must lie strictly inside (0, 1)"):
+        load_external_scores(path)
+
+
+ODDS_SITES = {
+    "trial_odds": ("odds", lambda v: trial_odds(trial(), [1.0, v, 1.0, 1.0])),
+    "bounded_weights": ("odds", lambda v: bounded_weights(v, 1.0, 1.0)),
+    "true_miscalibration": (
+        "model odds",
+        lambda v: true_miscalibration(np.zeros((2, 2)), np.zeros(2), [1.0, v], scenario("A")),
+    ),
+}
+
+
+@pytest.mark.parametrize("value", NOT_ODDS)
+@pytest.mark.parametrize("site", sorted(ODDS_SITES))
+def test_odds_message_at_each_site(site, value):
+    name, call = ODDS_SITES[site]
+    with raises_exactly(f"{name} must be strictly positive and finite"):
+        call(value)
+
+
+@pytest.mark.parametrize("value", NOT_ODDS)
+def test_odds_scores_refused(tmp_path, value):
+    path = scores_file(tmp_path, "odds", value)
+    with raises_exactly(f"{path}: odds must be strictly positive and finite"):
+        load_external_scores(path)
+
+
+class TestLabeledPool:
+    def test_one_class_everywhere(self):
+        assert limitcurves.data.LabeledPool is limitcurves.propensity.LabeledPool
+        assert limitcurves.LabeledPool is LabeledPool
+
+    def test_rows_checked_like_the_other_containers(self):
+        with raises_exactly("pool covariates must be a 2-d array of covariate rows"):
+            LabeledPool([0.0, 1.0], [0, 1])
+        with raises_exactly("pool covariates must contain at least one row"):
+            LabeledPool(np.empty((0, 2)), [])
+        with raises_exactly("pool covariates must be finite"):
+            LabeledPool([[0.0], [np.nan]], [0, 0])
+
+
+def test_trial_covariates_checked_before_the_actions():
+    with raises_exactly("trial covariates must be finite"):
+        TrialDataset([[np.nan]], [0, 0], [1.0], k_actions=1)
+    with raises_exactly("actions and losses must align with the covariate rows"):
+        TrialDataset([[0.0]], [0, 0], [1.0], k_actions=1)
+
+
+def test_trial_is_not_a_target_population():
+    with raises_exactly("unknown population 'trial'; choose from A, B, C, D"):
+        scenario("trial")
+    with raises_exactly("unknown population 'Z'; choose from A, B, C, D"):
+        scenario("Z")
