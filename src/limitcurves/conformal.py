@@ -185,6 +185,9 @@ def _scan_arrays(losses_sorted, lower, upper, group_ends):
     well, where the sum can rise by an ulp. ``backend.best_stop_index``
     relies on both orders. Sums of small dyadic weights are exact, and there
     the minimum changes nothing.
+
+    ``_limits`` builds these arrays once per gamma, and every batch of cells
+    it hands the kernel reads the same three.
     """
     prefix_all = np.cumsum(lower)
     rev = np.cumsum(upper[::-1])[::-1]
@@ -194,14 +197,6 @@ def _scan_arrays(losses_sorted, lower, upper, group_ends):
     prefix = prefix_all[group_ends]
     denom_base = np.minimum.accumulate(prefix + suffix_after[group_ends])
     return losses_sorted[group_ends], prefix, denom_base
-
-
-def _stop_loss(scan, wbars, alpha: float, betas) -> float | None:
-    """Smallest loss of ``scan`` (from ``_scan_arrays``) where the stand-in CDF
-    with weight ``wbars[j]`` reaches (1-alpha)/(1-betas[j]) for some j, or None."""
-    loss_ends, prefix, denom_base = scan
-    idx = backend.best_stop_index(prefix, denom_base, wbars, (1.0 - alpha) / (1.0 - betas))
-    return None if idx < 0 else float(loss_ends[idx])
 
 
 def quantile(cal: CalibrationSet, w_bound: float, alpha: float, beta: float) -> float | None:
@@ -216,19 +211,60 @@ def quantile(cal: CalibrationSet, w_bound: float, alpha: float, beta: float) -> 
     if w_bound < 0:
         raise ValueError("weight bound must be nonnegative")
     scan = _scan_arrays(cal.losses, cal.lower, cal.upper, cal.group_ends)
-    return _stop_loss(scan, np.array([w_bound]), alpha, np.array([beta]))
+    level = (np.array([w_bound], dtype=np.float64), np.array([(1.0 - alpha) / (1.0 - beta)]))
+    return _stop_losses(scan, [level])[0]
 
 
 def _limits(cal: CalibrationSet, ws: WeightBoundSet, gamma: float, cells) -> list[float | None]:
-    """The ``limit`` of every ``(alpha, betas)`` cell at a checked ``gamma``.
-    The gamma-scaled sums are built once, and each cell is one kernel call, so
-    an iterator of cells keeps one beta grid in memory."""
+    """The ``limit`` of every ``(alpha, betas)`` cell at a checked ``gamma``,
+    from one set of gamma-scaled sums."""
     scan = _scan_arrays(cal.losses, cal.lower / gamma, cal.upper * gamma, cal.group_ends)
     sorted_bound = ws.upper * gamma
-    return [
-        _stop_loss(scan, _weight_bound_values(sorted_bound, betas), alpha, betas)
+    levels = (
+        (_weight_bound_values(sorted_bound, betas), (1.0 - alpha) / (1.0 - betas))
         for alpha, betas in cells
-    ]
+    )
+    return _stop_losses(scan, levels)
+
+
+# levels per kernel call: cells are batched up to this many, and a cell with
+# more levels runs alone, so memory stays O(cap + one beta grid)
+LEVEL_CAP = 2**16
+
+
+def _batches(levels):
+    """The cells of ``levels`` in order, grouped into lists of at most
+    ``LEVEL_CAP`` levels; a larger cell is a list of its own. A full list is
+    handed on before the next cell is drawn."""
+    batch: list = []
+    held = 0
+    for cell in levels:
+        size = cell[0].shape[0]
+        if batch and held + size > LEVEL_CAP:
+            yield batch
+            batch, held = [], 0
+        batch.append(cell)
+        held += size
+        if held >= LEVEL_CAP:
+            yield batch
+            batch, held = [], 0
+    if batch:
+        yield batch
+
+
+def _stop_losses(scan, levels) -> list[float | None]:
+    """Per ``(wbars, thresholds)`` cell of ``levels``, the smallest loss of
+    ``scan`` (from ``_scan_arrays``) where the stand-in CDF with weight
+    ``wbars[j]`` reaches ``thresholds[j]`` for some j, or None. Each batch of
+    cells is one kernel call."""
+    loss_ends, prefix, denom_base = scan
+    out: list[float | None] = []
+    for batch in _batches(levels):
+        wbars, thresholds = batch[0] if len(batch) == 1 else map(np.concatenate, zip(*batch))
+        starts = np.cumsum([0] + [w.shape[0] for w, _ in batch[:-1]])
+        idx = backend.best_stop_index(prefix, denom_base, wbars, thresholds, starts)
+        out.extend(None if i < 0 else float(loss_ends[i]) for i in idx.tolist())
+    return out
 
 
 def limit(

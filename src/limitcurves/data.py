@@ -3,8 +3,8 @@
 The three covariate containers (``TrialDataset``, ``TargetCovariates``,
 ``LabeledPool``) check their rows through one rule, and the rules every
 module shares live here: ``check_open_unit`` for alphas, betas and split
-fractions, ``check_odds`` for selection odds, ``check_distinct`` and
-``check_l_max``.
+fractions, ``check_odds`` for selection odds, ``check_labels`` for pool
+labels, ``check_distinct`` and ``check_l_max``.
 """
 
 from __future__ import annotations
@@ -18,12 +18,15 @@ PROB_TOL = 1e-9
 
 
 def _as_matrix(rows, name: str) -> np.ndarray:
-    """Covariate rows as a finite float64 matrix with at least one row."""
+    """Covariate rows as a finite float64 matrix with at least one row and
+    one column."""
     x = np.asarray(rows, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError(f"{name} must be a 2-d array of covariate rows")
     if x.shape[0] == 0:
         raise ValueError(f"{name} must contain at least one row")
+    if x.shape[1] == 0:
+        raise ValueError(f"{name} must have at least one covariate column")
     if not np.all(np.isfinite(x)):
         raise ValueError(f"{name} must be finite")
     return x
@@ -41,6 +44,15 @@ def check_odds(values, name: str) -> None:
     v = np.asarray(values, dtype=np.float64)
     if not np.all((v > 0.0) & (v < math.inf)):
         raise ValueError(f"{name} must be strictly positive and finite")
+
+
+def check_labels(labels: np.ndarray) -> None:
+    """Refuse pool labels other than 0 (target) and 1 (trial), or labels
+    that miss either class."""
+    if not np.all((labels == 0) | (labels == 1)):
+        raise ValueError("labels must be 0 (target) or 1 (trial)")
+    if not (labels.any() and not labels.all()):
+        raise ValueError("pool must contain both target and trial rows")
 
 
 class TrialDataset:
@@ -102,10 +114,7 @@ class LabeledPool:
         self.labels = np.asarray(labels, dtype=np.int64)
         if self.labels.shape != (self.n,):
             raise ValueError("labels must align with the covariate rows")
-        if not np.all((self.labels == 0) | (self.labels == 1)):
-            raise ValueError("labels must be 0 (target) or 1 (trial)")
-        if len(np.unique(self.labels)) < 2:
-            raise ValueError("pool must contain both target and trial rows")
+        check_labels(self.labels)
 
     @property
     def n(self) -> int:

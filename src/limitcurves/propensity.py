@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .data import LabeledPool, check_odds, check_open_unit
+from .data import LabeledPool, check_labels, check_odds, check_open_unit
 from .fileio import read_table, write_json
 
 LOGIT_CLAMP = 30.0
@@ -85,23 +85,23 @@ class LogisticModel:
         return float(self.intercept - np.sum(self.coefficients * self.feature_mean / self.feature_scale))
 
 
-def _objective(z1, s, theta, l2):
+def _objective(z, s, theta, l2):
     """Mean negative log-likelihood plus the penalty, with the logits and
-    ``log(1 + exp(logits))`` the gradient reuses. ``z1`` ends in the
-    intercept column, which is not penalized."""
-    logits = z1 @ theta
-    softplus = np.logaddexp(0.0, logits)
+    ``log(1 + exp(logits))`` the gradient reuses. ``z`` holds one feature per
+    row and ends in the intercept row, which is not penalized."""
+    logits = theta @ z
+    softplus = np.maximum(logits, 0.0) + np.log1p(np.exp(-np.abs(logits)))  # without overflow
     w = theta[:-1]
     obj = (float(np.sum(softplus)) - float(s @ logits)) / s.shape[0] + 0.5 * l2 * float(w @ w)
     return obj, logits, softplus
 
 
-def _gradient_and_hessian(z1, s, theta, logits, softplus, l2):
+def _gradient_and_hessian(z, s, theta, logits, softplus, l2):
     n = s.shape[0]
     p = np.exp(logits - softplus)  # sigmoid(logits), without overflow
-    grad = z1.T @ (p - s) / n
+    grad = z @ (p - s) / n
     grad[:-1] += l2 * theta[:-1]
-    hess = z1.T @ (z1 * (p * (1.0 - p))[:, None]) / n
+    hess = (z * (p * (1.0 - p))) @ z.T / n
     hess[np.diag_indices(theta.shape[0] - 1)] += l2
     return grad, hess
 
@@ -132,18 +132,22 @@ def fit_logistic(pool: LabeledPool, config: LogisticConfig = LogisticConfig()) -
     ``MAX_COEF``, or, at ``l2 == 0``, the logits separate the classes completely.
     """
     n, d = pool.x.shape
-    mean = pool.x.mean(axis=0)
-    scale = pool.x.std(axis=0)
+    # feature-major: each feature is a contiguous row, so the moments and the
+    # products below run along contiguous memory
+    z = np.empty((d + 1, n))
+    features = z[:d]
+    features[...] = pool.x.T
+    mean = features.mean(axis=1)
+    scale = features.std(axis=1)
     scale = np.where(scale > 0, scale, 1.0)
-    z1 = np.empty((n, d + 1))
-    np.subtract(pool.x, mean, out=z1[:, :d])
-    z1[:, :d] /= scale
-    z1[:, d] = 1.0
+    features -= mean[:, None]
+    features /= scale[:, None]
+    z[d] = 1.0
     s = pool.labels.astype(np.float64)
 
     theta = np.zeros(d + 1)
-    obj, logits, softplus = _objective(z1, s, theta, config.l2)
-    grad, hess = _gradient_and_hessian(z1, s, theta, logits, softplus, config.l2)
+    obj, logits, softplus = _objective(z, s, theta, config.l2)
+    grad, hess = _gradient_and_hessian(z, s, theta, logits, softplus, config.l2)
     objectives = [obj]
     iterations = 0
     for iterations in range(1, config.max_iter + 1):
@@ -155,14 +159,14 @@ def fit_logistic(pool: LabeledPool, config: LogisticConfig = LogisticConfig()) -
         step = 1.0
         while step > 1e-18:
             candidate = theta - step * delta
-            cand_obj, cand_logits, cand_softplus = _objective(z1, s, candidate, config.l2)
+            cand_obj, cand_logits, cand_softplus = _objective(z, s, candidate, config.l2)
             if cand_obj <= obj - ARMIJO * step * decrease:
                 break
             step *= BACKTRACK
         else:
             break  # line search stalled
         theta, obj, logits, softplus = candidate, cand_obj, cand_logits, cand_softplus
-        grad, hess = _gradient_and_hessian(z1, s, theta, logits, softplus, config.l2)
+        grad, hess = _gradient_and_hessian(z, s, theta, logits, softplus, config.l2)
         objectives.append(obj)
         if float(np.max(np.abs(theta[:-1]))) > MAX_COEF:
             break  # separation guard
@@ -319,8 +323,7 @@ def reliability_diagram(odds, labels, bins: int = 5) -> list[ReliabilityBin]:
         raise ValueError("odds and labels must align")
     if bins < 2:
         raise ValueError("need at least 2 bins")
-    if len(np.unique(labels)) < 2:
-        raise ValueError("pool must contain both target and trial rows")
+    check_labels(labels)
     edges = np.unique(np.quantile(values, np.linspace(0.0, 1.0, bins + 1)))
     if edges.shape[0] == 1:
         assign = np.zeros(values.shape[0], dtype=np.int64)

@@ -20,7 +20,7 @@ import warnings
 
 import numpy as np
 
-from .conformal import certify, check_grid_points, default_beta_grid, limit
+from .conformal import _limits, certify, check_grid_points, default_beta_grid
 from .data import LabeledPool, PolicySpec, TargetCovariates, TrialDataset, TrialDesign
 from .data import check_distinct, check_odds, check_open_unit, sample_actions
 from .ipsw import ipsw_quantile
@@ -270,10 +270,8 @@ def _exceed_counts(scn, method, alphas, per_run, seed, policy, run_indices) -> l
             cal, ws, _ = certify(
                 trial, odds, policy, scn.design, method.split, method.split_frac, split_seed
             )
-            limits = {
-                a: limit(cal, ws, a, method.gamma, default_beta_grid(a, method.beta_points))
-                for a in alphas
-            }
+            cells = [(a, default_beta_grid(a, method.beta_points)) for a in alphas]
+            limits = dict(zip(alphas, _limits(cal, ws, check_gamma(method.gamma), cells)))
         else:
             limits = {
                 a: ipsw_quantile(

@@ -1,7 +1,7 @@
 """Dense reference for ``limitcurves.backend.best_stop_index``, used by tests only.
 
-It evaluates the whole levels x groups ratio matrix and takes every level's
-first crossing, i.e. the linear scan the binary search must reproduce.
+It evaluates one cell's whole levels x groups ratio matrix and takes every
+level's first crossing, i.e. the linear scan the binary search must reproduce.
 """
 
 from __future__ import annotations
@@ -30,3 +30,12 @@ def best_stop_index(prefix_low, denom_base, wbars, thresholds) -> int:
     if not rows.any():
         return -1
     return int(np.argmax(hit[rows], axis=1).min())
+
+
+def best_stop_indices(prefix_low, denom_base, wbars, thresholds, starts) -> list[int]:
+    """``best_stop_index`` of every cell of a batch laid out as the kernel's."""
+    bounds = [*starts, len(wbars)]
+    return [
+        best_stop_index(prefix_low, denom_base, wbars[lo:hi], thresholds[lo:hi])
+        for lo, hi in zip(bounds, bounds[1:])
+    ]

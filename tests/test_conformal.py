@@ -5,6 +5,7 @@ grid behavior is checked against independent brute-force scans.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -287,6 +288,26 @@ class TestLimitCurve:
             assert all(
                 b.limit <= a.limit for a, b in zip(points, points[1:])
             ), "limits must be nonincreasing in alpha"
+
+
+    def test_level_cap_bounds_memory_of_long_beta_grids(self):
+        """Each 200000-point beta grid exceeds the level cap and runs alone.
+        Batching all 20 cells into one kernel call would hold 4 million
+        levels; the per-cell engine this replaced peaked at 12.5 MiB here."""
+        rng = np.random.default_rng(0)
+        cal = CalibrationSet.from_shift_weights(
+            rng.standard_normal(2000), rng.exponential(size=2000)
+        )
+        ws = WeightBoundSet(rng.exponential(size=2000))
+        alphas = np.arange(1, 11) / 20.0
+        tracemalloc.start()
+        try:
+            curve = limit_curve(cal, ws, alphas, (1.0, 2.0), l_max=100.0, beta_points=200_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(curve.points) == 20
+        assert peak < 15.5 * 2**20
 
 
 class TestGrids:

@@ -1,20 +1,23 @@
 """Property tests of the grid-scan kernel and of the limits built on it.
 
-The kernel's binary search must return what the dense first-crossing scan in
-``scan_reference`` returns, on every array ``conformal._scan_arrays`` can
-build. The limits must keep the construction's orders and its invariance to
+The kernel's binary search must return, for every cell of a batch, what the
+dense first-crossing scan in ``scan_reference`` returns, on every array
+``conformal._scan_arrays`` can build, and batching under the level cap must
+not change a limit. The limits must keep the construction's orders and its invariance to
 the scale of the weights.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scan_reference import best_stop_index as dense_best_stop_index
+from scan_reference import best_stop_indices as dense_best_stop_indices
 
 import limitcurves as lc
-from limitcurves import backend
+from limitcurves import backend, conformal
 from limitcurves.conformal import _scan_arrays
 
 SETTINGS = settings(max_examples=100, deadline=None, database=None)
@@ -38,6 +41,28 @@ def calibration(draw, max_weight=1e300, max_size=40):
     return lc.CalibrationSet(np.array(losses, dtype=np.float64), lower, upper)
 
 
+def level_cells(data, prefix, denom_base):
+    """A batch of 1-4 cells laid out as the kernel takes them, some cells
+    wholly infeasible, with some thresholds exactly on a ratio the kernel
+    will compute."""
+    wbars, thresholds, starts = [], [], []
+    for _ in range(data.draw(st.integers(1, 4))):
+        levels = data.draw(st.integers(1, 12))
+        level = st.just(math.inf)
+        if data.draw(st.booleans()):
+            level = st.one_of(level, weights(1e300))
+        starts.append(len(wbars))
+        wbars += data.draw(st.lists(level, min_size=levels, max_size=levels))
+        thresholds += data.draw(st.lists(st.floats(0.0, 1.5), min_size=levels, max_size=levels))
+    wbars, thresholds = np.array(wbars), np.array(thresholds)
+    for j in data.draw(st.sets(st.integers(0, len(wbars) - 1))):
+        if math.isfinite(wbars[j]):
+            k = data.draw(st.integers(0, prefix.shape[0] - 1))
+            den = denom_base[k] + wbars[j]
+            thresholds[j] = prefix[k] / den if den > 0 else 0.0
+    return wbars, thresholds, np.array(starts)
+
+
 @given(cal=calibration(), data=st.data())
 @SETTINGS
 def test_kernel_matches_dense_scan(cal, data):
@@ -45,41 +70,27 @@ def test_kernel_matches_dense_scan(cal, data):
     # the orders the binary search relies on
     assert np.all(np.diff(prefix) >= 0.0)
     assert np.all(np.diff(denom_base) <= 0.0)
-    levels = data.draw(st.integers(1, 30))
-    wbars = np.array(
-        data.draw(
-            st.lists(
-                st.one_of(st.just(math.inf), weights(1e300)),
-                min_size=levels,
-                max_size=levels,
-            )
-        )
-    )
-    thresholds = np.array(
-        data.draw(st.lists(st.floats(0.0, 1.5), min_size=levels, max_size=levels))
-    )
-    # put some thresholds exactly on a ratio the kernel will compute
-    for j in data.draw(st.sets(st.integers(0, levels - 1))):
-        if math.isfinite(wbars[j]):
-            k = data.draw(st.integers(0, prefix.shape[0] - 1))
-            den = denom_base[k] + wbars[j]
-            thresholds[j] = prefix[k] / den if den > 0 else 0.0
-    got = backend.best_stop_index(prefix, denom_base, wbars, thresholds)
-    assert got == dense_best_stop_index(prefix, denom_base, wbars, thresholds)
+    wbars, thresholds, starts = level_cells(data, prefix, denom_base)
+    got = backend.best_stop_index(prefix, denom_base, wbars, thresholds, starts)
+    assert got.tolist() == dense_best_stop_indices(prefix, denom_base, wbars, thresholds, starts)
 
 
 def test_kernel_zero_denominators():
     zeros = np.zeros(4)
-    wbars = np.array([0.0, math.inf])
+    wbars = np.array([0.0, math.inf, 0.0, math.inf])
     for t in (0.5, 0.0):
-        thresholds = np.full(2, t)
-        got = backend.best_stop_index(zeros, zeros, wbars, thresholds)
-        assert got == dense_best_stop_index(zeros, zeros, wbars, thresholds)
+        thresholds = np.array([t, t, 0.5, 0.0])
+        for starts in ([0], [0, 2], [0, 1, 2, 3]):
+            got = backend.best_stop_index(zeros, zeros, wbars, thresholds, starts)
+            want = dense_best_stop_indices(zeros, zeros, wbars, thresholds, starts)
+            assert got.tolist() == want
 
 
 def test_kernel_without_finite_level():
     ones = np.ones(3)
-    assert backend.best_stop_index(ones, ones, np.full(2, math.inf), np.ones(2)) == -1
+    wbars = np.array([math.inf, math.inf, 0.0, math.inf])
+    got = backend.best_stop_index(ones, ones, wbars, np.ones(4), [0, 2, 3])
+    assert got.tolist() == [-1, 0, -1]
 
 
 def bound_set(max_weight):
@@ -89,6 +100,47 @@ def bound_set(max_weight):
 def as_bound(value):
     """A trivial limit (None) bounds nothing, so it orders above every loss."""
     return math.inf if value is None else value
+
+
+@given(
+    cal=calibration(max_weight=1e6),
+    ws=bound_set(1e6),
+    grids=st.lists(
+        st.tuples(st.integers(1, 99), st.integers(1, 9)),
+        min_size=1,
+        max_size=6,
+        unique_by=lambda grid: grid[0],
+    ),
+    cap=st.integers(1, 20),
+    gamma=st.sampled_from(GAMMAS),
+)
+@SETTINGS
+def test_level_cap_splits_batches_without_changing_limits(cal, ws, grids, cap, gamma):
+    """Cells of (percent alpha, beta points) grids of unequal lengths."""
+    cells = [(p / 100.0, lc.default_beta_grid(p / 100.0, points)) for p, points in grids]
+    kernel = backend.best_stop_index
+    calls = []
+
+    def counted(*args):
+        calls.append(len(args[2]))
+        return kernel(*args)
+
+    with mock.patch.object(conformal, "LEVEL_CAP", cap), mock.patch.object(
+        backend, "best_stop_index", counted
+    ):
+        got = conformal._limits(cal, ws, gamma, iter(cells))
+    # each call holds at most the cap, unless one cell alone exceeds it
+    longest = max(points for _, points in grids)
+    assert all(levels <= max(cap, longest) for levels in calls)
+    assert sum(calls) == sum(points for _, points in grids)
+    _, prefix, denom_base = _scan_arrays(
+        cal.losses, cal.lower / gamma, cal.upper * gamma, cal.group_ends
+    )
+    loss_ends = cal.losses[cal.group_ends]
+    for (alpha, betas), value in zip(cells, got):
+        wbars = conformal._weight_bound_values(ws.upper * gamma, betas)
+        k = dense_best_stop_index(prefix, denom_base, wbars, (1.0 - alpha) / (1.0 - betas))
+        assert value == (None if k < 0 else loss_ends[k])
 
 
 @given(

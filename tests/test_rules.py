@@ -21,13 +21,14 @@ from limitcurves.conformal import (
 from limitcurves.data import (
     LabeledPool,
     PolicySpec,
+    TargetCovariates,
     TrialDataset,
     TrialDesign,
     check_open_unit,
     random_split,
 )
 from limitcurves.ipsw import ipsw_quantile
-from limitcurves.propensity import load_external_scores
+from limitcurves.propensity import load_external_scores, reliability_diagram
 from limitcurves.simlab import CertifiedMethod, miscoverage_gap, scenario, true_miscalibration
 from limitcurves.weights import bounded_weights, trial_odds
 
@@ -133,6 +134,34 @@ class TestLabeledPool:
             LabeledPool(np.empty((0, 2)), [])
         with raises_exactly("pool covariates must be finite"):
             LabeledPool([[0.0], [np.nan]], [0, 0])
+
+
+CONTAINERS = {
+    "trial covariates": lambda x: TrialDataset(x, [0] * len(x), [1.0] * len(x), k_actions=1),
+    "target covariates": TargetCovariates,
+    "pool covariates": lambda x: LabeledPool(x, [0, 1, 0, 1][: len(x)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONTAINERS))
+def test_zero_covariate_columns_refused(name):
+    with raises_exactly(f"{name} must have at least one covariate column"):
+        CONTAINERS[name](np.zeros((4, 0)))
+
+
+@pytest.mark.parametrize(
+    "labels, message",
+    [
+        ([1, 1, 1, 1], "pool must contain both target and trial rows"),
+        ([0, 0, 0, 0], "pool must contain both target and trial rows"),
+        ([0, 2, 1, 0], "labels must be 0 (target) or 1 (trial)"),
+    ],
+)
+def test_one_label_rule_for_the_pool_and_the_reliability_diagram(labels, message):
+    with raises_exactly(message):
+        LabeledPool(np.zeros((4, 1)), labels)
+    with raises_exactly(message):
+        reliability_diagram(np.ones(4), labels)
 
 
 def test_trial_covariates_checked_before_the_actions():

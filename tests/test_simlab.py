@@ -256,6 +256,18 @@ class TestMiscoverage:
         b = miscoverage_gap(scn, method, [0.2], runs=4, per_run=40, seed=9)
         assert a == b
 
+    def test_pinned_exceed_rates(self):
+        """Exceed counts of a default-size study set, pinned when each alpha
+        took its own ``limit`` call: a change to the fit or to the limits
+        that moves any count shows here."""
+        report = miscoverage_gap(
+            scenario("B"), CertifiedMethod(gamma=2), (0.05, 0.1, 0.2),
+            runs=20, per_run=500, seed=7,
+        )
+        assert [(row.alpha, row.exceed_rate) for row in report.rows] == [
+            (0.05, 0.0124), (0.1, 0.0327), (0.2, 0.0933),
+        ]
+
     def test_run_rng_independent_of_order(self):
         first = run_rng(123, 7).standard_normal(4)
         np.testing.assert_array_equal(first, run_rng(123, 7).standard_normal(4))
