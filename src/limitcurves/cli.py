@@ -59,22 +59,42 @@ def parse_alpha_grid(text: str) -> np.ndarray:
     return grid
 
 
+POLICY_FORMS = "constant:<a>, uniform, or table:<path>"
+DESIGN_FORMS = "uniform:<K> or probs:<p0,...>"
+
+
+def _spec_int(text: str, kind: str, forms: str) -> int:
+    """The integer after the colon of a ``kind`` spec such as ``constant:1``."""
+    try:
+        return int(text.split(":", 1)[1])
+    except ValueError:
+        raise ValueError(f"bad {kind} {text!r}; use {forms}") from None
+
+
 def parse_policy(text: str) -> PolicySpec:
     if text == "uniform":
         return PolicySpec.uniform()
     if text.startswith("constant:"):
-        return PolicySpec.constant(int(text.split(":", 1)[1]))
+        return PolicySpec.constant(_spec_int(text, "policy", POLICY_FORMS))
     if text.startswith("table:"):
         return PolicySpec.from_table(fileio.read_columns(text.split(":", 1)[1], "p")[0])
-    raise ValueError(f"bad policy {text!r}; use constant:<a>, uniform, or table:<path>")
+    raise ValueError(f"bad policy {text!r}; use {POLICY_FORMS}")
 
 
 def parse_design(text: str) -> TrialDesign:
     if text.startswith("uniform:"):
-        return TrialDesign.uniform(int(text.split(":", 1)[1]))
+        return TrialDesign.uniform(_spec_int(text, "design", DESIGN_FORMS))
     if text.startswith("probs:"):
         return TrialDesign(parse_floats(text.split(":", 1)[1]))
-    raise ValueError(f"bad design {text!r}; use uniform:<K> or probs:<p0,...>")
+    raise ValueError(f"bad design {text!r}; use {DESIGN_FORMS}")
+
+
+def seed(text: str) -> int:
+    """The ``--seed`` type: an integer of at least 0."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"seed must be non-negative, got {value}")
+    return value
 
 
 def _write_payload(ns: argparse.Namespace, path, kind: str, body: dict) -> None:
@@ -108,8 +128,8 @@ def _add_study_flags(sub) -> None:
     sub.add_argument("--trial", required=True)
     sub.add_argument("--target", required=True)
     _add_odds_source(sub)
-    sub.add_argument("--policy", required=True, help="constant:<a>, uniform, or table:<path>")
-    sub.add_argument("--design", default="uniform:2", help="uniform:<K> or probs:<p0,...>")
+    sub.add_argument("--policy", required=True, help=POLICY_FORMS)
+    sub.add_argument("--design", default="uniform:2", help=DESIGN_FORMS)
 
 
 def _add_odds_source(sub) -> None:
@@ -183,13 +203,13 @@ def _cmd_evaluate(ns) -> int:
         parse_alpha_grid(ns.alpha_grid), parse_floats(ns.gammas), ns.l_max, ns.beta_points
     )
     design, trial, _, policy, odds = _read_study(ns, l_max)
-    cal, ws, split = certify(trial, odds, policy, design, ns.split, ns.frac, ns.seed)
+    cal, ws, _ = certify(trial, odds, policy, design, ns.split, ns.frac, ns.seed)
     curve = limit_curve(cal, ws, alphas, gammas, l_max, ns.beta_points)
     body = {
         "l_max": curve.l_max,
         "gammas": list(curve.gammas),
-        "split_sizes": {"d_prime": split.d_prime.m, "d_double_prime": split.d_double_prime.m},
-        "informativeness": {repr(g): v for g, v in curve.informativeness.items()},
+        "split_sizes": {"d_prime": ws.size, "d_double_prime": cal.size},
+        "informativeness": curve.informativeness,
         "curves": [
             {"gamma": p.gamma, "alpha": p.alpha, "limit": p.limit, "trivial": p.trivial}
             for p in curve.points
@@ -208,8 +228,8 @@ def _cmd_benchmark_gamma(ns) -> int:
             {
                 "feature": r.feature,
                 "rows_used": r.rows_used,
-                "suggested_gamma": {repr(q): v for q, v in r.suggested_gamma.items()},
-                "ratio_quantiles": {repr(q): v for q, v in r.ratio_quantiles.items()},
+                "suggested_gamma": r.suggested_gamma,
+                "ratio_quantiles": r.ratio_quantiles,
             }
             for r in reports
         ],
@@ -298,7 +318,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     s = sub("simulate", "draw a synthetic target/trial study and write CSVs")
     _add_population_flags(s)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=seed, default=0)
     s.add_argument("--target-out", required=True)
     s.add_argument("--trial-out", required=True)
     s.add_argument("--pool-out", help="optional labeled pool CSV for model training")
@@ -319,7 +339,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     s.add_argument("--beta-points", type=int, default=49, help=BETA_POINTS_HELP)
     s.add_argument("--split", choices=("random", "matched"), default="random")
     s.add_argument("--frac", type=float, default=0.5, help="random-split fraction for the weight-bound half")
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=seed, default=0)
     s.add_argument("--l-max", type=float, required=True, help="declared loss-support upper bound")
     s.add_argument("--out-json", required=True)
     s.add_argument("--out-csv", required=True)
@@ -360,7 +380,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     s.add_argument("--beta-points", type=int, default=49, help=BETA_POINTS_HELP)
     s.add_argument("--runs", type=int, default=200)
     s.add_argument("--per-run", type=int, default=500)
-    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--seed", type=seed, default=0)
     _add_fit_flags(s)
     s.add_argument("--out", required=True)
     s.set_defaults(func=_cmd_miscoverage)

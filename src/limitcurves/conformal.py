@@ -71,12 +71,8 @@ class CalibrationSet:
         self.upper = upper[order]
         # last index of every run of equal losses: the points where the
         # stand-in CDF can jump
-        m = self.losses.shape[0]
-        if m == 1:
-            self.group_ends = np.array([0], dtype=np.int64)
-        else:
-            changes = np.flatnonzero(self.losses[1:] != self.losses[:-1])
-            self.group_ends = np.append(changes, m - 1).astype(np.int64)
+        changes = np.flatnonzero(self.losses[1:] != self.losses[:-1])
+        self.group_ends = np.append(changes, self.losses.shape[0] - 1).astype(np.int64)
 
     @property
     def size(self) -> int:
@@ -131,7 +127,7 @@ def certify(
     else:
         raise ValueError(f"unknown split {split!r}; use 'random' or 'matched'")
     cal = CalibrationSet.from_shift_weights(
-        parts.d_double_prime.losses, weights[parts.idx_double_prime]
+        trial.losses[parts.idx_double_prime], weights[parts.idx_double_prime]
     )
     return cal, WeightBoundSet(weights[parts.idx_prime]), parts
 
@@ -306,7 +302,6 @@ class LimitCurve:
 
     points: tuple[LimitPoint, ...]
     informativeness: dict[float, float]
-    alpha_grid: np.ndarray
     gammas: tuple[float, ...]
     l_max: float
 
@@ -371,4 +366,4 @@ def limit_curve(
                 points.append(LimitPoint(g, a, value, False))
                 finite_alphas.append(a)
         informativeness[g] = (1.0 - min(finite_alphas)) if finite_alphas else 0.0
-    return LimitCurve(tuple(points), informativeness, np.array(alpha_list), tuple(gamma_list), l_max)
+    return LimitCurve(tuple(points), informativeness, tuple(gamma_list), l_max)

@@ -202,6 +202,8 @@ class TrialDesign:
 
     @classmethod
     def uniform(cls, k_actions: int) -> "TrialDesign":
+        if k_actions < 1:
+            raise ValueError("k_actions must be at least 1")
         return cls(np.full(k_actions, 1.0 / k_actions))
 
     @property
@@ -211,14 +213,21 @@ class TrialDesign:
 
 @dataclasses.dataclass(frozen=True)
 class SplitResult:
-    """Partition of a trial dataset into the weight-bound half and the calibration half."""
+    """Partition of a trial dataset into the weight-bound half D' and the
+    calibration half D'', held as two index arrays; each half is built from
+    ``trial`` when read."""
 
-    d_prime: TrialDataset
-    d_double_prime: TrialDataset
-    strategy: str
-    seed: int
+    trial: TrialDataset
     idx_prime: np.ndarray
     idx_double_prime: np.ndarray
+
+    @property
+    def d_prime(self) -> TrialDataset:
+        return self.trial.subset(self.idx_prime)
+
+    @property
+    def d_double_prime(self) -> TrialDataset:
+        return self.trial.subset(self.idx_double_prime)
 
 
 def check_l_max(l_max) -> float:
@@ -265,14 +274,7 @@ def random_split(trial: TrialDataset, frac: float = 0.5, seed: int = 0) -> Split
     perm = np.random.default_rng(seed).permutation(trial.m)
     idx_prime = np.sort(perm[:m_prime])
     idx_double = np.sort(perm[m_prime:])
-    return SplitResult(
-        trial.subset(idx_prime),
-        trial.subset(idx_double),
-        "random",
-        int(seed),
-        idx_prime,
-        idx_double,
-    )
+    return SplitResult(trial, idx_prime, idx_double)
 
 
 def matched_split(
@@ -293,11 +295,4 @@ def matched_split(
     idx_prime = np.flatnonzero(~match)
     if idx_double.size == 0 or idx_prime.size == 0:
         raise ValueError("degenerate matched split: one side is empty")
-    return SplitResult(
-        trial.subset(idx_prime),
-        trial.subset(idx_double),
-        "matched",
-        int(seed),
-        idx_prime,
-        idx_double,
-    )
+    return SplitResult(trial, idx_prime, idx_double)

@@ -433,6 +433,58 @@ class TestConfigFile:
         assert not (tmp_path / "r.csv").exists()
 
 
+class TestSpecErrors:
+    """A bad --policy, --design or --seed value ends in one error line."""
+
+    @staticmethod
+    def miscoverage(tmp_path, *flags):
+        return run(
+            "miscoverage", "--pop", "A", "--n", 40, "--m", 30, "--m-train", 30,
+            "--method", "ipsw", "--runs", 2, "--per-run", 20,
+            "--out", tmp_path / "gap.json", *flags,
+        )
+
+    @pytest.mark.parametrize(
+        "flags, line",
+        [
+            (("--design", "uniform:0"), "k_actions must be at least 1"),
+            (("--design", "uniform:-1"), "k_actions must be at least 1"),
+            (("--design", "uniform:x"), "bad design 'uniform:x'; use uniform:<K> or probs:<p0,...>"),
+            (("--policy", "constant:x"),
+             "bad policy 'constant:x'; use constant:<a>, uniform, or table:<path>"),
+        ],
+        ids=["uniform:0", "uniform:-1", "uniform:x", "constant:x"],
+    )
+    def test_bad_spec(self, tmp_path, capsys, flags, line):
+        assert self.miscoverage(tmp_path, *flags) == 1
+        assert capsys.readouterr().err == f"error: {line}\n"
+        assert not (tmp_path / "gap.json").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("simulate", "--pop", "A", "--target-out", "t.csv", "--trial-out", "d.csv"),
+            ("miscoverage", "--pop", "A", "--method", "ipsw", "--out", "gap.json"),
+            ("evaluate", "--trial", "d.csv", "--target", "t.csv", "--model", "m.json",
+             "--policy", "constant:1", "--l-max", 10, "--out-json", "c.json", "--out-csv", "c.csv"),
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_negative_seed_flag(self, tmp_path, monkeypatch, capsys, argv):
+        monkeypatch.chdir(tmp_path)
+        assert run(*argv, "--seed", -1) == 2
+        err = capsys.readouterr().err
+        assert err.endswith(f"limitcurves {argv[0]}: error: argument --seed: invalid seed value: '-1'\n")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_negative_seed_in_config(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed=-1\n")
+        assert self.miscoverage(tmp_path, "--config", cfg) == 1
+        assert capsys.readouterr().err == f"error: {cfg}: seed='-1' is not a valid seed\n"
+        assert not (tmp_path / "gap.json").exists()
+
+
 class TestExitCodes:
     def test_missing_file(self, tmp_path):
         assert run(

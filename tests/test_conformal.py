@@ -354,7 +354,6 @@ class TestCertify:
         trial, odds = self.trial_and_odds()
         cal, ws, split = certify(trial, odds, self.POLICY, self.DESIGN, "matched", seed=3)
         expected = matched_split(trial, self.POLICY, self.DESIGN, seed=3)
-        assert split.strategy == "matched"
         assert np.array_equal(split.idx_double_prime, expected.idx_double_prime)
         double = split.idx_double_prime
         assert self.weights_by_loss(cal) == dict(
@@ -374,6 +373,23 @@ class TestCertify:
             zip(trial.losses[double].tolist(), (odds * ratio)[double].tolist())
         )
         assert np.array_equal(ws.upper, np.sort((odds * ratio)[split.idx_prime]))
+
+    @pytest.mark.parametrize("strategy", ["matched", "random"])
+    def test_builds_no_trial_dataset(self, strategy, monkeypatch):
+        """The calibration losses are read from the trial at the split's
+        indices; no half is copied into a new, re-checked dataset."""
+        trial, odds = self.trial_and_odds(seed=6)
+        built = []
+        init = TrialDataset.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(TrialDataset, "__init__", counting_init)
+        cal, _, split = certify(trial, odds, self.POLICY, self.DESIGN, strategy, seed=7)
+        assert built == []
+        assert self.weights_by_loss(cal).keys() == set(trial.losses[split.idx_double_prime].tolist())
 
     @pytest.mark.parametrize("strategy", ["matched", "random"])
     def test_set_sizes_equal_split_sizes(self, strategy):

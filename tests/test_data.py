@@ -91,6 +91,12 @@ class TestValidateDataset:
             validate_dataset(trial, target, l_max=5.0)
 
 
+@pytest.mark.parametrize("k", [0, -1])
+def test_uniform_design_needs_an_action(k):
+    with pytest.raises(ValueError, match="^k_actions must be at least 1$"):
+        TrialDesign.uniform(k)
+
+
 class TestRandomSplit:
     def test_half_split_sizes(self):
         split = random_split(make_trial(m=10), frac=0.5, seed=1)
@@ -101,7 +107,6 @@ class TestRandomSplit:
         b = random_split(make_trial(m=20), frac=0.3, seed=9)
         assert np.array_equal(a.idx_prime, b.idx_prime)
         assert np.array_equal(a.d_prime.losses, b.d_prime.losses)
-        assert a.strategy == "random" and a.seed == 9
 
     def test_partition(self):
         for seed in range(5):
@@ -114,6 +119,26 @@ class TestRandomSplit:
             random_split(make_trial(m=1), frac=0.5, seed=0)
         with pytest.raises(ValueError):
             random_split(make_trial(m=10), frac=0.01, seed=0)
+
+
+@pytest.mark.parametrize(
+    "make_split",
+    [
+        lambda trial: random_split(trial, frac=0.3, seed=2),
+        lambda trial: matched_split(trial, PolicySpec.uniform(), TrialDesign.uniform(3), seed=2),
+    ],
+    ids=["random", "matched"],
+)
+def test_halves_are_the_trial_rows_at_their_indices(make_split):
+    trial = make_trial(m=30, d=3, k=3, seed=4)
+    split = make_split(trial)
+    assert split.trial is trial
+    for half, idx in ((split.d_prime, split.idx_prime), (split.d_double_prime, split.idx_double_prime)):
+        expected = trial.subset(idx)
+        assert half.m == idx.size and half.k_actions == trial.k_actions
+        assert np.array_equal(half.x, expected.x)
+        assert np.array_equal(half.actions, expected.actions)
+        assert np.array_equal(half.losses, expected.losses)
 
 
 class TestMatchedSplit:

@@ -89,7 +89,7 @@ class TestGoldenBytes:
 
     def test_limit_curve(self, tmp_path):
         points = (LimitPoint(1.0, 0.1, 3.5, False), LimitPoint(2.0, 0.1, 10.0, True))
-        curve = LimitCurve(points, {1.0: 0.9, 2.0: 0.0}, np.array([0.1]), (1.0, 2.0), 10.0)
+        curve = LimitCurve(points, {1.0: 0.9, 2.0: 0.0}, (1.0, 2.0), 10.0)
         path = tmp_path / "t.csv"
         fileio.write_limit_curve_csv(path, curve)
         assert path.read_bytes() == b"gamma,alpha,limit,trivial\n1.0,0.1,3.5,false\n2.0,0.1,10.0,true\n"
