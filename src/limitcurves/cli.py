@@ -14,7 +14,14 @@ import numpy as np
 
 from . import fileio, simlab
 from .conformal import MAX_GRID_POINTS, certify, check_curve_args, limit_curve
-from .data import PolicySpec, TrialDesign, check_distinct, validate_dataset
+from .data import (
+    PolicySpec,
+    TrialDesign,
+    check_distinct,
+    check_losses_below,
+    check_open_unit,
+    validate_dataset,
+)
 from .gamma_bench import benchmark_all
 from .ipsw import ipsw_quantile, ipsw_value
 from .propensity import (
@@ -124,9 +131,15 @@ def _add_population_flags(sub) -> None:
     sub.add_argument("--m-train", type=int, default=500, help="trial rows in the pool")
 
 
-def _add_study_flags(sub) -> None:
+TARGET_UNREAD = "not read: the limits depend on the target only through the odds"
+
+
+def _add_study_flags(sub, reads_target: bool) -> None:
     sub.add_argument("--trial", required=True)
-    sub.add_argument("--target", required=True)
+    if reads_target:
+        sub.add_argument("--target", required=True)
+    else:
+        sub.add_argument("--target", help=f"accepted for old command lines; {TARGET_UNREAD}")
     _add_odds_source(sub)
     sub.add_argument("--policy", required=True, help=POLICY_FORMS)
     sub.add_argument("--design", default="uniform:2", help=DESIGN_FORMS)
@@ -144,11 +157,14 @@ def _add_odds_source(sub) -> None:
     )
 
 
-def _resolve_odds(ns, x_rows: np.ndarray) -> np.ndarray:
-    """Odds per row of ``x_rows`` from ``--model``, or the ``--scores`` file
-    as read; the consumers check that it aligns with the rows."""
+def _resolve_odds(ns, x_rows: np.ndarray, rows: str) -> np.ndarray:
+    """Odds per row of ``x_rows`` (the ``rows`` file's covariates) from
+    ``--model``, or the ``--scores`` file as read; the consumers check that
+    it aligns with the rows."""
     if ns.model:
         model = load_model(ns.model)
+        if model.dim != x_rows.shape[1]:
+            raise ValueError(f"{ns.model} expects {model.dim} covariates, {rows} has {x_rows.shape[1]}")
         if model.report is not None and not model.report.converged:
             print(f"warning: {ns.model}: odds model did not converge", file=sys.stderr)
         return predict_odds(model, x_rows)
@@ -156,13 +172,14 @@ def _resolve_odds(ns, x_rows: np.ndarray) -> np.ndarray:
 
 
 def _read_study(ns, l_max=None):
-    """Design, trial, target (checked against the trial), policy and odds."""
+    """Design, trial (its losses checked against ``l_max`` when given),
+    policy and the trial rows' odds; the target file is not read."""
     design = parse_design(ns.design)
     trial = fileio.read_trial_csv(ns.trial, k_actions=design.k_actions)
-    target = fileio.read_target_csv(ns.target)
-    validate_dataset(trial, target, l_max)
+    if l_max is not None:
+        check_losses_below(trial, l_max)
     policy = parse_policy(ns.policy)
-    return design, trial, target, policy, _resolve_odds(ns, trial.x)
+    return design, trial, policy, _resolve_odds(ns, trial.x, "trial")
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +219,9 @@ def _cmd_evaluate(ns) -> int:
     alphas, gammas, l_max = check_curve_args(
         parse_alpha_grid(ns.alpha_grid), parse_floats(ns.gammas), ns.l_max, ns.beta_points
     )
-    design, trial, _, policy, odds = _read_study(ns, l_max)
+    if ns.target is not None:
+        print(f"warning: {ns.target}: {TARGET_UNREAD}", file=sys.stderr)
+    design, trial, policy, odds = _read_study(ns, l_max)
     cal, ws, _ = certify(trial, odds, policy, design, ns.split, ns.frac, ns.seed)
     curve = limit_curve(cal, ws, alphas, gammas, l_max, ns.beta_points)
     body = {
@@ -240,15 +259,19 @@ def _cmd_benchmark_gamma(ns) -> int:
 
 def _cmd_reliability(ns) -> int:
     pool = fileio.read_pool_csv(ns.pool)
-    bins = reliability_diagram(_resolve_odds(ns, pool.x), pool.labels, bins=ns.bins)
+    bins = reliability_diagram(_resolve_odds(ns, pool.x, "pool"), pool.labels, bins=ns.bins)
     fileio.write_reliability_csv(ns.out, bins)
     return 0
 
 
 def _cmd_ipsw(ns) -> int:
+    # like evaluate's grids, the alphas are refused before any file is read
     alphas = parse_floats(ns.alphas)
+    check_open_unit(alphas, "alphas")
     check_distinct(alphas, "alphas")
-    design, trial, target, policy, odds = _read_study(ns)
+    design, trial, policy, odds = _read_study(ns)
+    target = fileio.read_target_csv(ns.target)
+    validate_dataset(trial, target)
     quantiles = []
     for a in alphas:
         q = ipsw_quantile(trial, odds, policy, design, target.n, a, ns.normalized)
@@ -331,7 +354,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     s.set_defaults(func=_cmd_fit)
 
     s = sub("evaluate", "compute limit curves for a policy")
-    _add_study_flags(s)
+    _add_study_flags(s, reads_target=False)
     s.add_argument("--gammas", default="1", help="comma-separated miscalibration factors")
     s.add_argument(
         "--alpha-grid", default="0.01:0.99:0.01", help=f"start:stop:step, at most {MAX_GRID_POINTS} points"
@@ -360,7 +383,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     s.set_defaults(func=_cmd_reliability)
 
     s = sub("ipsw", "reweighting baseline: value and quantile limits")
-    _add_study_flags(s)
+    _add_study_flags(s, reads_target=True)
     s.add_argument("--alphas", default="0.05,0.1,0.2")
     s.add_argument("--normalized", action="store_true", help="rescale weights to total mass 1")
     s.add_argument("--out", required=True)

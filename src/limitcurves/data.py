@@ -4,7 +4,7 @@ The three covariate containers (``TrialDataset``, ``TargetCovariates``,
 ``LabeledPool``) check their rows through one rule, and the rules every
 module shares live here: ``check_open_unit`` for alphas, betas and split
 fractions, ``check_odds`` for selection odds, ``check_labels`` for pool
-labels, ``check_distinct`` and ``check_l_max``.
+labels, ``check_distinct``, ``check_l_max`` and ``check_losses_below``.
 """
 
 from __future__ import annotations
@@ -245,14 +245,21 @@ def check_distinct(values, name: str) -> None:
         raise ValueError(f"{name} must be distinct")
 
 
+def check_losses_below(trial: TrialDataset, l_max) -> None:
+    """Refuse a missing or non-finite ``l_max``, or one that is not strictly
+    above every trial loss."""
+    if not np.all(trial.losses < check_l_max(l_max)):
+        raise ValueError(f"trial losses must lie strictly below l_max={l_max}")
+
+
 def validate_dataset(trial: TrialDataset, target: TargetCovariates, l_max: float | None = None):
     """Raise ``ValueError`` at the first cross-file rule that fails: equal
-    covariate dimensions, then, given ``l_max``, a finite ``l_max`` above
-    every loss. Each container checks its own values at construction."""
+    covariate dimensions, then, given ``l_max``, ``check_losses_below``.
+    Each container checks its own values at construction."""
     if trial.dim != target.dim:
         raise ValueError(f"covariate dimensions differ: trial d={trial.dim}, target d={target.dim}")
-    if l_max is not None and not np.all(trial.losses < check_l_max(l_max)):
-        raise ValueError(f"trial losses must lie strictly below l_max={l_max}")
+    if l_max is not None:
+        check_losses_below(trial, l_max)
 
 
 def sample_actions(prob_matrix: np.ndarray, rng: np.random.Generator) -> np.ndarray:

@@ -252,8 +252,9 @@ def sample_pool(
     return LabeledPool(np.vstack([target_x, train.x]), labels)
 
 
-def _exceed_counts(scn, method, alphas, per_run, seed, policy, run_indices) -> list[int]:
-    """Exceed counts per alpha, summed over the studies ``run_indices``."""
+def _exceed_counts(scn, method, alphas, cells, per_run, seed, policy, run_indices) -> list[int]:
+    """Exceed counts per alpha, summed over the studies ``run_indices``;
+    ``cells`` holds the ``(alpha, beta grid)`` pairs of a ``CertifiedMethod``."""
     exceed = {a: 0 for a in alphas}
     for run_index in run_indices:
         rng = run_rng(seed, run_index)
@@ -270,7 +271,6 @@ def _exceed_counts(scn, method, alphas, per_run, seed, policy, run_indices) -> l
             cal, ws, _ = certify(
                 trial, odds, policy, scn.design, method.split, method.split_frac, split_seed
             )
-            cells = [(a, default_beta_grid(a, method.beta_points)) for a in alphas]
             limits = dict(zip(alphas, _limits(cal, ws, check_gamma(method.gamma), cells)))
         else:
             limits = {
@@ -448,11 +448,15 @@ def miscoverage_gap(
     if not isinstance(method, (CertifiedMethod, IpswMethod)):
         raise ValueError("method must be a CertifiedMethod or an IpswMethod")
 
+    cells = None
+    if isinstance(method, CertifiedMethod):
+        cells = [(a, default_beta_grid(a, method.beta_points)) for a in alphas]
+
     # one run per queued item, or contiguous chunks of runs past the queue's size
     items = min(runs, _MAX_QUEUED)
     bounds = [runs * i // items for i in range(items + 1)]
     item_counts = _fork_map(
-        functools.partial(_exceed_counts, scn, method, alphas, per_run, seed, policy),
+        functools.partial(_exceed_counts, scn, method, alphas, cells, per_run, seed, policy),
         [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])],
         _usable_cpus(),
     )

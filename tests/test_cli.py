@@ -142,13 +142,13 @@ class TestFit:
 
 class TestEvaluate:
     def test_curves_and_informativeness(self, tmp_path, simulated):
-        target, trial, pool = simulated
+        _, trial, pool = simulated
         model = tmp_path / "model.json"
         assert run("fit", "--pool", pool, "--out", model) == 0
         out_json = tmp_path / "curves.json"
         out_csv = tmp_path / "curves.csv"
         assert run(
-            "evaluate", "--trial", trial, "--target", target, "--model", model,
+            "evaluate", "--trial", trial, "--model", model,
             "--policy", "constant:1", "--design", "uniform:2",
             "--gammas", "1,2", "--split", "matched", "--seed", 5,
             "--l-max", 100.0, "--out-json", out_json, "--out-csv", out_csv,
@@ -168,38 +168,54 @@ class TestEvaluate:
         assert out_csv.read_text().splitlines()[0] == "gamma,alpha,limit,trivial"
 
     def test_both_constant_policies_run(self, tmp_path, simulated):
-        target, trial, pool = simulated
+        _, trial, pool = simulated
         model = tmp_path / "model.json"
         assert run("fit", "--pool", pool, "--out", model) == 0
         for a in (0, 1):
             assert run(
-                "evaluate", "--trial", trial, "--target", target, "--model", model,
+                "evaluate", "--trial", trial, "--model", model,
                 "--policy", f"constant:{a}", "--gammas", "1",
                 "--split", "matched", "--l-max", 100.0,
                 "--out-json", tmp_path / f"c{a}.json", "--out-csv", tmp_path / f"c{a}.csv",
             ) == 0
 
-    def test_dimension_mismatch_fails(self, tmp_path, simulated, capsys):
-        _, trial, pool = simulated
-        bad_target = tmp_path / "bad.csv"
-        bad_target.write_text("x0,x1,x2\n0.0,0.0,0.0\n")
-        model = tmp_path / "model.json"
-        assert run("fit", "--pool", pool, "--out", model) == 0
-        capsys.readouterr()
+    @staticmethod
+    def curves(tmp_path, name, trial, model, *target):
+        """Run a matched-split evaluate into ``tmp_path / name``; return its CSV bytes."""
+        out = tmp_path / name
+        out.mkdir()
         assert run(
-            "evaluate", "--trial", trial, "--target", bad_target, "--model", model,
-            "--policy", "constant:1", "--l-max", 100.0,
-            "--out-json", tmp_path / "o.json", "--out-csv", tmp_path / "o.csv",
-        ) == 1
-        assert capsys.readouterr().err == "error: covariate dimensions differ: trial d=2, target d=3\n"
+            "evaluate", "--trial", trial, *target, "--model", model,
+            "--policy", "constant:1", "--gammas", "1,2", "--split", "matched",
+            "--l-max", 100.0, "--out-json", out / "c.json", "--out-csv", out / "c.csv",
+        ) == 0
+        return (out / "c.csv").read_bytes()
+
+    def test_target_file_is_not_opened(self, tmp_path, simulated, model, capsys):
+        target, trial, _ = simulated
+        missing = tmp_path / "missing.csv"
+        capsys.readouterr()
+        unread = self.curves(tmp_path, "missing", trial, model, "--target", missing)
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"warning: {missing}: not read")
+        assert read_json(tmp_path / "missing" / "c.json")["config"]["target"] == str(missing)
+        assert unread == self.curves(tmp_path, "real", trial, model, "--target", target)
+
+    def test_without_target(self, tmp_path, simulated, model, capsys):
+        target, trial, _ = simulated
+        capsys.readouterr()
+        bare = self.curves(tmp_path, "bare", trial, model)
+        assert capsys.readouterr().err == ""
+        assert read_json(tmp_path / "bare" / "c.json")["config"]["target"] is None
+        assert bare == self.curves(tmp_path, "real", trial, model, "--target", target)
 
     def test_scores_input(self, tmp_path, simulated):
-        target, trial, _ = simulated
+        _, trial, _ = simulated
         m = len(trial.read_text().splitlines()) - 1
         scores = tmp_path / "scores.csv"
         scores.write_text("id,odds\n" + "\n".join(f"{i},1.0" for i in range(m)) + "\n")
         assert run(
-            "evaluate", "--trial", trial, "--target", target, "--scores", scores,
+            "evaluate", "--trial", trial, "--scores", scores,
             "--policy", "constant:1", "--gammas", "1", "--split", "matched",
             "--l-max", 100.0,
             "--out-json", tmp_path / "s.json", "--out-csv", tmp_path / "s.csv",
@@ -255,6 +271,18 @@ class TestIpsw:
         assert quantiles[0.25]["limit"] == 3.0
         assert quantiles[0.6]["limit"] == 1.0
         assert [q["alpha"] for q in payload["quantiles"]] == [0.25, 0.6]
+
+    def test_dimension_mismatch_fails(self, tmp_path, simulated, model, capsys):
+        _, trial, _ = simulated
+        bad_target = tmp_path / "bad.csv"
+        bad_target.write_text("x0,x1,x2\n0.0,0.0,0.0\n")
+        capsys.readouterr()
+        assert run(
+            "ipsw", "--trial", trial, "--target", bad_target, "--model", model,
+            "--policy", "constant:1", "--out", tmp_path / "i.json",
+        ) == 1
+        assert capsys.readouterr().err == "error: covariate dimensions differ: trial d=2, target d=3\n"
+        assert not (tmp_path / "i.json").exists()
 
 
 class TestMiscoverage:
@@ -407,7 +435,7 @@ class TestConfigFile:
         assert not (tmp_path / "t.csv").exists()
 
     def test_model_from_file(self, tmp_path, simulated, model, monkeypatch):
-        target, trial, _ = simulated
+        _, trial, _ = simulated
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"model={model}\n")
         outputs = []
@@ -416,7 +444,7 @@ class TestConfigFile:
             workdir.mkdir()
             monkeypatch.chdir(workdir)
             assert run(
-                "evaluate", "--trial", trial, "--target", target, *source,
+                "evaluate", "--trial", trial, *source,
                 "--policy", "constant:1", "--l-max", 100.0, "--out-json", "o.json", "--out-csv", "o.csv",
             ) == 0
             outputs.append(((workdir / "o.json").read_bytes(), (workdir / "o.csv").read_bytes()))
@@ -465,7 +493,7 @@ class TestSpecErrors:
         [
             ("simulate", "--pop", "A", "--target-out", "t.csv", "--trial-out", "d.csv"),
             ("miscoverage", "--pop", "A", "--method", "ipsw", "--out", "gap.json"),
-            ("evaluate", "--trial", "d.csv", "--target", "t.csv", "--model", "m.json",
+            ("evaluate", "--trial", "d.csv", "--model", "m.json",
              "--policy", "constant:1", "--l-max", 10, "--out-json", "c.json", "--out-csv", "c.csv"),
         ],
         ids=lambda argv: argv[0],
@@ -499,20 +527,28 @@ class TestBadInputs:
     """Empty inputs and broken model files end in one error line and exit 1."""
 
     @staticmethod
-    def evaluate(tmp_path, trial, target, model, policy="constant:1"):
+    def evaluate(tmp_path, trial, model, policy="constant:1"):
         return run(
-            "evaluate", "--trial", trial, "--target", target, "--model", model,
+            "evaluate", "--trial", trial, "--model", model,
             "--policy", policy, "--gammas", "1", "--split", "random",
             "--l-max", 100.0,
             "--out-json", tmp_path / "o.json", "--out-csv", tmp_path / "o.csv",
         )
 
     @staticmethod
-    def evaluate_scores(tmp_path, trial, target, scores):
+    def evaluate_scores(tmp_path, trial, scores):
         return run(
-            "evaluate", "--trial", trial, "--target", target, "--scores", scores,
+            "evaluate", "--trial", trial, "--scores", scores,
             "--policy", "constant:1", "--l-max", 100.0,
             "--out-json", tmp_path / "o.json", "--out-csv", tmp_path / "o.csv",
+        )
+
+    @staticmethod
+    def ipsw(tmp_path, trial, target, model):
+        """The command that still reads ``--target``, for the target reader's refusals."""
+        return run(
+            "ipsw", "--trial", trial, "--target", target, "--model", model,
+            "--policy", "constant:1", "--out", tmp_path / "i.json",
         )
 
     @staticmethod
@@ -527,42 +563,41 @@ class TestBadInputs:
         path.write_text("")
         return path
 
-    def test_empty_trial_file(self, tmp_path, simulated, model, empty, capsys):
-        target, _, _ = simulated
-        assert self.evaluate(tmp_path, empty, target, model) == 1
+    def test_empty_trial_file(self, tmp_path, model, empty, capsys):
+        assert self.evaluate(tmp_path, empty, model) == 1
         self.assert_error_line(capsys, "empty.csv: empty file")
 
     def test_empty_target_file(self, tmp_path, simulated, model, empty, capsys):
         _, trial, _ = simulated
-        assert self.evaluate(tmp_path, trial, empty, model) == 1
+        assert self.ipsw(tmp_path, trial, empty, model) == 1
         self.assert_error_line(capsys, "empty.csv: empty file")
+        assert not (tmp_path / "i.json").exists()
 
     def test_empty_pool_file(self, tmp_path, empty, capsys):
         assert run("fit", "--pool", empty, "--out", tmp_path / "m.json") == 1
         self.assert_error_line(capsys, "empty.csv: empty file")
 
     def test_empty_policy_table(self, tmp_path, simulated, model, empty, capsys):
-        target, trial, _ = simulated
-        assert self.evaluate(tmp_path, trial, target, model, f"table:{empty}") == 1
+        _, trial, _ = simulated
+        assert self.evaluate(tmp_path, trial, model, f"table:{empty}") == 1
         self.assert_error_line(capsys, "empty.csv: empty file")
 
     def test_empty_score_file(self, tmp_path, simulated, empty, capsys):
-        target, trial, _ = simulated
-        assert self.evaluate_scores(tmp_path, trial, target, empty) == 1
+        _, trial, _ = simulated
+        assert self.evaluate_scores(tmp_path, trial, empty) == 1
         self.assert_error_line(capsys, "empty.csv: empty file")
 
-    def test_short_trial_row(self, tmp_path, simulated, model, capsys):
-        target, _, _ = simulated
+    def test_short_trial_row(self, tmp_path, model, capsys):
         trial = tmp_path / "ragged.csv"
         trial.write_text("x0,x1,a,l\n0.1,0.2,1,3.0\n\n0.5,1,0\n")
-        assert self.evaluate(tmp_path, trial, target, model) == 1
+        assert self.evaluate(tmp_path, trial, model) == 1
         self.assert_error_line(capsys, "ragged.csv:4: expected 4 columns, got 3")
 
     def test_long_target_row(self, tmp_path, simulated, model, capsys):
         _, trial, _ = simulated
         target = tmp_path / "ragged.csv"
         target.write_text("x0,x1\n0.1,0.2\n0.3,0.4,0.5\n")
-        assert self.evaluate(tmp_path, trial, target, model) == 1
+        assert self.ipsw(tmp_path, trial, target, model) == 1
         self.assert_error_line(capsys, "ragged.csv:3: expected 2 columns, got 3")
 
     def test_short_pool_row(self, tmp_path, capsys):
@@ -572,24 +607,23 @@ class TestBadInputs:
         self.assert_error_line(capsys, "ragged.csv:3: expected 3 columns, got 2")
 
     def test_long_policy_table_row(self, tmp_path, simulated, model, capsys):
-        target, trial, _ = simulated
+        _, trial, _ = simulated
         table = tmp_path / "ragged.csv"
         table.write_text("p0,p1\n0.5,0.5\n0.25,0.5,0.25\n")
-        assert self.evaluate(tmp_path, trial, target, model, f"table:{table}") == 1
+        assert self.evaluate(tmp_path, trial, model, f"table:{table}") == 1
         self.assert_error_line(capsys, "ragged.csv:3: expected 2 columns, got 3")
 
     def test_long_score_row(self, tmp_path, simulated, capsys):
-        target, trial, _ = simulated
+        _, trial, _ = simulated
         scores = tmp_path / "ragged.csv"
         scores.write_text("id,odds\n0,1.0\n1,1.0,2.0\n")
-        assert self.evaluate_scores(tmp_path, trial, target, scores) == 1
+        assert self.evaluate_scores(tmp_path, trial, scores) == 1
         self.assert_error_line(capsys, "ragged.csv:3: expected 2 columns, got 3")
 
-    def test_out_of_range_action_evaluate(self, tmp_path, simulated, model, capsys):
-        target, _, _ = simulated
+    def test_out_of_range_action_evaluate(self, tmp_path, model, capsys):
         trial = tmp_path / "big.csv"
         trial.write_text("x0,x1,a,l\n0.1,0.2,1,3.0\n0.5,0.1,99999999999999999999,1.0\n")
-        assert self.evaluate(tmp_path, trial, target, model) == 1
+        assert self.evaluate(tmp_path, trial, model) == 1
         self.assert_error_line(capsys, "big.csv: parse failure: ")
         assert not (tmp_path / "o.json").exists()
 
@@ -601,11 +635,10 @@ class TestBadInputs:
 
     # the default warning filters, as outside pytest
     @pytest.mark.filterwarnings("default")
-    def test_fractional_action_evaluate(self, tmp_path, simulated, model, capsys):
-        target, _, _ = simulated
+    def test_fractional_action_evaluate(self, tmp_path, model, capsys):
         trial = tmp_path / "frac.csv"
         trial.write_text("x0,x1,a,l\n0.1,0.2,1,3.0\n0.5,0.1,1.5,1.0\n")
-        assert self.evaluate(tmp_path, trial, target, model) == 1
+        assert self.evaluate(tmp_path, trial, model) == 1
         self.assert_error_line(capsys, "frac.csv: parse failure: ")
         assert not (tmp_path / "o.json").exists()
 
@@ -618,9 +651,9 @@ class TestBadInputs:
 
     @pytest.mark.parametrize("l_max", ["inf", "nan"])
     def test_infinite_l_max(self, tmp_path, simulated, model, capsys, l_max):
-        target, trial, _ = simulated
+        _, trial, _ = simulated
         assert run(
-            "evaluate", "--trial", trial, "--target", target, "--model", model,
+            "evaluate", "--trial", trial, "--model", model,
             "--policy", "constant:1", "--l-max", l_max,
             "--out-json", tmp_path / "o.json", "--out-csv", tmp_path / "o.csv",
         ) == 1
@@ -629,11 +662,11 @@ class TestBadInputs:
         assert not (tmp_path / "o.csv").exists()
 
     def test_l_max_not_above_losses(self, tmp_path, simulated, model, capsys):
-        target, trial, _ = simulated
+        _, trial, _ = simulated
         largest = max(float(row.rsplit(",", 1)[1]) for row in trial.read_text().splitlines()[1:])
         for l_max in (largest, largest - 1.0):
             assert run(
-                "evaluate", "--trial", trial, "--target", target, "--model", model,
+                "evaluate", "--trial", trial, "--model", model,
                 "--policy", "constant:1", "--l-max", repr(l_max),
                 "--out-json", tmp_path / "o.json", "--out-csv", tmp_path / "o.csv",
             ) == 1
@@ -643,9 +676,9 @@ class TestBadInputs:
             assert not (tmp_path / "o.csv").exists()
 
     def test_duplicate_gammas(self, tmp_path, simulated, model, capsys):
-        target, trial, _ = simulated
+        _, trial, _ = simulated
         assert run(
-            "evaluate", "--trial", trial, "--target", target, "--model", model,
+            "evaluate", "--trial", trial, "--model", model,
             "--policy", "constant:1", "--gammas", "1,1", "--l-max", 100.0,
             "--out-json", tmp_path / "o.json", "--out-csv", tmp_path / "o.csv",
         ) == 1
@@ -656,7 +689,7 @@ class TestBadInputs:
     def test_curve_flags_checked_before_any_file(self, tmp_path, capsys):
         missing = tmp_path / "missing.csv"
         assert run(
-            "evaluate", "--trial", missing, "--target", missing, "--model", missing,
+            "evaluate", "--trial", missing, "--model", missing,
             "--policy", "constant:1", "--gammas", "1,1", "--l-max", 100.0,
             "--out-json", tmp_path / "o.json", "--out-csv", tmp_path / "o.csv",
         ) == 1
@@ -665,9 +698,9 @@ class TestBadInputs:
     def test_alpha_grid_with_repeated_values(self, tmp_path, simulated, model, capsys):
         # a step below the spacing of floats near 0.5 rounds 555113 grid
         # points onto two distinct alphas
-        target, trial, _ = simulated
+        _, trial, _ = simulated
         assert run(
-            "evaluate", "--trial", trial, "--target", target, "--model", model,
+            "evaluate", "--trial", trial, "--model", model,
             "--policy", "constant:1", "--alpha-grid", "0.5:0.5000000000000001:2e-22",
             "--l-max", 100.0, "--out-json", tmp_path / "o.json", "--out-csv", tmp_path / "o.csv",
         ) == 1
@@ -683,6 +716,46 @@ class TestBadInputs:
         ) == 1
         self.assert_error_line(capsys, "alphas must be distinct")
         assert not (tmp_path / "i.json").exists()
+
+    @pytest.mark.parametrize(
+        "alphas, line",
+        [("", "alphas must lie strictly inside (0, 1)"), (",", "alphas must lie strictly inside (0, 1)"),
+         ("0.1,1.5", "alphas must lie strictly inside (0, 1)"), ("0.1,0.1", "alphas must be distinct")],
+        ids=["empty", "comma", "out-of-range", "repeated"],
+    )
+    def test_ipsw_alphas_checked_before_any_file(self, tmp_path, capsys, alphas, line):
+        missing = tmp_path / "missing.csv"
+        assert run(
+            "ipsw", "--trial", missing, "--target", missing, "--model", missing,
+            "--policy", "constant:1", "--alphas", alphas, "--out", tmp_path / "i.json",
+        ) == 1
+        assert capsys.readouterr().err == f"error: {line}\n"
+
+    @staticmethod
+    def three_covariate_model(tmp_path, model):
+        payload = read_json(model)
+        for key, value in (("coefficients", 0.0), ("feature_mean", 0.0), ("feature_scale", 1.0)):
+            payload[key].append(value)
+        path = tmp_path / "model3.json"
+        path.write_text(json.dumps(payload))
+        return path
+
+    @pytest.mark.parametrize("command", ["evaluate", "ipsw", "reliability"])
+    def test_model_covariate_mismatch(self, tmp_path, simulated, model, capsys, command):
+        target, trial, pool = simulated
+        model3 = self.three_covariate_model(tmp_path, model)
+        capsys.readouterr()
+        out = tmp_path / "out"
+        argv = {
+            "evaluate": ("--trial", trial, "--policy", "constant:1", "--l-max", 100.0,
+                         "--out-json", out, "--out-csv", tmp_path / "o.csv"),
+            "ipsw": ("--trial", trial, "--target", target, "--policy", "constant:1", "--out", out),
+            "reliability": ("--pool", pool, "--out", out),
+        }[command]
+        assert run(command, "--model", model3, *argv) == 1
+        rows = "pool" if command == "reliability" else "trial"
+        self.assert_only_error_line(capsys, f"{model3} expects 3 covariates, {rows} has 2")
+        assert not out.exists()
 
     def test_simulate_impossible_allocation(self, tmp_path, capsys):
         assert run(
@@ -711,9 +784,9 @@ class TestBadInputs:
         return table
 
     def test_nan_policy_table_matched_evaluate(self, tmp_path, simulated, model, nan_table, capsys):
-        target, trial, _ = simulated
+        _, trial, _ = simulated
         assert run(
-            "evaluate", "--trial", trial, "--target", target, "--model", model,
+            "evaluate", "--trial", trial, "--model", model,
             "--policy", f"table:{nan_table}", "--split", "matched", "--l-max", 100.0,
             "--out-json", tmp_path / "o.json", "--out-csv", tmp_path / "o.csv",
         ) == 1
@@ -730,9 +803,9 @@ class TestBadInputs:
         assert not (tmp_path / "ipsw.json").exists()
 
     def test_nan_design_probability(self, tmp_path, simulated, model, capsys):
-        target, trial, _ = simulated
+        _, trial, _ = simulated
         assert run(
-            "evaluate", "--trial", trial, "--target", target, "--model", model,
+            "evaluate", "--trial", trial, "--model", model,
             "--policy", "constant:1", "--design", "probs:nan,1", "--l-max", 100.0,
             "--out-json", tmp_path / "o.json", "--out-csv", tmp_path / "o.csv",
         ) == 1
@@ -754,9 +827,9 @@ class TestBadInputs:
         assert capsys.readouterr().err == f"error: {line}\n"
 
     def test_nan_trial_loss_evaluate(self, tmp_path, simulated, model, capsys):
-        target, trial, _ = simulated
+        _, trial, _ = simulated
         bad = self.with_cell(tmp_path, trial, 3, -1, "nan")
-        assert self.evaluate(tmp_path, bad, target, model) == 1
+        assert self.evaluate(tmp_path, bad, model) == 1
         self.assert_only_error_line(capsys, "trial losses must be finite")
         assert not (tmp_path / "o.json").exists()
         assert not (tmp_path / "o.csv").exists()
@@ -771,13 +844,12 @@ class TestBadInputs:
         self.assert_only_error_line(capsys, "trial losses must be finite")
         assert not (tmp_path / "ipsw.json").exists()
 
-    def test_infinite_target_covariate_evaluate(self, tmp_path, simulated, model, capsys):
+    def test_infinite_target_covariate_ipsw(self, tmp_path, simulated, model, capsys):
         target, trial, _ = simulated
         bad = self.with_cell(tmp_path, target, 5, 1, "inf")
-        assert self.evaluate(tmp_path, trial, bad, model) == 1
+        assert self.ipsw(tmp_path, trial, bad, model) == 1
         self.assert_only_error_line(capsys, "target covariates must be finite")
-        assert not (tmp_path / "o.json").exists()
-        assert not (tmp_path / "o.csv").exists()
+        assert not (tmp_path / "i.json").exists()
 
     @pytest.mark.parametrize(
         "flag, value, message",
@@ -789,9 +861,9 @@ class TestBadInputs:
         ],
     )
     def test_grid_flags_refused(self, tmp_path, simulated, model, capsys, flag, value, message):
-        target, trial, _ = simulated
+        _, trial, _ = simulated
         assert run(
-            "evaluate", "--trial", trial, "--target", target, "--model", model,
+            "evaluate", "--trial", trial, "--model", model,
             "--policy", "constant:1", "--l-max", 100.0, flag, value,
             "--out-json", tmp_path / "o.json", "--out-csv", tmp_path / "o.csv",
         ) == 1
@@ -800,11 +872,11 @@ class TestBadInputs:
         assert not (tmp_path / "o.json").exists()
 
     def test_zero_feature_scale_in_model(self, tmp_path, simulated, model, capsys):
-        target, trial, _ = simulated
+        _, trial, _ = simulated
         payload = read_json(model)
         payload["feature_scale"][0] = 0.0
         model.write_text(json.dumps(payload))
-        assert self.evaluate(tmp_path, trial, target, model) == 1
+        assert self.evaluate(tmp_path, trial, model) == 1
         self.assert_error_line(capsys, "feature_scale values must be positive")
         assert not (tmp_path / "o.json").exists()
 
@@ -824,9 +896,9 @@ class TestNonConvergedModel:
         return path
 
     def test_evaluate_warns(self, tmp_path, simulated, unconverged, capsys):
-        target, trial, _ = simulated
+        _, trial, _ = simulated
         assert run(
-            "evaluate", "--trial", trial, "--target", target, "--model", unconverged,
+            "evaluate", "--trial", trial, "--model", unconverged,
             "--policy", "constant:1", "--gammas", "1", "--l-max", 100.0,
             "--out-json", tmp_path / "o.json", "--out-csv", tmp_path / "o.csv",
         ) == 0
@@ -853,28 +925,28 @@ class TestNonConvergedModel:
 
 class TestTablePolicy:
     def test_evaluate_with_row_aligned_policy(self, tmp_path, simulated):
-        target, trial, _ = simulated
+        _, trial, _ = simulated
         m = len(trial.read_text().splitlines()) - 1
         table = tmp_path / "policy.csv"
         table.write_text("p0,p1\n" + "\n".join("0.25,0.75" for _ in range(m)) + "\n")
         scores = tmp_path / "scores.csv"
         scores.write_text("id,odds\n" + "\n".join(f"{i},1.0" for i in range(m)) + "\n")
         assert run(
-            "evaluate", "--trial", trial, "--target", target, "--scores", scores,
+            "evaluate", "--trial", trial, "--scores", scores,
             "--policy", f"table:{table}", "--gammas", "1", "--split", "random",
             "--l-max", 100.0,
             "--out-json", tmp_path / "t.json", "--out-csv", tmp_path / "t.csv",
         ) == 0
 
     def test_wrong_table_length_fails(self, tmp_path, simulated):
-        target, trial, _ = simulated
+        _, trial, _ = simulated
         m = len(trial.read_text().splitlines()) - 1
         table = tmp_path / "policy.csv"
         table.write_text("p0,p1\n0.5,0.5\n")
         scores = tmp_path / "scores.csv"
         scores.write_text("id,odds\n" + "\n".join(f"{i},1.0" for i in range(m)) + "\n")
         assert run(
-            "evaluate", "--trial", trial, "--target", target, "--scores", scores,
+            "evaluate", "--trial", trial, "--scores", scores,
             "--policy", f"table:{table}", "--gammas", "1", "--split", "random",
             "--l-max", 100.0,
             "--out-json", tmp_path / "t.json", "--out-csv", tmp_path / "t.csv",

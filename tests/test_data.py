@@ -1,5 +1,8 @@
 """Tests for dataset containers, validation, and the splitting strategies."""
 
+import math
+import re
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from limitcurves.data import (
     TargetCovariates,
     TrialDataset,
     TrialDesign,
+    check_losses_below,
     matched_split,
     random_split,
     validate_dataset,
@@ -89,6 +93,16 @@ class TestValidateDataset:
         validate_dataset(trial, target, l_max=6.0)
         with pytest.raises(ValueError, match="^trial losses must lie strictly below l_max=5.0$"):
             validate_dataset(trial, target, l_max=5.0)
+
+    def test_l_max_rule_is_shared(self):
+        # evaluate reads no target, so it checks l_max through the same rule
+        trial = TrialDataset([[0.0]], [0], [5.0], 1)
+        check_losses_below(trial, 6.0)
+        for l_max, message in ((5.0, "trial losses must lie strictly below l_max=5.0"),
+                               (math.nan, "l_max must be finite"),
+                               (None, "l_max (declared loss-support upper bound) is required")):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                check_losses_below(trial, l_max)
 
 
 @pytest.mark.parametrize("k", [0, -1])

@@ -32,11 +32,14 @@ def test_readme_block_runs(code, tmp_path, monkeypatch):
     exec(compile(code, str(README), "exec"), {"__name__": "__readme__"})
 
 
-def test_readme_commands_run(tmp_path, monkeypatch):
-    """The commands depend on each other's outputs, so they run in order."""
+def test_readme_commands_run(tmp_path, monkeypatch, capsys):
+    """The commands depend on each other's outputs, so they run in order.
+    None may print a ``warning:`` line, so the README cannot show a
+    deprecated flag or an unconverged model."""
     assert COMMANDS and CONFIGS
     monkeypatch.chdir(tmp_path)
     for name, body in CONFIGS:
         (tmp_path / name).write_text(body)
     for line in COMMANDS:
         assert cli.main(shlex.split(line)[1:]) == 0, line
+        assert "warning:" not in capsys.readouterr().err, line
