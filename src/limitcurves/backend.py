@@ -10,17 +10,16 @@ import numpy as np
 BACKEND = "pure"
 
 
-def best_stop_index(prefix_low, denom_base, wbars, thresholds, starts) -> np.ndarray:
-    """Per cell, the smallest loss-group index whose stand-in CDF clears the
-    threshold of one of the cell's levels.
+def best_stop_index(prefix_low, denom_base, wbars, thresholds) -> np.ndarray:
+    """Per row, the smallest loss-group index whose stand-in CDF clears the
+    threshold of one of the row's levels.
 
-    The levels of all cells are laid end to end in ``wbars`` and
-    ``thresholds``; cell ``c`` owns the levels from ``starts[c]`` up to the
-    next start, and every cell owns at least one. For each level ``j``
-    (``wbars[j] = inf`` marks an infeasible level) the first group index with
-    ``prefix_low[k] / (denom_base[k] + wbars[j]) >= thresholds[j]`` is found;
-    each cell gets the minimum over its feasible levels, or -1 when none of
-    them produces a crossing. A zero denominator counts as CDF value 0.
+    ``wbars`` and ``thresholds`` are ``(rows, levels)`` arrays of one shape.
+    For each level ``j`` of a row (``wbars[r, j] = inf`` marks an infeasible
+    level) the first group index with
+    ``prefix_low[k] / (denom_base[k] + wbars[r, j]) >= thresholds[r, j]`` is
+    found; each row gets the minimum over its feasible levels, or -1 when none
+    of them produces a crossing. A zero denominator counts as CDF value 0.
 
     The arrays must be those ``conformal._scan_arrays`` builds: ``prefix_low``
     nondecreasing, ``denom_base`` nonincreasing, both nonnegative. Every
@@ -28,8 +27,8 @@ def best_stop_index(prefix_low, denom_base, wbars, thresholds, starts) -> np.nda
     "level ``j`` has crossed at ``k``". A lower-bound search over ``k`` with
     steps of falling powers of two, run for all levels at once, finds each
     level's first crossing in O(levels * log groups) time and O(levels)
-    memory, and the per-cell minimum is exactly what a linear first-crossing
-    scan over the same arrays returns.
+    memory, and the row minimum is exactly what a linear first-crossing scan
+    over the same arrays returns.
     """
     prefix_low = np.asarray(prefix_low, dtype=np.float64)
     denom_base = np.asarray(denom_base, dtype=np.float64)
@@ -60,6 +59,6 @@ def best_stop_index(prefix_low, denom_base, wbars, thresholds, starts) -> np.nda
     # crosses at the first group, and an infeasible level never crosses
     pos[thresholds <= 0.0] = 0
     pos[~np.isfinite(wbars)] = size
-    first = np.minimum.reduceat(pos, np.asarray(starts, dtype=np.intp))
+    first = pos.min(axis=-1)
     first[first >= size] = -1
     return first

@@ -13,8 +13,9 @@ import sys
 import numpy as np
 
 from . import fileio, simlab
-from .conformal import MAX_GRID_POINTS, certify, check_curve_args, limit_curve
+from .conformal import certify, check_curve_args, limit_curve
 from .data import (
+    MAX_GRID_POINTS,
     PolicySpec,
     TrialDesign,
     check_distinct,
@@ -23,7 +24,7 @@ from .data import (
     validate_dataset,
 )
 from .gamma_bench import benchmark_all
-from .ipsw import ipsw_quantile, ipsw_value
+from .ipsw import _ipsw_quantiles, ipsw_value
 from .propensity import (
     LogisticConfig,
     fit_logistic,
@@ -159,16 +160,21 @@ def _add_odds_source(sub) -> None:
 
 def _resolve_odds(ns, x_rows: np.ndarray, rows: str) -> np.ndarray:
     """Odds per row of ``x_rows`` (the ``rows`` file's covariates) from
-    ``--model``, or the ``--scores`` file as read; the consumers check that
-    it aligns with the rows."""
+    ``--model``, or from the ``--scores`` file, which must have one score per
+    row. ``--prior-correction`` applies to scores only."""
     if ns.model:
+        if ns.prior_correction != 1.0:
+            raise ValueError("--prior-correction applies to --scores only, not to --model")
         model = load_model(ns.model)
         if model.dim != x_rows.shape[1]:
             raise ValueError(f"{ns.model} expects {model.dim} covariates, {rows} has {x_rows.shape[1]}")
         if model.report is not None and not model.report.converged:
             print(f"warning: {ns.model}: odds model did not converge", file=sys.stderr)
         return predict_odds(model, x_rows)
-    return load_external_scores(ns.scores, ns.prior_correction)
+    odds = load_external_scores(ns.scores, ns.prior_correction)
+    if odds.shape[0] != x_rows.shape[0]:
+        raise ValueError(f"{ns.scores} has {odds.shape[0]} rows, {rows} has {x_rows.shape[0]}")
+    return odds
 
 
 def _read_study(ns, l_max=None):
@@ -272,15 +278,12 @@ def _cmd_ipsw(ns) -> int:
     design, trial, policy, odds = _read_study(ns)
     target = fileio.read_target_csv(ns.target)
     validate_dataset(trial, target)
-    quantiles = []
-    for a in alphas:
-        q = ipsw_quantile(trial, odds, policy, design, target.n, a, ns.normalized)
-        quantiles.append({"alpha": a, "limit": q, "trivial": q is None})
+    limits = _ipsw_quantiles(trial, odds, policy, design, target.n, alphas, ns.normalized)
     body = {
         "n": target.n,
         "m": trial.m,
         "value": ipsw_value(trial, odds, policy, design, target.n),
-        "quantiles": quantiles,
+        "quantiles": [{"alpha": a, "limit": q, "trivial": q is None} for a, q in zip(alphas, limits)],
     }
     _write_payload(ns, ns.out, "ipsw-baseline", body)
     return 0

@@ -14,12 +14,10 @@ import math
 import numpy as np
 
 from . import backend
-from .data import PolicySpec, SplitResult, TrialDataset, TrialDesign, check_l_max
-from .data import check_distinct, check_open_unit, matched_split, random_split
+from .data import MAX_GRID_POINTS, PolicySpec, SplitResult, TrialDataset, TrialDesign
+from .data import check_distinct, check_grid_points, check_l_max, check_open_unit
+from .data import matched_split, random_split
 from .weights import check_gamma, shift_weights, trial_odds
-
-
-MAX_GRID_POINTS = 10**6  # per generated alpha or beta grid, checked before allocating
 
 
 def default_alpha_grid() -> np.ndarray:
@@ -27,15 +25,11 @@ def default_alpha_grid() -> np.ndarray:
     return np.arange(1, 100) / 100.0
 
 
-def check_grid_points(points: int) -> None:
-    if points < 1:
-        raise ValueError("need at least one grid point")
-    if points > MAX_GRID_POINTS:
-        raise ValueError(f"need at most {MAX_GRID_POINTS} grid points")
+def default_beta_grid(alpha, points: int = 49) -> np.ndarray:
+    """Evenly spaced grid strictly inside (0, alpha), proportional to alpha.
 
-
-def default_beta_grid(alpha: float, points: int = 49) -> np.ndarray:
-    """Evenly spaced grid strictly inside (0, alpha), proportional to alpha."""
+    A column of alphas, shape ``(rows, 1)``, gives one grid per row, each
+    computed with the same float operations as for its alpha alone."""
     check_open_unit(alpha, "alpha")
     check_grid_points(points)
     return alpha * np.arange(1, points + 1) / (points + 1)
@@ -182,7 +176,7 @@ def _scan_arrays(losses_sorted, lower, upper, group_ends):
     relies on both orders. Sums of small dyadic weights are exact, and there
     the minimum changes nothing.
 
-    ``_limits`` builds these arrays once per gamma, and every batch of cells
+    ``_limits`` builds these arrays once per gamma, and every block of rows
     it hands the kernel reads the same three.
     """
     prefix_all = np.cumsum(lower)
@@ -207,60 +201,46 @@ def quantile(cal: CalibrationSet, w_bound: float, alpha: float, beta: float) -> 
     if w_bound < 0:
         raise ValueError("weight bound must be nonnegative")
     scan = _scan_arrays(cal.losses, cal.lower, cal.upper, cal.group_ends)
-    level = (np.array([w_bound], dtype=np.float64), np.array([(1.0 - alpha) / (1.0 - beta)]))
-    return _stop_losses(scan, [level])[0]
+    return _stop_losses(scan, np.array([[w_bound]]), np.array([[(1.0 - alpha) / (1.0 - beta)]]))[0]
 
 
-def _limits(cal: CalibrationSet, ws: WeightBoundSet, gamma: float, cells) -> list[float | None]:
-    """The ``limit`` of every ``(alpha, betas)`` cell at a checked ``gamma``,
-    from one set of gamma-scaled sums."""
+def _limits(cal: CalibrationSet, ws: WeightBoundSet, gamma: float, blocks) -> list[float | None]:
+    """The ``limit`` of every row of every ``(alphas, betas)`` block at a
+    checked ``gamma``, from one set of gamma-scaled sums: ``alphas`` is a
+    ``(rows, 1)`` column and ``betas`` a ``(rows, levels)`` grid. Each block
+    is one kernel call."""
     scan = _scan_arrays(cal.losses, cal.lower / gamma, cal.upper * gamma, cal.group_ends)
     sorted_bound = ws.upper * gamma
-    levels = (
-        (_weight_bound_values(sorted_bound, betas), (1.0 - alpha) / (1.0 - betas))
-        for alpha, betas in cells
-    )
-    return _stop_losses(scan, levels)
+    out: list[float | None] = []
+    for alphas, betas in blocks:
+        wbars = _weight_bound_values(sorted_bound, betas)
+        out += _stop_losses(scan, wbars, (1.0 - alphas) / (1.0 - betas))
+    return out
 
 
-# levels per kernel call: cells are batched up to this many, and a cell with
-# more levels runs alone, so memory stays O(cap + one beta grid)
+# levels per kernel call: a block holds as many alphas as fit under this
+# cap, or one alpha when its beta grid alone is longer, so memory stays
+# O(cap + one beta grid)
 LEVEL_CAP = 2**16
 
 
-def _batches(levels):
-    """The cells of ``levels`` in order, grouped into lists of at most
-    ``LEVEL_CAP`` levels; a larger cell is a list of its own. A full list is
-    handed on before the next cell is drawn."""
-    batch: list = []
-    held = 0
-    for cell in levels:
-        size = cell[0].shape[0]
-        if batch and held + size > LEVEL_CAP:
-            yield batch
-            batch, held = [], 0
-        batch.append(cell)
-        held += size
-        if held >= LEVEL_CAP:
-            yield batch
-            batch, held = [], 0
-    if batch:
-        yield batch
+def _default_blocks(alphas, points: int):
+    """``(alphas, betas)`` blocks of the checked ``alphas`` in order, each
+    row with ``default_beta_grid(alpha, points)``."""
+    column = np.asarray(alphas, dtype=np.float64)[:, None]
+    rows = max(1, LEVEL_CAP // points)
+    for lo in range(0, column.shape[0], rows):
+        yield column[lo : lo + rows], default_beta_grid(column[lo : lo + rows], points)
 
 
-def _stop_losses(scan, levels) -> list[float | None]:
-    """Per ``(wbars, thresholds)`` cell of ``levels``, the smallest loss of
-    ``scan`` (from ``_scan_arrays``) where the stand-in CDF with weight
-    ``wbars[j]`` reaches ``thresholds[j]`` for some j, or None. Each batch of
-    cells is one kernel call."""
+def _stop_losses(scan, wbars, thresholds) -> list[float | None]:
+    """Per row of the ``(rows, levels)`` arrays ``wbars`` and ``thresholds``,
+    the smallest loss of ``scan`` (``_scan_arrays``' loss ends, prefix and
+    denominator) where the stand-in CDF with weight ``wbars[r, j]`` reaches
+    ``thresholds[r, j]`` for some j, or None."""
     loss_ends, prefix, denom_base = scan
-    out: list[float | None] = []
-    for batch in _batches(levels):
-        wbars, thresholds = batch[0] if len(batch) == 1 else map(np.concatenate, zip(*batch))
-        starts = np.cumsum([0] + [w.shape[0] for w, _ in batch[:-1]])
-        idx = backend.best_stop_index(prefix, denom_base, wbars, thresholds, starts)
-        out.extend(None if i < 0 else float(loss_ends[i]) for i in idx.tolist())
-    return out
+    idx = backend.best_stop_index(prefix, denom_base, wbars, thresholds)
+    return [None if i < 0 else float(loss_ends[i]) for i in idx.tolist()]
 
 
 def limit(
@@ -283,7 +263,7 @@ def limit(
         raise ValueError("beta grid must be a nonempty vector")
     if np.any(betas <= 0) or np.any(betas >= alpha):
         raise ValueError("beta grid must lie strictly inside (0, alpha)")
-    return _limits(cal, ws, g, [(alpha, betas)])[0]
+    return _limits(cal, ws, g, [(np.array([[alpha]]), betas[None, :])])[0]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -357,9 +337,9 @@ def limit_curve(
     points: list[LimitPoint] = []
     informativeness: dict[float, float] = {}
     for g in gamma_list:
-        cells = ((a, default_beta_grid(a, beta_points)) for a in alpha_list)
         finite_alphas = []
-        for a, value in zip(alpha_list, _limits(cal, ws, g, cells)):
+        blocks = _default_blocks(alpha_list, beta_points)
+        for a, value in zip(alpha_list, _limits(cal, ws, g, blocks)):
             if value is None:
                 points.append(LimitPoint(g, a, l_max, True))
             else:

@@ -4,7 +4,8 @@ The three covariate containers (``TrialDataset``, ``TargetCovariates``,
 ``LabeledPool``) check their rows through one rule, and the rules every
 module shares live here: ``check_open_unit`` for alphas, betas and split
 fractions, ``check_odds`` for selection odds, ``check_labels`` for pool
-labels, ``check_distinct``, ``check_l_max`` and ``check_losses_below``.
+labels, ``check_distinct``, ``check_l_max``, ``check_losses_below`` and
+``check_grid_points``.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import math
 import numpy as np
 
 PROB_TOL = 1e-9
+MAX_GRID_POINTS = 10**6  # per generated grid or bin count, checked before allocating
 
 
 def _as_matrix(rows, name: str) -> np.ndarray:
@@ -243,6 +245,13 @@ def check_distinct(values, name: str) -> None:
     # np.unique sorts; a set of a million Python floats takes 30x longer
     if np.unique(np.asarray(values, dtype=np.float64), equal_nan=False).size != len(values):
         raise ValueError(f"{name} must be distinct")
+
+
+def check_grid_points(points: int, name: str = "grid points") -> None:
+    if points < 1:
+        raise ValueError("need at least one grid point")
+    if points > MAX_GRID_POINTS:
+        raise ValueError(f"need at most {MAX_GRID_POINTS} {name}")
 
 
 def check_losses_below(trial: TrialDataset, l_max) -> None:

@@ -64,6 +64,15 @@ def write_columns(path, header, columns) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
+def _read_header(reader) -> list[str] | None:
+    """The stripped cells of ``reader``'s first row, without the byte-order
+    mark (U+FEFF) a file may start with, or None for an empty file."""
+    row = next(reader, None)
+    if row:
+        row[0] = row[0].removeprefix("\ufeff")
+    return None if row is None else [h.strip() for h in row]
+
+
 def read_csv_rows(path) -> tuple[list[str], list[list[str]]]:
     """The stripped header cells and the nonempty data rows of a CSV file.
 
@@ -73,10 +82,9 @@ def read_csv_rows(path) -> tuple[list[str], list[list[str]]]:
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = [h.strip() for h in next(reader)]
-        except StopIteration:
-            raise ValueError(f"{path}: empty file") from None
+        header = _read_header(reader)
+        if header is None:
+            raise ValueError(f"{path}: empty file")
         width = len(header)
         rows = []
         for row in reader:
@@ -119,17 +127,17 @@ def read_table(path, fields_for) -> np.ndarray:
     """The data rows of a CSV file as one structured array, in one
     ``np.loadtxt`` pass.
 
-    ``fields_for(header)`` gets the stripped header cells and returns the
-    fields as ``(name, parse, shape)`` triples, ``parse`` being ``int``
-    (read as int64) or ``float`` (float64) and ``shape`` ``()`` for one
-    column or ``(d,)`` for a block of d; it raises ``ValueError`` for a
+    ``fields_for(header)`` gets the header cells (``_read_header``) and
+    returns the fields as ``(name, parse, shape)`` triples, ``parse`` being
+    ``int`` (read as int64) or ``float`` (float64) and ``shape`` ``()`` for
+    one column or ``(d,)`` for a block of d; it raises ``ValueError`` for a
     wrong header. Any bad input is read again row by row only to name the
     defect (``_row_error``); what that pass accepts but ``loadtxt`` does not,
     such as ``1_0`` or an integer outside int64, is reported with
     ``loadtxt``'s message.
     """
     with open(path, newline="") as fh:
-        header = [h.strip() for h in next(csv.reader(fh), [])]
+        header = _read_header(csv.reader(fh)) or []
     try:
         dtype = [
             (name, np.int64 if parse is int else np.float64, shape)

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .conformal import CalibrationSet
+from .conformal import CalibrationSet, _stop_losses
 from .data import PolicySpec, TrialDataset, TrialDesign, check_open_unit
 from .weights import shift_weights
 
@@ -55,15 +55,22 @@ def ipsw_quantile(
     rescales the weights to total mass 1 before the scan.
     """
     check_open_unit(alpha, "alpha")
+    return _ipsw_quantiles(trial, odds, policy, design, n_target, [alpha], normalized)[0]
+
+
+def _ipsw_quantiles(trial, odds, policy, design, n_target, alphas, normalized) -> list[float | None]:
+    """``ipsw_quantile`` at each of the checked ``alphas``, with the weights
+    computed and sorted once: the kernel scans the reweighted CDF as a
+    stand-in CDF with zero out-of-sample weight and a constant denominator."""
     if n_target < 1:
         raise ValueError("n_target must be at least 1")
     weights = shift_weights(trial, odds, policy, design)
     mass = float(weights.sum()) if normalized else n_target
     if mass <= 0:
-        return None
+        return [None] * len(alphas)
     cal = CalibrationSet.from_shift_weights(trial.losses, weights)
     # evaluate only at the last index of each tie group (right continuity)
-    reached = (np.cumsum(cal.lower) / mass)[cal.group_ends] >= 1.0 - alpha
-    if not reached.any():
-        return None
-    return float(cal.losses[cal.group_ends[int(np.argmax(reached))]])
+    ends = cal.group_ends
+    scan = (cal.losses[ends], np.cumsum(cal.lower)[ends], np.full(ends.shape, float(mass)))
+    thresholds = 1.0 - np.asarray(alphas, dtype=np.float64)[:, None]
+    return _stop_losses(scan, np.zeros_like(thresholds), thresholds)

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .data import LabeledPool, check_labels, check_odds, check_open_unit
+from .data import LabeledPool, check_grid_points, check_labels, check_odds, check_open_unit
 from .fileio import read_table, write_json
 
 LOGIT_CLAMP = 30.0
@@ -323,6 +323,7 @@ def reliability_diagram(odds, labels, bins: int = 5) -> list[ReliabilityBin]:
         raise ValueError("odds and labels must align")
     if bins < 2:
         raise ValueError("need at least 2 bins")
+    check_grid_points(bins, "bins")  # before the edges are allocated
     check_labels(labels)
     edges = np.unique(np.quantile(values, np.linspace(0.0, 1.0, bins + 1)))
     if edges.shape[0] == 1:

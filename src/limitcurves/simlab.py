@@ -20,10 +20,10 @@ import warnings
 
 import numpy as np
 
-from .conformal import _limits, certify, check_grid_points, default_beta_grid
+from .conformal import _default_blocks, _limits, certify
 from .data import LabeledPool, PolicySpec, TargetCovariates, TrialDataset, TrialDesign
-from .data import check_distinct, check_odds, check_open_unit, sample_actions
-from .ipsw import ipsw_quantile
+from .data import check_distinct, check_grid_points, check_odds, check_open_unit, sample_actions
+from .ipsw import _ipsw_quantiles
 from .propensity import LogisticConfig, fit_logistic, predict_odds
 from .weights import check_gamma
 
@@ -252,10 +252,10 @@ def sample_pool(
     return LabeledPool(np.vstack([target_x, train.x]), labels)
 
 
-def _exceed_counts(scn, method, alphas, cells, per_run, seed, policy, run_indices) -> list[int]:
+def _exceed_counts(scn, method, alphas, blocks, per_run, seed, policy, run_indices) -> list[int]:
     """Exceed counts per alpha, summed over the studies ``run_indices``;
-    ``cells`` holds the ``(alpha, beta grid)`` pairs of a ``CertifiedMethod``."""
-    exceed = {a: 0 for a in alphas}
+    ``blocks`` holds the ``(alphas, betas)`` blocks of a ``CertifiedMethod``."""
+    exceed = [0] * len(alphas)
     for run_index in run_indices:
         rng = run_rng(seed, run_index)
         target_covs, _ = sample_target(scn.target, scn.n, rng)
@@ -271,25 +271,21 @@ def _exceed_counts(scn, method, alphas, cells, per_run, seed, policy, run_indice
             cal, ws, _ = certify(
                 trial, odds, policy, scn.design, method.split, method.split_frac, split_seed
             )
-            limits = dict(zip(alphas, _limits(cal, ws, check_gamma(method.gamma), cells)))
+            limits = _limits(cal, ws, check_gamma(method.gamma), blocks)
         else:
-            limits = {
-                a: ipsw_quantile(
-                    trial, odds, policy, scn.design, scn.n, a, method.normalized
-                )
-                for a in alphas
-            }
+            limits = _ipsw_quantiles(
+                trial, odds, policy, scn.design, scn.n, alphas, method.normalized
+            )
 
         fresh_covs, fresh_u = sample_target(scn.target, per_run, rng)
         fresh_actions = sample_actions(
             policy.prob_matrix(per_run, scn.design.k_actions), rng
         )
         fresh_losses = sample_losses(fresh_actions, fresh_covs.x, fresh_u, rng)
-        for a in alphas:
-            bound = limits[a]
+        for i, bound in enumerate(limits):
             if bound is not None:
-                exceed[a] += int(np.sum(fresh_losses > bound))
-    return [exceed[a] for a in alphas]
+                exceed[i] += int(np.sum(fresh_losses > bound))
+    return exceed
 
 
 def _usable_cpus() -> int:
@@ -448,15 +444,15 @@ def miscoverage_gap(
     if not isinstance(method, (CertifiedMethod, IpswMethod)):
         raise ValueError("method must be a CertifiedMethod or an IpswMethod")
 
-    cells = None
+    blocks = None
     if isinstance(method, CertifiedMethod):
-        cells = [(a, default_beta_grid(a, method.beta_points)) for a in alphas]
+        blocks = list(_default_blocks(alphas, method.beta_points))
 
     # one run per queued item, or contiguous chunks of runs past the queue's size
     items = min(runs, _MAX_QUEUED)
     bounds = [runs * i // items for i in range(items + 1)]
     item_counts = _fork_map(
-        functools.partial(_exceed_counts, scn, method, alphas, cells, per_run, seed, policy),
+        functools.partial(_exceed_counts, scn, method, alphas, blocks, per_run, seed, policy),
         [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])],
         _usable_cpus(),
     )

@@ -1,6 +1,6 @@
 """Dense reference for ``limitcurves.backend.best_stop_index``, used by tests only.
 
-It evaluates one cell's whole levels x groups ratio matrix and takes every
+It evaluates one row's whole levels x groups ratio matrix and takes every
 level's first crossing, i.e. the linear scan the binary search must reproduce.
 """
 
@@ -32,10 +32,8 @@ def best_stop_index(prefix_low, denom_base, wbars, thresholds) -> int:
     return int(np.argmax(hit[rows], axis=1).min())
 
 
-def best_stop_indices(prefix_low, denom_base, wbars, thresholds, starts) -> list[int]:
-    """``best_stop_index`` of every cell of a batch laid out as the kernel's."""
-    bounds = [*starts, len(wbars)]
+def best_stop_indices(prefix_low, denom_base, wbars, thresholds) -> list[int]:
+    """``best_stop_index`` of every row of the kernel's ``(rows, levels)`` arrays."""
     return [
-        best_stop_index(prefix_low, denom_base, wbars[lo:hi], thresholds[lo:hi])
-        for lo, hi in zip(bounds, bounds[1:])
+        best_stop_index(prefix_low, denom_base, w, t) for w, t in zip(wbars, thresholds)
     ]

@@ -732,6 +732,18 @@ class TestBadInputs:
         assert capsys.readouterr().err == f"error: {line}\n"
 
     @staticmethod
+    def odds_argv(tmp_path, simulated, command):
+        """The ``command`` flags other than the odds source."""
+        target, trial, pool = simulated
+        out = tmp_path / "out"
+        return {
+            "evaluate": ("--trial", trial, "--policy", "constant:1", "--l-max", 100.0,
+                         "--out-json", out, "--out-csv", tmp_path / "o.csv"),
+            "ipsw": ("--trial", trial, "--target", target, "--policy", "constant:1", "--out", out),
+            "reliability": ("--pool", pool, "--out", out),
+        }[command]
+
+    @staticmethod
     def three_covariate_model(tmp_path, model):
         payload = read_json(model)
         for key, value in (("coefficients", 0.0), ("feature_mean", 0.0), ("feature_scale", 1.0)):
@@ -742,20 +754,53 @@ class TestBadInputs:
 
     @pytest.mark.parametrize("command", ["evaluate", "ipsw", "reliability"])
     def test_model_covariate_mismatch(self, tmp_path, simulated, model, capsys, command):
-        target, trial, pool = simulated
         model3 = self.three_covariate_model(tmp_path, model)
         capsys.readouterr()
-        out = tmp_path / "out"
-        argv = {
-            "evaluate": ("--trial", trial, "--policy", "constant:1", "--l-max", 100.0,
-                         "--out-json", out, "--out-csv", tmp_path / "o.csv"),
-            "ipsw": ("--trial", trial, "--target", target, "--policy", "constant:1", "--out", out),
-            "reliability": ("--pool", pool, "--out", out),
-        }[command]
-        assert run(command, "--model", model3, *argv) == 1
+        assert run(command, "--model", model3, *self.odds_argv(tmp_path, simulated, command)) == 1
         rows = "pool" if command == "reliability" else "trial"
         self.assert_only_error_line(capsys, f"{model3} expects 3 covariates, {rows} has 2")
-        assert not out.exists()
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "ipsw", "reliability"])
+    def test_score_row_count_mismatch(self, tmp_path, simulated, capsys, command):
+        scores = tmp_path / "s.csv"
+        scores.write_text("id,odds\n0,1.0\n1,2.0\n")
+        assert run(command, "--scores", scores, *self.odds_argv(tmp_path, simulated, command)) == 1
+        rows = "pool has 600" if command == "reliability" else "trial has 200"
+        self.assert_only_error_line(capsys, f"{scores} has 2 rows, {rows}")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "ipsw", "reliability"])
+    @pytest.mark.parametrize("value", ["2", "nan", "0.5"])
+    def test_prior_correction_refused_with_model(
+        self, tmp_path, simulated, model, capsys, command, value
+    ):
+        argv = self.odds_argv(tmp_path, simulated, command)
+        line = "--prior-correction applies to --scores only, not to --model"
+        assert run(command, "--model", model, "--prior-correction", value, *argv) == 1
+        self.assert_only_error_line(capsys, line)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"prior-correction={value}\n")
+        assert run(command, "--config", cfg, "--model", model, *argv) == 1
+        self.assert_only_error_line(capsys, line)
+        assert not (tmp_path / "out").exists()
+
+    def test_default_prior_correction_with_model(self, tmp_path, simulated, model):
+        argv = self.odds_argv(tmp_path, simulated, "evaluate")
+        assert run("evaluate", "--model", model, "--prior-correction", "1.0", *argv) == 0
+        assert read_json(tmp_path / "out")["config"]["prior_correction"] == 1.0
+
+    def test_reliability_bins_refused_before_allocation(
+        self, tmp_path, simulated, model, capsys, monkeypatch
+    ):
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("bin edges allocated")
+
+        monkeypatch.setattr(np, "linspace", no_allocation)
+        argv = self.odds_argv(tmp_path, simulated, "reliability")
+        assert run("reliability", "--model", model, "--bins", 10**9, *argv) == 1
+        self.assert_only_error_line(capsys, "need at most 1000000 bins")
+        assert not (tmp_path / "out").exists()
 
     def test_simulate_impossible_allocation(self, tmp_path, capsys):
         assert run(

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from limitcurves import fileio
 from limitcurves.conformal import LimitCurve, LimitPoint
 from limitcurves.data import TargetCovariates, TrialDataset
-from limitcurves.propensity import LabeledPool, ReliabilityBin
+from limitcurves.propensity import LabeledPool, ReliabilityBin, load_external_scores
 
 
 def written_cells(tmp_path, column):
@@ -138,6 +138,28 @@ class TestCsvRoundTrips:
         back = fileio.read_pool_csv(path)
         assert np.array_equal(back.x, pool.x)
         assert np.array_equal(back.labels, pool.labels)
+
+    @pytest.mark.parametrize(
+        "read, text, arrays",
+        [
+            (fileio.read_trial_csv, "x0,x1,a,l\n1.5,2,0,3.5\n4,5,1,6\n", lambda t: [t.x, t.actions, t.losses]),
+            (fileio.read_pool_csv, "x0,s\n1.5,0\n4,1\n", lambda p: [p.x, p.labels]),
+            (load_external_scores, "id,odds\n1,2.5\n0,1\n", lambda odds: [odds]),
+        ],
+    )
+    def test_byte_order_mark_is_ignored(self, tmp_path, read, text, arrays):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        got, want = arrays(read(marked)), arrays(read(plain))
+        assert all(np.array_equal(g, w) and g.dtype == w.dtype for g, w in zip(got, want, strict=True))
+
+    def test_byte_order_mark_before_a_bad_cell(self, tmp_path):
+        path = tmp_path / "marked.csv"
+        path.write_text("x0,a,l\n0.5,1,oops\n", encoding="utf-8-sig")
+        with pytest.raises(ValueError, match="parse failure: could not convert string to float: 'oops'"):
+            fileio.read_trial_csv(path)
 
     def test_header_mismatch_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

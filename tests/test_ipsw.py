@@ -3,8 +3,12 @@
 import numpy as np
 import pytest
 
+from limitcurves import simlab
+from limitcurves.cli import main
+from limitcurves.conformal import CalibrationSet
 from limitcurves.data import PolicySpec, TrialDataset, TrialDesign
 from limitcurves.ipsw import ipsw_cdf, ipsw_quantile, ipsw_value
+from limitcurves.simlab import IpswMethod, miscoverage_gap, scenario
 
 
 def hand_case():
@@ -114,3 +118,47 @@ class TestQuantile:
             ipsw_quantile(trial, odds * 0.25, policy, design, 4, 0.1, normalized=True)
             == 3.0
         )
+
+    def test_zero_mass_gives_no_quantile(self):
+        trial, odds, policy, design = hand_case()
+        untreated = TrialDataset(trial.x, np.zeros(4, dtype=int), trial.losses, 2)
+        for normalized in (False, True):
+            assert ipsw_quantile(untreated, odds, policy, design, 4, 0.5, normalized) is None
+
+
+class TestSortsOnce:
+    """The weights are sorted into one ``CalibrationSet`` per study, whatever
+    the number of alphas."""
+
+    @pytest.fixture
+    def constructions(self, monkeypatch):
+        calls = []
+        init = CalibrationSet.__init__
+
+        def counted(self, *args):
+            calls.append(1)
+            init(self, *args)
+
+        monkeypatch.setattr(CalibrationSet, "__init__", counted)
+        return calls
+
+    def test_cli_run(self, tmp_path, constructions):
+        trial = tmp_path / "trial.csv"
+        trial.write_text("x0,a,l\n0.0,1,1.0\n0.0,0,5.0\n0.0,1,3.0\n0.0,0,6.0\n")
+        target = tmp_path / "target.csv"
+        target.write_text("x0\n0.0\n0.0\n0.0\n0.0\n")
+        scores = tmp_path / "scores.csv"
+        scores.write_text("id,odds\n0,1.0\n1,1.0\n2,1.0\n3,1.0\n")
+        argv = ["ipsw", "--trial", trial, "--target", target, "--scores", scores,
+                "--policy", "constant:1", "--alphas", "0.1,0.25,0.5,0.6,0.9",
+                "--out", tmp_path / "i.json"]
+        assert main([str(a) for a in argv]) == 0
+        assert len(constructions) == 1
+
+    @pytest.mark.parametrize("normalized", [False, True])
+    def test_lab_studies(self, monkeypatch, constructions, normalized):
+        monkeypatch.setattr(simlab, "_usable_cpus", lambda: 1)
+        scn = scenario("B", n=60, m=40, m_train=40)
+        method = IpswMethod(odds_source="oracle", normalized=normalized)
+        miscoverage_gap(scn, method, [0.05, 0.1, 0.2, 0.5, 0.9], runs=3, per_run=10, seed=1)
+        assert len(constructions) == 3

@@ -1,10 +1,10 @@
 """Property tests of the grid-scan kernel and of the limits built on it.
 
-The kernel's binary search must return, for every cell of a batch, what the
+The kernel's binary search must return, for every row of a block, what the
 dense first-crossing scan in ``scan_reference`` returns, on every array
-``conformal._scan_arrays`` can build, and batching under the level cap must
-not change a limit. The limits must keep the construction's orders and its invariance to
-the scale of the weights.
+``conformal._scan_arrays`` can build, and splitting the alphas into blocks
+under the level cap must not change a limit. The limits must keep the
+construction's orders and its invariance to the scale of the weights.
 """
 
 import math
@@ -41,26 +41,26 @@ def calibration(draw, max_weight=1e300, max_size=40):
     return lc.CalibrationSet(np.array(losses, dtype=np.float64), lower, upper)
 
 
-def level_cells(data, prefix, denom_base):
-    """A batch of 1-4 cells laid out as the kernel takes them, some cells
-    wholly infeasible, with some thresholds exactly on a ratio the kernel
-    will compute."""
-    wbars, thresholds, starts = [], [], []
-    for _ in range(data.draw(st.integers(1, 4))):
-        levels = data.draw(st.integers(1, 12))
+def level_rows(data, prefix, denom_base):
+    """A block of 1-4 rows of 1-12 levels each, laid out as the kernel takes
+    them, some rows wholly infeasible, with some thresholds exactly on a
+    ratio the kernel will compute."""
+    rows, levels = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 12))
+    wbars, thresholds = [], []
+    for _ in range(rows):
         level = st.just(math.inf)
         if data.draw(st.booleans()):
             level = st.one_of(level, weights(1e300))
-        starts.append(len(wbars))
-        wbars += data.draw(st.lists(level, min_size=levels, max_size=levels))
-        thresholds += data.draw(st.lists(st.floats(0.0, 1.5), min_size=levels, max_size=levels))
+        wbars.append(data.draw(st.lists(level, min_size=levels, max_size=levels)))
+        thresholds.append(data.draw(st.lists(st.floats(0.0, 1.5), min_size=levels, max_size=levels)))
     wbars, thresholds = np.array(wbars), np.array(thresholds)
-    for j in data.draw(st.sets(st.integers(0, len(wbars) - 1))):
-        if math.isfinite(wbars[j]):
+    for j in data.draw(st.sets(st.integers(0, wbars.size - 1))):
+        r, c = divmod(j, levels)
+        if math.isfinite(wbars[r, c]):
             k = data.draw(st.integers(0, prefix.shape[0] - 1))
-            den = denom_base[k] + wbars[j]
-            thresholds[j] = prefix[k] / den if den > 0 else 0.0
-    return wbars, thresholds, np.array(starts)
+            den = denom_base[k] + wbars[r, c]
+            thresholds[r, c] = prefix[k] / den if den > 0 else 0.0
+    return wbars, thresholds
 
 
 @given(cal=calibration(), data=st.data())
@@ -70,9 +70,9 @@ def test_kernel_matches_dense_scan(cal, data):
     # the orders the binary search relies on
     assert np.all(np.diff(prefix) >= 0.0)
     assert np.all(np.diff(denom_base) <= 0.0)
-    wbars, thresholds, starts = level_cells(data, prefix, denom_base)
-    got = backend.best_stop_index(prefix, denom_base, wbars, thresholds, starts)
-    assert got.tolist() == dense_best_stop_indices(prefix, denom_base, wbars, thresholds, starts)
+    wbars, thresholds = level_rows(data, prefix, denom_base)
+    got = backend.best_stop_index(prefix, denom_base, wbars, thresholds)
+    assert got.tolist() == dense_best_stop_indices(prefix, denom_base, wbars, thresholds)
 
 
 def test_kernel_zero_denominators():
@@ -80,16 +80,16 @@ def test_kernel_zero_denominators():
     wbars = np.array([0.0, math.inf, 0.0, math.inf])
     for t in (0.5, 0.0):
         thresholds = np.array([t, t, 0.5, 0.0])
-        for starts in ([0], [0, 2], [0, 1, 2, 3]):
-            got = backend.best_stop_index(zeros, zeros, wbars, thresholds, starts)
-            want = dense_best_stop_indices(zeros, zeros, wbars, thresholds, starts)
-            assert got.tolist() == want
+        for shape in ((1, 4), (2, 2), (4, 1)):
+            w, th = wbars.reshape(shape), thresholds.reshape(shape)
+            got = backend.best_stop_index(zeros, zeros, w, th)
+            assert got.tolist() == dense_best_stop_indices(zeros, zeros, w, th)
 
 
 def test_kernel_without_finite_level():
     ones = np.ones(3)
-    wbars = np.array([math.inf, math.inf, 0.0, math.inf])
-    got = backend.best_stop_index(ones, ones, wbars, np.ones(4), [0, 2, 3])
+    wbars = np.array([[math.inf, math.inf], [0.0, math.inf], [math.inf, math.inf]])
+    got = backend.best_stop_index(ones, ones, wbars, np.ones((3, 2)))
     assert got.tolist() == [-1, 0, -1]
 
 
@@ -105,39 +105,36 @@ def as_bound(value):
 @given(
     cal=calibration(max_weight=1e6),
     ws=bound_set(1e6),
-    grids=st.lists(
-        st.tuples(st.integers(1, 99), st.integers(1, 9)),
-        min_size=1,
-        max_size=6,
-        unique_by=lambda grid: grid[0],
-    ),
+    percents=st.lists(st.integers(1, 99), min_size=1, max_size=8, unique=True),
+    points=st.integers(1, 9),
     cap=st.integers(1, 20),
     gamma=st.sampled_from(GAMMAS),
 )
 @SETTINGS
-def test_level_cap_splits_batches_without_changing_limits(cal, ws, grids, cap, gamma):
-    """Cells of (percent alpha, beta points) grids of unequal lengths."""
-    cells = [(p / 100.0, lc.default_beta_grid(p / 100.0, points)) for p, points in grids]
+def test_level_cap_splits_batches_without_changing_limits(cal, ws, percents, points, cap, gamma):
+    """The alphas of a curve split into blocks under a small level cap."""
+    alphas = [p / 100.0 for p in percents]
     kernel = backend.best_stop_index
     calls = []
 
     def counted(*args):
-        calls.append(len(args[2]))
+        calls.append(args[2].shape)
         return kernel(*args)
 
     with mock.patch.object(conformal, "LEVEL_CAP", cap), mock.patch.object(
         backend, "best_stop_index", counted
     ):
-        got = conformal._limits(cal, ws, gamma, iter(cells))
-    # each call holds at most the cap, unless one cell alone exceeds it
-    longest = max(points for _, points in grids)
-    assert all(levels <= max(cap, longest) for levels in calls)
-    assert sum(calls) == sum(points for _, points in grids)
+        got = conformal._limits(cal, ws, gamma, conformal._default_blocks(alphas, points))
+    # each call holds at most the cap, unless one beta grid alone exceeds it
+    assert all(rows * levels <= max(cap, points) for rows, levels in calls)
+    assert all(levels == points for _, levels in calls)
+    assert sum(rows for rows, _ in calls) == len(alphas)
     _, prefix, denom_base = _scan_arrays(
         cal.losses, cal.lower / gamma, cal.upper * gamma, cal.group_ends
     )
     loss_ends = cal.losses[cal.group_ends]
-    for (alpha, betas), value in zip(cells, got):
+    for alpha, value in zip(alphas, got):
+        betas = lc.default_beta_grid(alpha, points)
         wbars = conformal._weight_bound_values(ws.upper * gamma, betas)
         k = dense_best_stop_index(prefix, denom_base, wbars, (1.0 - alpha) / (1.0 - betas))
         assert value == (None if k < 0 else loss_ends[k])

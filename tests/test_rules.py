@@ -13,9 +13,12 @@ import limitcurves.propensity
 from limitcurves.conformal import (
     CalibrationSet,
     WeightBoundSet,
+    check_curve_args,
     default_beta_grid,
     limit,
     limit_curve,
+    quantile,
+    stand_in_cdf,
     weight_bound,
 )
 from limitcurves.data import (
@@ -27,8 +30,8 @@ from limitcurves.data import (
     check_open_unit,
     random_split,
 )
-from limitcurves.ipsw import ipsw_quantile
-from limitcurves.propensity import load_external_scores, reliability_diagram
+from limitcurves.ipsw import ipsw_cdf, ipsw_quantile, ipsw_value
+from limitcurves.propensity import LogisticConfig, load_external_scores, reliability_diagram
 from limitcurves.simlab import CertifiedMethod, miscoverage_gap, scenario, true_miscalibration
 from limitcurves.weights import bounded_weights, trial_odds
 
@@ -176,3 +179,93 @@ def test_trial_is_not_a_target_population():
         scenario("trial")
     with raises_exactly("unknown population 'Z'; choose from A, B, C, D"):
         scenario("Z")
+
+
+def ipsw_args(n_target):
+    return trial(), np.ones(4), PolicySpec.uniform(), TrialDesign.uniform(2), n_target
+
+
+GUARDS = {
+    "CalibrationSet empty": ("losses must be a nonempty vector", lambda: CalibrationSet([], [], [])),
+    "CalibrationSet misaligned": (
+        "weights must align with the losses",
+        lambda: CalibrationSet([1.0, 2.0], [1.0], [1.0, 1.0]),
+    ),
+    "CalibrationSet nan loss": (
+        "losses must be finite",
+        lambda: CalibrationSet([math.nan], [1.0], [1.0]),
+    ),
+    "CalibrationSet inf weight": (
+        "weights must be finite",
+        lambda: CalibrationSet([1.0], [1.0], [math.inf]),
+    ),
+    "CalibrationSet negative weight": (
+        "weights must be nonnegative",
+        lambda: CalibrationSet([1.0], [-1.0], [1.0]),
+    ),
+    "CalibrationSet lower above upper": (
+        "lower weights must not exceed upper weights",
+        lambda: CalibrationSet([1.0], [2.0], [1.0]),
+    ),
+    "WeightBoundSet empty": ("need at least one upper weight", lambda: WeightBoundSet([])),
+    "WeightBoundSet nan": (
+        "upper weights must be finite and nonnegative",
+        lambda: WeightBoundSet([math.nan]),
+    ),
+    "WeightBoundSet negative": (
+        "upper weights must be finite and nonnegative",
+        lambda: WeightBoundSet([-1.0]),
+    ),
+    "stand_in_cdf negative weight": (
+        "out-of-sample weight must be nonnegative",
+        lambda: stand_in_cdf(sets()[0], -1.0, 2.0),
+    ),
+    "quantile negative bound": (
+        "weight bound must be nonnegative",
+        lambda: quantile(sets()[0], -1.0, 0.5, 0.1),
+    ),
+    "check_curve_args no gamma": ("need at least one gamma", lambda: check_curve_args(None, (), 9.0)),
+    "ipsw_value n_target": ("n_target must be at least 1", lambda: ipsw_value(*ipsw_args(0))),
+    "ipsw_cdf n_target": ("n_target must be at least 1", lambda: ipsw_cdf(*ipsw_args(0), 1.0)),
+    "ipsw_quantile n_target": (
+        "n_target must be at least 1",
+        lambda: ipsw_quantile(*ipsw_args(0), 0.5),
+    ),
+    "LogisticConfig l2": ("l2 must be nonnegative", lambda: LogisticConfig(l2=-1e-9)),
+    "LogisticConfig max_iter": ("max_iter must be at least 1", lambda: LogisticConfig(max_iter=0)),
+    "LogisticConfig tol": ("tol must be positive", lambda: LogisticConfig(tol=0.0)),
+    "reliability_diagram misaligned": (
+        "odds and labels must align",
+        lambda: reliability_diagram(np.ones(3), [0, 1, 0, 1]),
+    ),
+    "reliability_diagram one bin": (
+        "need at least 2 bins",
+        lambda: reliability_diagram(np.ones(2), [0, 1], bins=1),
+    ),
+}
+
+
+@pytest.mark.parametrize("site", sorted(GUARDS))
+def test_guard_message_at_each_site(site):
+    message, call = GUARDS[site]
+    with raises_exactly(message):
+        call()
+
+
+@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
+def test_prior_correction_refused(tmp_path, value):
+    path = scores_file(tmp_path, "odds", 2.0)
+    with raises_exactly("prior_correction must be a positive finite number"):
+        load_external_scores(path, value)
+
+
+def test_bins_refused_before_the_edges_are_allocated(monkeypatch):
+    """10**9 bins would allocate 8 GB of edges; the cap refuses them first."""
+
+    def no_allocation(*args, **kwargs):
+        raise AssertionError("edges allocated")
+
+    monkeypatch.setattr(np, "linspace", no_allocation)
+    monkeypatch.setattr(np, "quantile", no_allocation)
+    with raises_exactly("need at most 1000000 bins"):
+        reliability_diagram(np.ones(4), [0, 1, 0, 1], bins=10**9)
