@@ -154,8 +154,6 @@ def stand_in_cdf(cal: CalibrationSet, w: float, ell: float) -> float:
     ``w = inf`` gives 0. The function is a nondecreasing right-continuous step
     function of ``ell`` jumping only at observed losses.
     """
-    if math.isinf(w):
-        return 0.0
     if w < 0:
         raise ValueError("out-of-sample weight must be nonnegative")
     below = cal.losses <= ell

@@ -73,43 +73,30 @@ def _read_header(reader) -> list[str] | None:
     return None if row is None else [h.strip() for h in row]
 
 
-def read_csv_rows(path) -> tuple[list[str], list[list[str]]]:
-    """The stripped header cells and the nonempty data rows of a CSV file.
-
-    An empty file, a file with a header but no data rows, and a data row
-    whose cell count differs from the header's are rejected with
-    ``ValueError``; callers check the header themselves.
-    """
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = _read_header(reader)
-        if header is None:
-            raise ValueError(f"{path}: empty file")
-        width = len(header)
-        rows = []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != width:
-                raise ValueError(
-                    f"{path}:{reader.line_num}: expected {width} columns, got {len(row)}"
-                )
-            rows.append(row)
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    return header, rows
-
-
 def _covariate_header(dim: int) -> list[str]:
     return [f"x{j}" for j in range(dim)]
 
 
 def _row_error(path, fields_for) -> None:
     """Re-read ``path`` row by row with ``csv`` and ``float``/``int`` and
-    raise the first defect found, with its message: an empty file, a row
-    whose width differs from the header's, no data rows, a wrong header, or
-    a cell that does not parse (fields in order, row by row within one)."""
-    header, rows = read_csv_rows(path)
+    raise the first defect found, with its message: an empty file, a
+    nonempty row whose width differs from the header's, no data rows, a
+    wrong header, or a cell that does not parse (fields in order, row by row
+    within one)."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = _read_header(reader)
+        if header is None:
+            raise ValueError(f"{path}: empty file")
+        rows = []
+        for row in filter(None, reader):
+            if len(row) != len(header):
+                raise ValueError(
+                    f"{path}:{reader.line_num}: expected {len(header)} columns, got {len(row)}"
+                )
+            rows.append(row)
+    if not rows:
+        raise ValueError(f"{path}: no data rows")
     fields = fields_for(header)
     start = 0
     try:
@@ -200,10 +187,9 @@ def write_trial_csv(path, trial) -> None:
     write_columns(path, header, [*trial.x.T, trial.actions, trial.losses])
 
 
-def read_trial_csv(path, k_actions: int | None = None):
+def read_trial_csv(path, k_actions: int):
     x, (actions, losses) = read_columns(path, "x", (("a", int), ("l", float)))
-    k = int(actions.max()) + 1 if k_actions is None else k_actions
-    return TrialDataset(x, actions, losses, k)
+    return TrialDataset(x, actions, losses, k_actions)
 
 
 def write_pool_csv(path, pool) -> None:
@@ -227,13 +213,11 @@ def write_reliability_csv(path, bins) -> None:
 
 
 def jsonable(value):
-    """Recursively convert numpy scalars/arrays and NaN to JSON-safe values."""
+    """Recursively convert numpy scalars and NaN to JSON-safe values."""
     if isinstance(value, dict):
         return {str(k): jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [jsonable(v) for v in value]
-    if isinstance(value, np.ndarray):
-        return [jsonable(v) for v in value.tolist()]
     if isinstance(value, (bool, np.bool_)):
         return bool(value)
     if isinstance(value, (int, np.integer)):

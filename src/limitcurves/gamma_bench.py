@@ -52,8 +52,6 @@ def omitted_covariate_ratios(
     (label 0), or uses the whole pool.
     """
     _check_omission(pool, rows)
-    if not 0 <= feature < pool.dim:
-        raise ValueError(f"feature index {feature} out of range for d={pool.dim}")
     return _omission_report(pool, fit_logistic(pool, config), feature, config, rows)
 
 
@@ -69,11 +67,12 @@ def _omission_report(pool, full, feature, config, rows) -> OmissionReport:
     odds_reduced = predict_odds(reduced, np.delete(x_eval, feature, axis=1))
     ratios = odds_full / odds_reduced
     sym = np.maximum(ratios, 1.0 / ratios)
+    quantiles = {q: float(np.quantile(sym, q)) for q in SUMMARY_QUANTILES}
     return OmissionReport(
         feature=int(feature),
         ratios=ratios,
-        ratio_quantiles={q: float(np.quantile(sym, q)) for q in SUMMARY_QUANTILES},
-        suggested_gamma={q: float(np.quantile(sym, q)) for q in COVERAGE_LEVELS},
+        ratio_quantiles=quantiles,
+        suggested_gamma={q: quantiles[q] for q in COVERAGE_LEVELS},
         rows_used=int(mask.sum()),
     )
 

@@ -327,12 +327,8 @@ def reliability_diagram(odds, labels, bins: int = 5) -> list[ReliabilityBin]:
     check_labels(labels)
     edges = np.unique(np.quantile(values, np.linspace(0.0, 1.0, bins + 1)))
     if edges.shape[0] == 1:
-        assign = np.zeros(values.shape[0], dtype=np.int64)
-        edges = np.array([edges[0], edges[0]])
-    else:
-        assign = np.clip(
-            np.searchsorted(edges, values, side="right") - 1, 0, edges.shape[0] - 2
-        )
+        edges = np.repeat(edges, 2)  # one [v, v] bin that holds every row
+    assign = np.clip(np.searchsorted(edges, values, side="right") - 1, 0, edges.shape[0] - 2)
     out = []
     for b in range(edges.shape[0] - 1):
         mask = assign == b

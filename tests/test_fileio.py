@@ -16,6 +16,11 @@ from limitcurves.data import TargetCovariates, TrialDataset
 from limitcurves.propensity import LabeledPool, ReliabilityBin, load_external_scores
 
 
+def read_trial_csv(path):
+    """``fileio.read_trial_csv`` for a two-arm trial file."""
+    return fileio.read_trial_csv(path, k_actions=2)
+
+
 def written_cells(tmp_path, column):
     path = tmp_path / "cells.csv"
     fileio.write_columns(path, ["v"], [column])
@@ -125,11 +130,6 @@ class TestCsvRoundTrips:
         assert np.array_equal(back.actions, trial.actions)
         assert np.array_equal(back.losses, trial.losses)
 
-    def test_trial_infers_action_count(self, tmp_path):
-        path = tmp_path / "trial.csv"
-        path.write_text("x0,a,l\n0.0,0,1.0\n0.0,2,2.0\n")
-        assert fileio.read_trial_csv(path).k_actions == 3
-
     def test_pool(self, tmp_path):
         rng = np.random.default_rng(3)
         pool = LabeledPool(rng.normal(size=(8, 2)), rng.integers(0, 2, 8))
@@ -142,7 +142,7 @@ class TestCsvRoundTrips:
     @pytest.mark.parametrize(
         "read, text, arrays",
         [
-            (fileio.read_trial_csv, "x0,x1,a,l\n1.5,2,0,3.5\n4,5,1,6\n", lambda t: [t.x, t.actions, t.losses]),
+            (read_trial_csv, "x0,x1,a,l\n1.5,2,0,3.5\n4,5,1,6\n", lambda t: [t.x, t.actions, t.losses]),
             (fileio.read_pool_csv, "x0,s\n1.5,0\n4,1\n", lambda p: [p.x, p.labels]),
             (load_external_scores, "id,odds\n1,2.5\n0,1\n", lambda odds: [odds]),
         ],
@@ -159,7 +159,7 @@ class TestCsvRoundTrips:
         path = tmp_path / "marked.csv"
         path.write_text("x0,a,l\n0.5,1,oops\n", encoding="utf-8-sig")
         with pytest.raises(ValueError, match="parse failure: could not convert string to float: 'oops'"):
-            fileio.read_trial_csv(path)
+            fileio.read_trial_csv(path, k_actions=2)
 
     def test_header_mismatch_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -167,7 +167,7 @@ class TestCsvRoundTrips:
         with pytest.raises(ValueError):
             fileio.read_target_csv(path)
         with pytest.raises(ValueError):
-            fileio.read_trial_csv(path)
+            fileio.read_trial_csv(path, k_actions=2)
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
