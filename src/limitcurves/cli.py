@@ -447,6 +447,28 @@ def _config_flags(sub: argparse.ArgumentParser, path: str) -> list[str]:
     return tokens
 
 
+# (command, flag, value, flags that this value leaves unused)
+UNUSED_FLAGS = (
+    ("evaluate", "split", "matched", ("frac",)),
+    ("miscoverage", "method", "ipsw", ("gamma", "split", "frac", "beta_points")),
+    ("miscoverage", "method", "certified", ("normalized",)),
+    ("miscoverage", "split", "matched", ("frac",)),
+    ("miscoverage", "odds", "oracle", ("l2", "max_iter", "tol")),
+)
+
+
+def _refuse_unused(ns: argparse.Namespace, sub: argparse.ArgumentParser) -> None:
+    """Refuse a flag set away from its default, by the command line or a
+    config file, where another flag's value leaves it unused."""
+    for command, key, value, names in UNUSED_FLAGS:
+        if ns.command != command or getattr(ns, key) != value:
+            continue
+        for name in names:
+            if getattr(ns, name) != sub.get_default(name):
+                flag = name.replace("_", "-")
+                raise ValueError(f"--{flag} is not used with --{key} {value}")
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, registry = build_parser()
@@ -456,6 +478,7 @@ def main(argv=None) -> int:
             if path:
                 argv[1:1] = _config_flags(registry[argv[0]], path)
         ns = parser.parse_args(argv)
+        _refuse_unused(ns, registry[ns.command])
         return ns.func(ns)
     except SystemExit as exc:
         return int(exc.code or 0)

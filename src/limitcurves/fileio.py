@@ -6,6 +6,7 @@ Outputs are byte-stable across reruns and locales: every CSV is written by
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
@@ -64,12 +65,27 @@ def write_columns(path, header, columns) -> None:
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
+@contextlib.contextmanager
+def open_input(path, newline=None):
+    """A text handle on the input file ``path``, in the locale's encoding
+    (as ``np.loadtxt`` reads it), past the byte-order mark (U+FEFF) a file
+    may start with. A byte the encoding cannot decode, or malformed JSON,
+    read through the handle raises one ``ValueError`` that names ``path``."""
+    try:
+        with open(path, newline=newline) as fh:
+            if fh.read(1) != "\ufeff":
+                fh.seek(0)
+            yield fh
+    except UnicodeDecodeError as exc:
+        byte = exc.object[exc.start]
+        raise ValueError(f"{path}: cannot decode byte {byte:#04x} as {exc.encoding}") from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def _read_header(reader) -> list[str] | None:
-    """The stripped cells of ``reader``'s first row, without the byte-order
-    mark (U+FEFF) a file may start with, or None for an empty file."""
+    """The stripped cells of ``reader``'s first row, or None for an empty file."""
     row = next(reader, None)
-    if row:
-        row[0] = row[0].removeprefix("\ufeff")
     return None if row is None else [h.strip() for h in row]
 
 
@@ -83,7 +99,7 @@ def _row_error(path, fields_for) -> None:
     nonempty row whose width differs from the header's, no data rows, a
     wrong header, or a cell that does not parse (fields in order, row by row
     within one)."""
-    with open(path, newline="") as fh:
+    with open_input(path, newline="") as fh:
         reader = csv.reader(fh)
         header = _read_header(reader)
         if header is None:
@@ -123,7 +139,7 @@ def read_table(path, fields_for) -> np.ndarray:
     such as ``1_0`` or an integer outside int64, is reported with
     ``loadtxt``'s message.
     """
-    with open(path, newline="") as fh:
+    with open_input(path, newline="") as fh:
         header = _read_header(csv.reader(fh)) or []
     try:
         dtype = [
@@ -232,7 +248,7 @@ def read_config_file(path) -> dict[str, str]:
     """Line-oriented ``key=value`` settings; '#' starts a comment line. Keys
     are returned with '-' for '_', and a key set twice is refused."""
     entries: dict[str, str] = {}
-    with open(path) as fh:
+    with open_input(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):

@@ -49,7 +49,8 @@ def omitted_covariate_ratios(
     """Fit the full and the feature-omitted model and report per-row odds ratios.
 
     ``rows`` restricts the evaluation rows to "trial" (label 1), "target"
-    (label 0), or uses the whole pool.
+    (label 0), or uses the whole pool. ``LabeledPool.drop_feature`` refuses
+    a ``feature`` out of range, after the full model's fit.
     """
     _check_omission(pool, rows)
     return _omission_report(pool, fit_logistic(pool, config), feature, config, rows)

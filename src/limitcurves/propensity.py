@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from .data import LabeledPool, check_grid_points, check_labels, check_odds, check_open_unit
-from .fileio import read_table, write_json
+from .fileio import open_input, read_table, write_json
 
 LOGIT_CLAMP = 30.0
 BACKTRACK = 0.5  # step-length factor of the line search
@@ -251,7 +251,7 @@ def load_model(path) -> LogisticModel:
     A saved ``converged`` flag comes back, with ``iterations`` and
     ``grad_max``, as the model's ``report`` (without the objective trace);
     a file without the flag gives ``report=None``."""
-    with open(path) as fh:
+    with open_input(path) as fh:
         payload = json.load(fh)
     if not isinstance(payload, dict) or payload.get("kind") != "logistic-odds-model":
         raise ValueError(f"{path}: not a logistic odds model file")

@@ -200,6 +200,8 @@ class CertifiedMethod:
         check_grid_points(self.beta_points)
         if self.split == "random":
             check_open_unit(self.split_frac, "frac")
+        elif self.split_frac != 0.5:
+            raise ValueError("split_frac applies to the random split only")
 
 
 @dataclasses.dataclass(frozen=True)
@@ -428,7 +430,8 @@ def miscoverage_gap(
     """Monte Carlo miscoverage of a method: regenerate the study ``runs`` times,
     compute the per-alpha limits, then draw ``per_run`` fresh target individuals
     under the policy and count losses exceeding the limit. Trivial limits cover
-    by construction and contribute no exceed events.
+    by construction and contribute no exceed events. The policy is constant or
+    uniform: a table policy is refused before any study is drawn.
 
     The runs are spread over one worker per usable CPU: this process and
     forked children, each taking the next run whenever it is free. Every run
@@ -441,6 +444,11 @@ def miscoverage_gap(
     check_distinct(alphas, "alphas")
     if policy is None:
         policy = PolicySpec.constant(1)
+    if policy.kind == "table":
+        raise ValueError(
+            "a table policy cannot be measured: every study draws new trial and "
+            "target rows, so a per-row table has no rows to align with"
+        )
     if not isinstance(method, (CertifiedMethod, IpswMethod)):
         raise ValueError("method must be a CertifiedMethod or an IpswMethod")
 

@@ -340,6 +340,27 @@ class TestMiscoverage:
         assert capsys.readouterr().err == "error: alphas must be distinct\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("per_run", [500, 400])
+    def test_table_policy_refused_before_any_study(self, tmp_path, monkeypatch, capsys, per_run):
+        """Every study draws new rows, so a per-row table has none to align with."""
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a study was drawn")
+
+        monkeypatch.setattr("limitcurves.simlab.sample_target", no_draw)
+        table = tmp_path / "policy.csv"
+        table.write_text("p0,p1\n" + "0.5,0.5\n" * 500)
+        out = tmp_path / "mc.json"
+        assert run(
+            "miscoverage", "--pop", "B", "--method", "certified", "--m", 500,
+            "--per-run", per_run, "--policy", f"table:{table}", "--out", out,
+        ) == 1
+        assert capsys.readouterr().err == (
+            "error: a table policy cannot be measured: every study draws new trial and "
+            "target rows, so a per-row table has no rows to align with\n"
+        )
+        assert not out.exists()
+
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_impossible_allocation(self, tmp_path, monkeypatch, capsys, cpus):
         # 10^16 rows exceed any address space, so the allocation fails at once
@@ -459,6 +480,119 @@ class TestConfigFile:
             "--out", tmp_path / "r.csv",
         ) == 2
         assert not (tmp_path / "r.csv").exists()
+
+
+class TestUnusedFlags:
+    """A flag that the chosen split, method or odds source leaves unused is
+    refused when set away from its default, from the command line or a
+    config file; its default is accepted and echoed."""
+
+    @staticmethod
+    def argv(tmp_path, simulated, model, command):
+        _, trial, _ = simulated
+        out = tmp_path / "out.json"
+        return {
+            "evaluate": ("evaluate", "--trial", trial, "--model", model, "--policy", "constant:1",
+                         "--l-max", 100.0, "--out-json", out, "--out-csv", tmp_path / "o.csv"),
+            "miscoverage": ("miscoverage", "--pop", "A", "--n", 60, "--m", 40, "--m-train", 40,
+                            "--runs", 2, "--per-run", 20, "--out", out),
+        }[command]
+
+    @pytest.mark.parametrize(
+        "command, chosen, flag, value, default",
+        [
+            ("evaluate", ("--split", "matched"), "frac", "7", 0.5),
+            ("miscoverage", ("--method", "certified", "--split", "matched"), "frac", "0.3", 0.5),
+            ("miscoverage", ("--method", "ipsw"), "gamma", "0.5", 1.0),
+            ("miscoverage", ("--method", "ipsw"), "split", "random", "matched"),
+            ("miscoverage", ("--method", "ipsw"), "frac", "0.3", 0.5),
+            ("miscoverage", ("--method", "ipsw"), "beta-points", "0", 49),
+            ("miscoverage", ("--method", "certified"), "normalized", None, False),
+            ("miscoverage", ("--method", "certified", "--odds", "oracle"), "l2", "0.1", 1e-4),
+            ("miscoverage", ("--method", "certified", "--odds", "oracle"), "max-iter", "3", 1000),
+            ("miscoverage", ("--method", "certified", "--odds", "oracle"), "tol", "nan", 1e-6),
+        ],
+    )
+    def test_unused_flag_refused(
+        self, tmp_path, simulated, model, capsys, command, chosen, flag, value, default
+    ):
+        line = f"error: --{flag} is not used with {' '.join(chosen[-2:])}\n"
+        argv = self.argv(tmp_path, simulated, model, command)
+        flags = (f"--{flag}",) if value is None else (f"--{flag}", value)
+        assert run(*argv, *chosen, *flags) == 1
+        assert capsys.readouterr().err == line
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{flag}={'yes' if value is None else value}\n")
+        assert run(*argv, *chosen, "--config", cfg) == 1
+        assert capsys.readouterr().err == line
+        assert not (tmp_path / "out.json").exists()
+        # the default is accepted and echoed
+        cfg.write_text(f"{flag}={default}\n")
+        assert run(*argv, *chosen, "--config", cfg) == 0
+        assert read_json(tmp_path / "out.json")["config"][flag.replace("-", "_")] == default
+
+
+class TestInputDecoding:
+    """Every input file is read past a byte-order mark; one holding a byte
+    that does not decode ends in one error line that names it."""
+
+    @staticmethod
+    def with_bad_byte(path):
+        """Copy of ``path`` with a 0xff byte before its last character."""
+        data = path.read_bytes()
+        bad = path.with_name(f"bad-{path.name}")
+        bad.write_bytes(data[:-2] + b"\xff" + data[-2:])
+        return bad
+
+    @pytest.mark.parametrize(
+        "kind", ["trial", "target", "pool", "scores", "policy table", "config", "model"]
+    )
+    def test_undecodable_byte_names_the_file(self, tmp_path, simulated, model, capsys, kind):
+        target, trial, pool = simulated
+        scores = tmp_path / "scores.csv"
+        scores.write_text("id,odds\n" + "".join(f"{i},1.0\n" for i in range(200)))
+        table = tmp_path / "policy.csv"
+        table.write_text("p0,p1\n" + "0.25,0.75\n" * 200)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("gammas=1,2\n# a comment\n")
+        files = {"trial": trial, "target": target, "pool": pool, "scores": scores,
+                 "policy table": table, "config": cfg, "model": model}
+        bad = self.with_bad_byte(files[kind])
+        files[kind] = bad
+        out = tmp_path / "out.json"
+        if kind == "pool":
+            argv = ("fit", "--pool", bad, "--out", out)
+        else:
+            odds = ("--scores", bad) if kind == "scores" else ("--model", files["model"])
+            argv = ("ipsw", "--trial", files["trial"], "--target", files["target"], *odds,
+                    "--policy", f"table:{files['policy table']}", "--out", out)
+            if kind == "config":
+                argv += ("--config", bad)
+        assert run(*argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_byte_order_mark_is_ignored(self, tmp_path, simulated, model):
+        _, trial, _ = simulated
+        payloads = []
+        for name, encoding in (("plain", "utf-8"), ("marked", "utf-8-sig")):
+            cfg = tmp_path / f"{name}.cfg"
+            cfg.write_text("policy=uniform\ngammas=1,2\n", encoding=encoding)
+            copy = tmp_path / f"{name}.json"
+            copy.write_text(model.read_text(), encoding=encoding)
+            assert copy.read_bytes().startswith(b"\xef\xbb\xbf") == (name == "marked")
+            out_json, out_csv = tmp_path / f"{name}-o.json", tmp_path / f"{name}-o.csv"
+            assert run(
+                "evaluate", "--config", cfg, "--trial", trial, "--model", copy, "--l-max", 100.0,
+                "--out-json", out_json, "--out-csv", out_csv,
+            ) == 0
+            payload = read_json(out_json)
+            for key in ("model", "out_json", "out_csv"):
+                payload["config"].pop(key)
+            payloads.append((payload, out_csv.read_bytes()))
+        assert payloads[0] == payloads[1]
+        assert payloads[0][0]["config"]["policy"] == "uniform"
 
 
 class TestSpecErrors:

@@ -349,6 +349,14 @@ class TestAtomicWrite:
             fileio.atomic_write_text(path, "x")
         assert info.value.filename == str(path)
 
+    def test_failed_replace_leaves_no_temp_file(self, tmp_path):
+        target = tmp_path / "out"
+        target.mkdir()
+        with pytest.raises(OSError):
+            fileio.atomic_write_text(target, "x")
+        assert [p.name for p in tmp_path.iterdir()] == ["out"]
+        assert list(target.iterdir()) == []
+
 
 class TestJson:
     def test_nan_becomes_null(self, tmp_path):

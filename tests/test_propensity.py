@@ -322,6 +322,15 @@ class TestReliabilityDiagram:
             se = b.observed * math.sqrt(1.0 / b.n_target + 1.0 / b.n_trial)
             assert abs(b.observed - aggregated) <= 4 * se
 
+    def test_empty_bins_are_skipped(self):
+        """Two rows over four bins fill the first and the last; the two
+        empty bins between them are left out."""
+        bins = reliability_diagram([1.0, 11.0], [0, 1], bins=4)
+        assert [(b.lower, b.upper, b.n_target, b.n_trial) for b in bins] == [
+            (1.0, 3.5, 1, 0),
+            (8.5, 11.0, 0, 1),
+        ]
+
     def test_oracle_scores_fall_near_diagonal(self):
         """For a moderate mechanism the diagram lies on the diagonal: observed
         odds track the mean nominal odds within binomial noise. (Very wide

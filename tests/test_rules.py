@@ -10,6 +10,7 @@ import pytest
 import limitcurves
 import limitcurves.data
 import limitcurves.propensity
+from limitcurves.cli import parse_alpha_grid, parse_floats
 from limitcurves.conformal import (
     CalibrationSet,
     WeightBoundSet,
@@ -28,11 +29,24 @@ from limitcurves.data import (
     TrialDataset,
     TrialDesign,
     check_open_unit,
+    matched_split,
     random_split,
 )
+from limitcurves.gamma_bench import benchmark_all
 from limitcurves.ipsw import ipsw_cdf, ipsw_quantile, ipsw_value
 from limitcurves.propensity import LogisticConfig, load_external_scores, reliability_diagram
-from limitcurves.simlab import CertifiedMethod, miscoverage_gap, scenario, true_miscalibration
+from limitcurves.simlab import (
+    CertifiedMethod,
+    IpswMethod,
+    PopulationParams,
+    SimScenario,
+    miscoverage_gap,
+    sample_target,
+    sample_trial,
+    scenario,
+    true_miscalibration,
+    true_odds,
+)
 from limitcurves.weights import bounded_weights, trial_odds
 
 OUTSIDE = [0.0, 1.0, math.nan, -0.5, 1.5, math.inf]
@@ -241,6 +255,94 @@ GUARDS = {
     "reliability_diagram one bin": (
         "need at least 2 bins",
         lambda: reliability_diagram(np.ones(2), [0, 1], bins=1),
+    ),
+    # command-line lists and grids
+    "--gammas not a number": (
+        "bad number list '1,x': could not convert string to float: 'x'",
+        lambda: parse_floats("1,x"),
+    ),
+    "--alpha-grid stop below start": ("bad alpha grid '0.5:0.1:0.1'", lambda: parse_alpha_grid("0.5:0.1:0.1")),
+    "--alpha-grid outside (0, 1)": (
+        "alpha grid '1:2:0.5' has no points inside (0, 1)",
+        lambda: parse_alpha_grid("1:2:0.5"),
+    ),
+    # data containers
+    "TrialDataset no actions": (
+        "k_actions must be at least 1",
+        lambda: TrialDataset(np.zeros((2, 1)), [0, 0], [1.0, 2.0], k_actions=0),
+    ),
+    "LabeledPool misaligned labels": (
+        "labels must align with the covariate rows",
+        lambda: LabeledPool(np.zeros((3, 1)), [0, 1]),
+    ),
+    "drop_feature out of range": (
+        "feature index 2 out of range for d=2",
+        lambda: LabeledPool(np.zeros((2, 2)), [0, 1]).drop_feature(2),
+    ),
+    "PolicySpec unknown kind": ("unknown policy kind: 'greedy'", lambda: PolicySpec("greedy")),
+    "PolicySpec negative constant": (
+        "constant policy needs a nonnegative action index",
+        lambda: PolicySpec.constant(-1),
+    ),
+    "PolicySpec 1-d table": (
+        "policy table must be a nonempty 2-d array",
+        lambda: PolicySpec.from_table([0.5, 0.5]),
+    ),
+    "PolicySpec constant beyond the actions": (
+        "constant policy action exceeds the action count",
+        lambda: PolicySpec.constant(2).prob_matrix(3, 2),
+    ),
+    "TrialDesign empty": ("design probabilities must be a nonempty vector", lambda: TrialDesign([])),
+    "matched_split design mismatch": (
+        "design action count does not match the trial dataset",
+        lambda: matched_split(trial(), PolicySpec.uniform(), TrialDesign.uniform(3)),
+    ),
+    # synthetic lab
+    "PopulationParams variance": (
+        "variances must be positive",
+        lambda: PopulationParams(0.0, 0.0, 0.0, 1.0, 0.0, 1.0),
+    ),
+    "SimScenario no rows": (
+        "sample sizes must be at least 1",
+        lambda: SimScenario(scenario("A").target, n=0),
+    ),
+    "sample_target no rows": ("n must be at least 1", lambda: sample_target(scenario("A").target, 0, 0)),
+    "sample_trial no rows": (
+        "m must be at least 1",
+        lambda: sample_trial(scenario("A").trial, 0, TrialDesign.uniform(2), 0),
+    ),
+    "true_odds prior ratio": (
+        "prior_ratio must be positive",
+        lambda: true_odds(np.zeros((1, 2)), scenario("A").target, scenario("A").trial, prior_ratio=0),
+    ),
+    "CertifiedMethod split": (
+        "split must be 'matched' or 'random'",
+        lambda: CertifiedMethod(gamma=1.0, split="halves"),
+    ),
+    "CertifiedMethod odds source": (
+        "odds_source must be 'fitted' or 'oracle'",
+        lambda: CertifiedMethod(gamma=1.0, odds_source="true"),
+    ),
+    "IpswMethod odds source": (
+        "odds_source must be 'fitted' or 'oracle'",
+        lambda: IpswMethod(odds_source="true"),
+    ),
+    "miscoverage_gap no runs": (
+        "runs and per_run must be at least 1",
+        lambda: miscoverage_gap(scenario("A"), CertifiedMethod(gamma=1.0), [0.1], runs=0, per_run=1),
+    ),
+    # other guards
+    "benchmark_all rows": (
+        "rows must be one of 'all', 'trial', 'target'",
+        lambda: benchmark_all(LabeledPool(np.zeros((2, 2)), [0, 1]), rows="both"),
+    ),
+    "bounded_weights negative ratio": (
+        "ratio must be nonnegative",
+        lambda: bounded_weights(1.0, -0.5, 1.0),
+    ),
+    "stand_in_cdf minus infinity": (
+        "out-of-sample weight must be nonnegative",
+        lambda: stand_in_cdf(sets()[0], -math.inf, 2.0),
     ),
 }
 

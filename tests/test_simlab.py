@@ -181,8 +181,11 @@ class TestMiscoverage:
         with pytest.raises(ValueError, match=message):
             CertifiedMethod(gamma=1.0, **settings)
 
-    def test_matched_split_ignores_frac(self):
-        assert CertifiedMethod(gamma=1.0, split="matched", split_frac=2.0).split_frac == 2.0
+    def test_matched_split_refuses_frac(self):
+        for frac in (2.0, 0.3, math.nan):
+            with pytest.raises(ValueError, match="^split_frac applies to the random split only$"):
+                CertifiedMethod(gamma=1.0, split="matched", split_frac=frac)
+        assert CertifiedMethod(gamma=1.0, split="matched", split_frac=0.5).split_frac == 0.5
 
     def test_trivial_limits_give_gap_equal_alpha(self):
         scn = scenario("A", n=50, m=40, m_train=40)
@@ -293,6 +296,19 @@ class TestMiscoverage:
         scn = scenario("B", n=50, m=40, m_train=40)
         with pytest.raises(ValueError, match="alphas must be distinct"):
             miscoverage_gap(scn, CertifiedMethod(gamma=2.0), [0.1, 0.1], runs=2, per_run=10)
+
+    @pytest.mark.parametrize("per_run", [500, 400])
+    def test_table_policy_refused_before_any_study(self, monkeypatch, per_run):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a study was drawn")
+
+        monkeypatch.setattr(simlab, "sample_target", no_draw)
+        table = PolicySpec.from_table(np.full((500, 2), 0.5))
+        with pytest.raises(ValueError, match="^a table policy cannot be measured: "):
+            miscoverage_gap(
+                scenario("B", m=500), CertifiedMethod(gamma=2.0), [0.1],
+                runs=2, per_run=per_run, policy=table,
+            )
 
 
 class TestForkedRuns:
