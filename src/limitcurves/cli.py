@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from . import fileio, simlab
-from .conformal import certify, check_curve_args, limit_curve
+from .conformal import BETA_POINTS, certify, check_curve_args, limit_curve
 from .data import (
     MAX_GRID_POINTS,
     PolicySpec,
@@ -34,7 +34,7 @@ from .propensity import (
     reliability_diagram,
     save_model,
 )
-from .simlab import CertifiedMethod, IpswMethod, miscoverage_gap, scenario
+from .simlab import CertifiedMethod, IpswMethod, SimScenario, miscoverage_gap, scenario
 
 
 def parse_floats(text: str) -> list[float]:
@@ -120,16 +120,16 @@ BETA_POINTS_HELP = f"beta grid points per alpha, at most {MAX_GRID_POINTS}"
 
 
 def _add_fit_flags(sub) -> None:
-    sub.add_argument("--l2", type=float, default=1e-4, help="L2 penalty on coefficients")
-    sub.add_argument("--max-iter", type=int, default=1000)
-    sub.add_argument("--tol", type=float, default=1e-6, help="gradient max-norm stop rule")
+    sub.add_argument("--l2", type=float, default=LogisticConfig.l2, help="L2 penalty on coefficients")
+    sub.add_argument("--max-iter", type=int, default=LogisticConfig.max_iter)
+    sub.add_argument("--tol", type=float, default=LogisticConfig.tol, help="gradient max-norm stop rule")
 
 
 def _add_population_flags(sub) -> None:
     sub.add_argument("--pop", required=True, help="target population: A, B, C or D")
-    sub.add_argument("--n", type=int, default=2000, help="target covariate rows")
-    sub.add_argument("--m", type=int, default=500, help="trial rows")
-    sub.add_argument("--m-train", type=int, default=500, help="trial rows in the pool")
+    sub.add_argument("--n", type=int, default=SimScenario.n, help="target covariate rows")
+    sub.add_argument("--m", type=int, default=SimScenario.m, help="trial rows")
+    sub.add_argument("--m-train", type=int, default=SimScenario.m_train, help="trial rows in the pool")
 
 
 TARGET_UNREAD = "not read: the limits depend on the target only through the odds"
@@ -362,7 +362,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     s.add_argument(
         "--alpha-grid", default="0.01:0.99:0.01", help=f"start:stop:step, at most {MAX_GRID_POINTS} points"
     )
-    s.add_argument("--beta-points", type=int, default=49, help=BETA_POINTS_HELP)
+    s.add_argument("--beta-points", type=int, default=BETA_POINTS, help=BETA_POINTS_HELP)
     s.add_argument("--split", choices=("random", "matched"), default="random")
     s.add_argument("--frac", type=float, default=0.5, help="random-split fraction for the weight-bound half")
     s.add_argument("--seed", type=seed, default=0)
@@ -396,14 +396,14 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     _add_population_flags(s)
     s.add_argument("--method", choices=("certified", "ipsw"), required=True)
     s.add_argument("--gamma", type=float, default=1.0)
-    s.add_argument("--split", choices=("matched", "random"), default="matched")
-    s.add_argument("--frac", type=float, default=0.5)
-    s.add_argument("--odds", choices=("fitted", "oracle"), default="fitted")
+    s.add_argument("--split", choices=("matched", "random"), default=CertifiedMethod.split)
+    s.add_argument("--frac", type=float, default=CertifiedMethod.split_frac)
+    s.add_argument("--odds", choices=("fitted", "oracle"), default=CertifiedMethod.odds_source)
     s.add_argument("--normalized", action="store_true")
     s.add_argument("--policy", default="constant:1")
     s.add_argument("--design", default="uniform:2")
     s.add_argument("--alphas", default="0.05,0.1,0.2")
-    s.add_argument("--beta-points", type=int, default=49, help=BETA_POINTS_HELP)
+    s.add_argument("--beta-points", type=int, default=BETA_POINTS, help=BETA_POINTS_HELP)
     s.add_argument("--runs", type=int, default=200)
     s.add_argument("--per-run", type=int, default=500)
     s.add_argument("--seed", type=seed, default=0)

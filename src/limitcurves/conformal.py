@@ -19,13 +19,15 @@ from .data import check_distinct, check_grid_points, check_l_max, check_open_uni
 from .data import matched_split, random_split
 from .weights import check_gamma, shift_weights, trial_odds
 
+BETA_POINTS = 49  # default beta grid points per alpha
+
 
 def default_alpha_grid() -> np.ndarray:
     """Miscoverage grid 0.01, 0.02, ..., 0.99."""
     return np.arange(1, 100) / 100.0
 
 
-def default_beta_grid(alpha, points: int = 49) -> np.ndarray:
+def default_beta_grid(alpha, points: int = BETA_POINTS) -> np.ndarray:
     """Evenly spaced grid strictly inside (0, alpha), proportional to alpha.
 
     A column of alphas, shape ``(rows, 1)``, gives one grid per row, each
@@ -288,7 +290,7 @@ class LimitCurve:
 
 
 def check_curve_args(
-    alpha_grid=None, gammas=(1.0,), l_max: float | None = None, beta_points: int = 49
+    alpha_grid=None, gammas=(1.0,), l_max: float | None = None, beta_points: int = BETA_POINTS
 ) -> tuple[list[float], list[float], float]:
     """The arguments of ``limit_curve`` once checked: the sorted alpha grid
     (``default_alpha_grid()`` when None), which must be distinct and inside
@@ -317,7 +319,7 @@ def limit_curve(
     alpha_grid=None,
     gammas=(1.0,),
     l_max: float | None = None,
-    beta_points: int = 49,
+    beta_points: int = BETA_POINTS,
 ) -> LimitCurve:
     """Limit curves for every (gamma, alpha) pair, with the arguments checked
     by ``check_curve_args``.

@@ -37,7 +37,7 @@ class LogisticConfig:
     finite.
     """
 
-    l2: float = 1e-6
+    l2: float = 1e-4
     max_iter: int = 1000
     tol: float = 1e-6
 

@@ -20,7 +20,7 @@ import warnings
 
 import numpy as np
 
-from .conformal import _default_blocks, _limits, certify
+from .conformal import BETA_POINTS, _default_blocks, _limits, certify
 from .data import LabeledPool, PolicySpec, TargetCovariates, TrialDataset, TrialDesign
 from .data import check_distinct, check_grid_points, check_odds, check_open_unit, sample_actions
 from .ipsw import _ipsw_quantiles
@@ -188,8 +188,8 @@ class CertifiedMethod:
     split: str = "matched"
     split_frac: float = 0.5
     odds_source: str = "fitted"
-    beta_points: int = 49
-    fit: LogisticConfig = LogisticConfig(l2=1e-4)
+    beta_points: int = BETA_POINTS
+    fit: LogisticConfig = LogisticConfig()
 
     def __post_init__(self):
         if self.split not in ("matched", "random"):
@@ -203,6 +203,13 @@ class CertifiedMethod:
         elif self.split_frac != 0.5:
             raise ValueError("split_frac applies to the random split only")
 
+    def _study_limits(self, scn, trial, odds, policy, alphas, rng) -> list[float | None]:
+        """Per-alpha certified limits of one study, split with a seed drawn
+        from ``rng``."""
+        split_seed = int(rng.integers(0, 2**63 - 1))
+        cal, ws, _ = certify(trial, odds, policy, scn.design, self.split, self.split_frac, split_seed)
+        return _limits(cal, ws, float(self.gamma), _default_blocks(alphas, self.beta_points))
+
 
 @dataclasses.dataclass(frozen=True)
 class IpswMethod:
@@ -210,11 +217,15 @@ class IpswMethod:
 
     odds_source: str = "fitted"
     normalized: bool = False
-    fit: LogisticConfig = LogisticConfig(l2=1e-4)
+    fit: LogisticConfig = LogisticConfig()
 
     def __post_init__(self):
         if self.odds_source not in ("fitted", "oracle"):
             raise ValueError("odds_source must be 'fitted' or 'oracle'")
+
+    def _study_limits(self, scn, trial, odds, policy, alphas, rng) -> list[float | None]:
+        """Per-alpha reweighting-baseline quantiles of one study; draws nothing."""
+        return _ipsw_quantiles(trial, odds, policy, scn.design, scn.n, alphas, self.normalized)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -254,9 +265,8 @@ def sample_pool(
     return LabeledPool(np.vstack([target_x, train.x]), labels)
 
 
-def _exceed_counts(scn, method, alphas, blocks, per_run, seed, policy, run_indices) -> list[int]:
-    """Exceed counts per alpha, summed over the studies ``run_indices``;
-    ``blocks`` holds the ``(alphas, betas)`` blocks of a ``CertifiedMethod``."""
+def _exceed_counts(scn, method, alphas, per_run, seed, policy, run_indices) -> list[int]:
+    """Exceed counts per alpha, summed over the studies ``run_indices``."""
     exceed = [0] * len(alphas)
     for run_index in run_indices:
         rng = run_rng(seed, run_index)
@@ -267,17 +277,7 @@ def _exceed_counts(scn, method, alphas, blocks, per_run, seed, policy, run_indic
         else:
             pool = sample_pool(target_covs.x, scn.trial, scn.m_train, rng)
             odds = predict_odds(fit_logistic(pool, method.fit), trial.x)
-
-        if isinstance(method, CertifiedMethod):
-            split_seed = int(rng.integers(0, 2**63 - 1))
-            cal, ws, _ = certify(
-                trial, odds, policy, scn.design, method.split, method.split_frac, split_seed
-            )
-            limits = _limits(cal, ws, check_gamma(method.gamma), blocks)
-        else:
-            limits = _ipsw_quantiles(
-                trial, odds, policy, scn.design, scn.n, alphas, method.normalized
-            )
+        limits = method._study_limits(scn, trial, odds, policy, alphas, rng)
 
         fresh_covs, fresh_u = sample_target(scn.target, per_run, rng)
         fresh_actions = sample_actions(
@@ -452,15 +452,11 @@ def miscoverage_gap(
     if not isinstance(method, (CertifiedMethod, IpswMethod)):
         raise ValueError("method must be a CertifiedMethod or an IpswMethod")
 
-    blocks = None
-    if isinstance(method, CertifiedMethod):
-        blocks = list(_default_blocks(alphas, method.beta_points))
-
     # one run per queued item, or contiguous chunks of runs past the queue's size
     items = min(runs, _MAX_QUEUED)
     bounds = [runs * i // items for i in range(items + 1)]
     item_counts = _fork_map(
-        functools.partial(_exceed_counts, scn, method, alphas, blocks, per_run, seed, policy),
+        functools.partial(_exceed_counts, scn, method, alphas, per_run, seed, policy),
         [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])],
         _usable_cpus(),
     )

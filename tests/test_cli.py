@@ -236,6 +236,58 @@ class TestBenchmarkGamma:
             assert 1.0 <= g["0.9"] <= g["0.95"] <= g["1.0"]
 
 
+class TestLibraryDefaults:
+    """Every default a flag shows is the library's own, so a command with
+    default flags gives what the library call with default arguments gives."""
+
+    def test_flag_defaults_are_the_library_defaults(self):
+        from limitcurves.cli import build_parser
+        from limitcurves.conformal import BETA_POINTS
+        from limitcurves.propensity import LogisticConfig
+        from limitcurves.simlab import CertifiedMethod, IpswMethod, SimScenario
+
+        _, registry = build_parser()
+        fit = LogisticConfig()
+        for command in ("fit", "benchmark-gamma", "miscoverage"):
+            sub = registry[command]
+            assert sub.get_default("l2") == fit.l2 == 1e-4
+            assert sub.get_default("max_iter") == fit.max_iter
+            assert sub.get_default("tol") == fit.tol
+        for command in ("simulate", "miscoverage"):
+            sub = registry[command]
+            assert (sub.get_default("n"), sub.get_default("m"), sub.get_default("m_train")) == (
+                SimScenario.n, SimScenario.m, SimScenario.m_train
+            )
+        lab = registry["miscoverage"]
+        method = CertifiedMethod(gamma=1.0)
+        assert lab.get_default("split") == method.split
+        assert lab.get_default("frac") == method.split_frac
+        assert lab.get_default("odds") == method.odds_source == IpswMethod().odds_source
+        assert method.fit == IpswMethod().fit == fit
+        for command in ("evaluate", "miscoverage"):
+            assert registry[command].get_default("beta_points") == method.beta_points == BETA_POINTS
+
+    def test_default_flags_equal_library_calls(self, tmp_path, simulated):
+        from limitcurves.fileio import jsonable, read_pool_csv
+        from limitcurves.gamma_bench import benchmark_all
+        from limitcurves.propensity import fit_logistic
+
+        _, _, pool = simulated
+        assert run("fit", "--pool", pool, "--out", tmp_path / "model.json") == 0
+        assert run("benchmark-gamma", "--pool", pool, "--out", tmp_path / "g.json") == 0
+        pool_data = read_pool_csv(pool)
+        model = fit_logistic(pool_data)
+        saved = read_json(tmp_path / "model.json")
+        assert saved["coefficients"] == model.coefficients.tolist()
+        assert saved["intercept"] == model.intercept
+        expected = [
+            {"feature": r.feature, "rows_used": r.rows_used,
+             "suggested_gamma": r.suggested_gamma, "ratio_quantiles": r.ratio_quantiles}
+            for r in benchmark_all(pool_data)
+        ]
+        assert read_json(tmp_path / "g.json")["reports"] == json.loads(json.dumps(jsonable(expected)))
+
+
 class TestReliability:
     def test_bin_rows_and_counts(self, tmp_path, simulated):
         _, _, pool = simulated
