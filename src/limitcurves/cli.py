@@ -447,8 +447,10 @@ def _config_flags(sub: argparse.ArgumentParser, path: str) -> list[str]:
     return tokens
 
 
-# (command, flag, value, flags that this value leaves unused)
+# (command, flag, value, flags that this value leaves unused); the value
+# None stands for the flag being absent
 UNUSED_FLAGS = (
+    ("simulate", "pool_out", None, ("m_train",)),
     ("evaluate", "split", "matched", ("frac",)),
     ("miscoverage", "method", "ipsw", ("gamma", "split", "frac", "beta_points")),
     ("miscoverage", "method", "certified", ("normalized",)),
@@ -465,8 +467,9 @@ def _refuse_unused(ns: argparse.Namespace, sub: argparse.ArgumentParser) -> None
             continue
         for name in names:
             if getattr(ns, name) != sub.get_default(name):
-                flag = name.replace("_", "-")
-                raise ValueError(f"--{flag} is not used with --{key} {value}")
+                flag, other = (f"--{n.replace('_', '-')}" for n in (name, key))
+                where = f"without {other}" if value is None else f"with {other} {value}"
+                raise ValueError(f"{flag} is not used {where}")
 
 
 def main(argv=None) -> int:

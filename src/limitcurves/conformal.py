@@ -15,9 +15,9 @@ import numpy as np
 
 from . import backend
 from .data import MAX_GRID_POINTS, PolicySpec, SplitResult, TrialDataset, TrialDesign
-from .data import check_distinct, check_grid_points, check_l_max, check_open_unit
+from .data import check_distinct, check_gamma, check_grid_points, check_l_max, check_open_unit
 from .data import matched_split, random_split
-from .weights import check_gamma, shift_weights, trial_odds
+from .weights import shift_weights, trial_odds
 
 BETA_POINTS = 49  # default beta grid points per alpha
 

@@ -3,9 +3,9 @@
 The three covariate containers (``TrialDataset``, ``TargetCovariates``,
 ``LabeledPool``) check their rows through one rule, and the rules every
 module shares live here: ``check_open_unit`` for alphas, betas and split
-fractions, ``check_odds`` for selection odds, ``check_labels`` for pool
-labels, ``check_distinct``, ``check_l_max``, ``check_losses_below`` and
-``check_grid_points``.
+fractions, ``check_gamma`` for miscalibration factors, ``check_odds`` for
+selection odds, ``check_labels`` for pool labels, ``check_distinct``,
+``check_l_max``, ``check_losses_below`` and ``check_grid_points``.
 """
 
 from __future__ import annotations
@@ -230,6 +230,13 @@ class SplitResult:
     @property
     def d_double_prime(self) -> TrialDataset:
         return self.trial.subset(self.idx_double_prime)
+
+
+def check_gamma(gamma: float) -> float:
+    g = float(gamma)
+    if not math.isfinite(g) or g < 1.0:
+        raise ValueError("gamma must be a finite real >= 1 (1 = perfectly calibrated)")
+    return g
 
 
 def check_l_max(l_max) -> float:

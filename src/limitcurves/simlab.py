@@ -22,10 +22,10 @@ import numpy as np
 
 from .conformal import BETA_POINTS, _default_blocks, _limits, certify
 from .data import LabeledPool, PolicySpec, TargetCovariates, TrialDataset, TrialDesign
-from .data import check_distinct, check_grid_points, check_odds, check_open_unit, sample_actions
+from .data import check_distinct, check_gamma, check_grid_points, check_odds, check_open_unit
+from .data import sample_actions
 from .ipsw import _ipsw_quantiles
 from .propensity import LogisticConfig, fit_logistic, predict_odds
-from .weights import check_gamma
 
 LOSS_NOISE_SD = 1.0
 
@@ -380,8 +380,6 @@ def _fork_map(fn, items: list, workers: int) -> list:
     without a reply raises ``ChildProcessError``. If this process is
     interrupted, the children are killed and reaped first."""
     workers = min(workers, len(items))
-    if workers <= 1:
-        return [fn(item) for item in items]
     if len(items) > _MAX_QUEUED:
         raise ValueError(f"at most {_MAX_QUEUED} items can be queued")
     queue_fd, feed_fd = os.pipe()

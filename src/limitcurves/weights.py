@@ -3,18 +3,10 @@
 from __future__ import annotations
 
 import dataclasses
-import math
 
 import numpy as np
 
-from .data import PolicySpec, TrialDataset, TrialDesign, check_odds
-
-
-def check_gamma(gamma: float) -> float:
-    g = float(gamma)
-    if not math.isfinite(g) or g < 1.0:
-        raise ValueError("gamma must be a finite real >= 1 (1 = perfectly calibrated)")
-    return g
+from .data import PolicySpec, TrialDataset, TrialDesign, check_gamma, check_odds
 
 
 @dataclasses.dataclass(frozen=True)

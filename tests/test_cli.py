@@ -94,6 +94,20 @@ class TestSimulate:
             "--target-out", tmp_path / "t.csv", "--trial-out", tmp_path / "d.csv",
         ) == 1
 
+    def test_m_train_without_pool_out_refused(self, tmp_path, capsys):
+        argv = ("simulate", "--pop", "A", "--n", 10, "--m", 10,
+                "--target-out", tmp_path / "t.csv", "--trial-out", tmp_path / "d.csv")
+        line = "error: --m-train is not used without --pool-out\n"
+        assert run(*argv, "--m-train", 7) == 1
+        assert capsys.readouterr().err == line
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("m-train=7\n")
+        assert run(*argv, "--config", cfg) == 1
+        assert capsys.readouterr().err == line
+        assert not (tmp_path / "t.csv").exists() and not (tmp_path / "d.csv").exists()
+        assert run(*argv, "--m-train", 7, "--pool-out", tmp_path / "p.csv") == 0
+        assert len((tmp_path / "p.csv").read_text().splitlines()) == 1 + 10 + 7
+
 
 class TestFit:
     def test_noise_pool_gives_small_coefficients(self, tmp_path):

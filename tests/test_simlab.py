@@ -338,6 +338,20 @@ class TestForkedRuns:
         with pytest.raises(ValueError, match="at most 1024 items"):
             simlab._fork_map(abs, list(range(1025)), 2)
 
+    def test_one_worker_forks_nothing(self, monkeypatch):
+        # one worker drains the queue in this process: the report is the one
+        # two workers give, and os.fork is never called
+        method = CertifiedMethod(gamma=2.0)
+        forked = self.report(monkeypatch, 2, method, 3)
+
+        def no_fork():
+            raise AssertionError("forked with one worker")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert self.report(monkeypatch, 1, method, 3) == forked
+        with pytest.raises(ValueError, match="at most 1024 items"):
+            simlab._fork_map(abs, list(range(1025)), 1)
+
     @pytest.mark.parametrize("cpus", [1, 2, 3])
     def test_failing_runs_raise_and_leave_no_child(self, monkeypatch, cpus):
         # one trial row cannot be split in two matched halves
