@@ -98,18 +98,16 @@ def commands(kind: str, d: Path) -> list[tuple[str, list[str]]]:
 # ---------------------------------------------------------------------------
 # mutations
 
+# replacements for one number: non-finite, overflowing, hex and empty values,
+# Python's underscore form and a lone non-UTF-8 byte
 WORDS = (b"nan", b"inf", b"-inf", b"1e400", b"0x10", b"0x1p3", b"", b"1_0", b"\xc3")
 BAD_BYTES = (b"\0", b"\xff", b"\xc3", b"\x80", b'"', b"\r")
 NUMBER = re.compile(rb"-?\d+(?:\.\d+)?(?:e[-+]?\d+)?")
 
 
-def _lines(data: bytes) -> list[bytes]:
-    return data.split(b"\n")
-
-
 def mutate(data: bytes, op: str, i: int, j: int, word: bytes) -> bytes:
     """Apply one mutation; ``i`` and ``j`` pick a position, line or cell."""
-    lines = _lines(data)
+    lines = data.split(b"\n")
     row = i % len(lines)
     cells = lines[row].split(b",")
     cell = j % len(cells)
