@@ -21,21 +21,18 @@ def best_stop_index(prefix_low, denom_base, wbars, thresholds) -> np.ndarray:
     found; each row gets the minimum over its feasible levels, or -1 when none
     of them produces a crossing. A zero denominator counts as CDF value 0.
 
-    The arrays must be those ``conformal._scan_arrays`` builds: ``prefix_low``
-    nondecreasing, ``denom_base`` nonincreasing, both nonnegative. Every
-    level's computed ratio then never decreases in ``k``, and so neither does
-    "level ``j`` has crossed at ``k``". A lower-bound search over ``k`` with
-    steps of falling powers of two, run for all levels at once, finds each
-    level's first crossing in O(levels * log groups) time and O(levels)
-    memory, and the row minimum is exactly what a linear first-crossing scan
-    over the same arrays returns.
+    The arrays must be float64 ndarrays over at least one loss group (a
+    ``CalibrationSet`` is never empty), as ``conformal._scan_arrays`` builds
+    them: ``prefix_low`` nondecreasing, ``denom_base`` nonincreasing, both
+    nonnegative. Every level's computed ratio then never decreases in ``k``,
+    and so neither does "level ``j`` has crossed at ``k``". A lower-bound
+    search over ``k`` with steps of falling powers of two, run for all levels
+    at once, finds each level's first crossing in O(levels * log groups) time
+    and O(levels) memory, and the row minimum is exactly what a linear
+    first-crossing scan over the same arrays returns.
     """
-    prefix_low = np.asarray(prefix_low, dtype=np.float64)
-    denom_base = np.asarray(denom_base, dtype=np.float64)
-    wbars = np.asarray(wbars, dtype=np.float64)
-    thresholds = np.asarray(thresholds, dtype=np.float64)
     size = prefix_low.shape[0]
-    step = 1 << (size.bit_length() - 1) if size else 0
+    step = 1 << (size.bit_length() - 1)
     # pos[j] counts the leading groups where level j is known not to cross
     pos = np.zeros(wbars.shape, dtype=np.int64)
     probe = np.empty_like(pos)

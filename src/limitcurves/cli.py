@@ -109,7 +109,7 @@ def _write_payload(ns: argparse.Namespace, path, kind: str, body: dict) -> None:
     """Write ``body`` after the schema_version, kind and config (resolved flags) keys."""
     config = {k: v for k, v in vars(ns).items() if k not in ("func", "config")}
     payload = {"schema_version": fileio.SCHEMA_VERSION, "kind": kind, "config": config, **body}
-    fileio.write_json(path, fileio.jsonable(payload))
+    fileio.write_json(path, payload)
 
 
 def _fit_config(ns: argparse.Namespace) -> LogisticConfig:

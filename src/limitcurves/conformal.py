@@ -201,7 +201,7 @@ def quantile(cal: CalibrationSet, w_bound: float, alpha: float, beta: float) -> 
     if w_bound < 0:
         raise ValueError("weight bound must be nonnegative")
     scan = _scan_arrays(cal.losses, cal.lower, cal.upper, cal.group_ends)
-    return _stop_losses(scan, np.array([[w_bound]]), np.array([[(1.0 - alpha) / (1.0 - beta)]]))[0]
+    return _stop_losses(scan, np.array([[float(w_bound)]]), np.array([[(1.0 - alpha) / (1.0 - beta)]]))[0]
 
 
 def _limits(cal: CalibrationSet, ws: WeightBoundSet, gamma: float, blocks) -> list[float | None]:

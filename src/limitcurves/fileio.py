@@ -41,7 +41,7 @@ def atomic_write_text(path, text: str) -> None:
 
 
 def write_json(path, payload: dict) -> None:
-    """Refuses NaN and infinities, which are not JSON (``jsonable`` maps NaN to null)."""
+    """Refuses NaN and infinities, which are not JSON."""
     atomic_write_text(path, json.dumps(payload, indent=2, allow_nan=False) + "\n")
 
 
@@ -226,22 +226,6 @@ def write_reliability_csv(path, bins) -> None:
     header = ["bin_lower", "bin_upper", "mean_nominal", "observed", "n_target", "n_trial"]
     rows = ((b.lower, b.upper, b.mean_nominal, b.observed, b.n_target, b.n_trial) for b in bins)
     write_columns(path, header, zip(*rows))
-
-
-def jsonable(value):
-    """Recursively convert numpy scalars and NaN to JSON-safe values."""
-    if isinstance(value, dict):
-        return {str(k): jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [jsonable(v) for v in value]
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (int, np.integer)):
-        return int(value)
-    if isinstance(value, (float, np.floating)):
-        v = float(value)
-        return None if math.isnan(v) else v
-    return value
 
 
 def read_config_file(path) -> dict[str, str]:

@@ -66,8 +66,6 @@ def _ipsw_quantiles(trial, odds, policy, design, n_target, alphas, normalized) -
         raise ValueError("n_target must be at least 1")
     weights = shift_weights(trial, odds, policy, design)
     mass = float(weights.sum()) if normalized else n_target
-    if mass <= 0:
-        return [None] * len(alphas)
     cal = CalibrationSet.from_shift_weights(trial.losses, weights)
     # evaluate only at the last index of each tie group (right continuity)
     ends = cal.group_ends

@@ -282,7 +282,7 @@ class TestLibraryDefaults:
             assert registry[command].get_default("beta_points") == method.beta_points == BETA_POINTS
 
     def test_default_flags_equal_library_calls(self, tmp_path, simulated):
-        from limitcurves.fileio import jsonable, read_pool_csv
+        from limitcurves.fileio import read_pool_csv
         from limitcurves.gamma_bench import benchmark_all
         from limitcurves.propensity import fit_logistic
 
@@ -299,7 +299,7 @@ class TestLibraryDefaults:
              "suggested_gamma": r.suggested_gamma, "ratio_quantiles": r.ratio_quantiles}
             for r in benchmark_all(pool_data)
         ]
-        assert read_json(tmp_path / "g.json")["reports"] == json.loads(json.dumps(jsonable(expected)))
+        assert read_json(tmp_path / "g.json")["reports"] == json.loads(json.dumps(expected))
 
 
 class TestReliability:

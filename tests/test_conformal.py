@@ -122,6 +122,10 @@ class TestQuantile:
         cal = unit_cal(np.arange(1.0, 10.0))
         assert quantile(cal, 1.0, 0.01, 0.005) is None
 
+    def test_integer_weight_bound(self):
+        cal = unit_cal(np.arange(1.0, 10.0))
+        assert quantile(cal, 1, 0.2, 0.05) == 9.0
+
     def test_infinite_weight_bound(self):
         cal = unit_cal(np.arange(1.0, 10.0))
         assert quantile(cal, math.inf, 0.5, 0.25) is None
