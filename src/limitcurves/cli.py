@@ -482,9 +482,15 @@ def main(argv=None) -> int:
                 argv[1:1] = _config_flags(registry[argv[0]], path)
         ns = parser.parse_args(argv)
         _refuse_unused(ns, registry[ns.command])
-        return ns.func(ns)
+        # finite inputs near the float64 limit must not overflow into a wrong
+        # output; forked miscoverage workers inherit this setting
+        with np.errstate(over="raise"):
+            return ns.func(ns)
     except SystemExit as exc:
         return int(exc.code or 0)
+    except FloatingPointError as exc:
+        print(f"error: input values too large: {exc}", file=sys.stderr)
+        return 1
     except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

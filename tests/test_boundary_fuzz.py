@@ -98,9 +98,11 @@ def commands(kind: str, d: Path) -> list[tuple[str, list[str]]]:
 # ---------------------------------------------------------------------------
 # mutations
 
-# replacements for one number: non-finite, overflowing, hex and empty values,
-# Python's underscore form and a lone non-UTF-8 byte
-WORDS = (b"nan", b"inf", b"-inf", b"1e400", b"0x10", b"0x1p3", b"", b"1_0", b"\xc3")
+# replacements for one number: non-finite, overflowing, finite but so large
+# that arithmetic on them overflows, hex and empty values, Python's underscore
+# form and a lone non-UTF-8 byte
+WORDS = (b"nan", b"inf", b"-inf", b"1e400", b"1e308", b"-1e308", b"0x10", b"0x1p3", b"", b"1_0",
+         b"\xc3")
 BAD_BYTES = (b"\0", b"\xff", b"\xc3", b"\x80", b'"', b"\r")
 NUMBER = re.compile(rb"-?\d+(?:\.\d+)?(?:e[-+]?\d+)?")
 

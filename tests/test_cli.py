@@ -1196,3 +1196,98 @@ class TestTablePolicy:
             "--l-max", 100.0,
             "--out-json", tmp_path / "t.json", "--out-csv", tmp_path / "t.csv",
         ) == 1
+
+
+class TestOverflow:
+    """A finite input so large that an intermediate overflows ends in one
+    error line and exit 1, with no output file."""
+
+    @pytest.fixture
+    def big_inputs(self, tmp_path, simulated):
+        """A pool with one covariate at 1e308, and a score file with odds
+        1e308 on one treated trial row."""
+        _, trial, pool = simulated
+        lines = pool.read_text().splitlines()
+        lines[1] = "1e308," + lines[1].split(",", 1)[1]
+        big_pool = tmp_path / "p_big.csv"
+        big_pool.write_text("\n".join(lines) + "\n")
+        actions = [row.split(",")[-2] for row in trial.read_text().splitlines()[1:]]
+        treated = actions.index("1")
+        scores = tmp_path / "s_big.csv"
+        scores.write_text("id,odds\n" + "".join(
+            f"{i},{'1e308' if i == treated else '1.5'}\n" for i in range(len(actions))
+        ))
+        return big_pool, scores
+
+    # the default warning filters, as outside pytest
+    @pytest.mark.filterwarnings("default")
+    @pytest.mark.parametrize("command", ["benchmark-gamma", "fit", "ipsw", "evaluate", "miscoverage"])
+    def test_overflow_is_one_error_line(
+        self, tmp_path, simulated, big_inputs, monkeypatch, capsys, command
+    ):
+        # miscoverage runs its studies in this process and a forked worker
+        monkeypatch.setattr("limitcurves.simlab._usable_cpus", lambda: 2)
+        target, trial, _ = simulated
+        big_pool, scores = big_inputs
+        out = tmp_path / "out.json"
+        study = ["--trial", trial, "--scores", scores, "--policy", "constant:1"]
+        argv = {
+            "benchmark-gamma": ["--pool", big_pool],
+            "fit": ["--pool", big_pool],
+            "ipsw": [*study, "--target", target],
+            "evaluate": [*study, "--split", "matched", "--gammas", "1,2", "--l-max", 1000.0,
+                         "--out-csv", tmp_path / "out.csv"],
+            "miscoverage": ["--pop", "B", "--n", 200, "--m", 100, "--method", "certified",
+                            "--gamma", 1.7e308, "--policy", "uniform", "--runs", 4, "--per-run", 20],
+        }[command]
+        out_flag = "--out-json" if command == "evaluate" else "--out"
+        capsys.readouterr()
+        assert run(command, *argv, out_flag, out) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1, err
+        assert err[0].startswith("error: input values too large: overflow encountered in ")
+        assert list(tmp_path.glob("out.*")) == []
+
+
+class TestPayloadValues:
+    """Every payload reaches ``write_json`` as plain Python values, so no
+    conversion pass is needed before ``json`` writes it."""
+
+    PLAIN = (str, int, float, bool, type(None))
+
+    def leaves(self, value):
+        if isinstance(value, dict):
+            assert all(type(k) in self.PLAIN for k in value), value
+            for v in value.values():
+                yield from self.leaves(v)
+        elif isinstance(value, list):
+            for v in value:
+                yield from self.leaves(v)
+        else:
+            yield value
+
+    def test_payload_leaves_are_plain(self, tmp_path, simulated, model, monkeypatch):
+        from limitcurves import fileio
+
+        target, trial, pool = simulated
+        payloads = []
+        write_json = fileio.write_json
+        monkeypatch.setattr(
+            fileio, "write_json", lambda path, p: (payloads.append(p), write_json(path, p))
+        )
+        study = ["--trial", trial, "--model", model, "--policy", "uniform"]
+        runs = [
+            ["evaluate", *study, "--gammas", "1,2", "--l-max", 1000.0,
+             "--out-json", tmp_path / "e.json", "--out-csv", tmp_path / "e.csv"],
+            ["ipsw", *study, "--target", target, "--normalized", "--out", tmp_path / "i.json"],
+            ["miscoverage", "--pop", "B", "--n", 80, "--m", 50, "--m-train", 50,
+             "--method", "certified", "--runs", 2, "--per-run", 20, "--out", tmp_path / "m.json"],
+            ["benchmark-gamma", "--pool", pool, "--out", tmp_path / "g.json"],
+        ]
+        for argv in runs:
+            assert run(*argv) == 0
+        kinds = ["limit-curves", "ipsw-baseline", "miscoverage", "gamma-benchmark"]
+        assert [p["kind"] for p in payloads] == kinds
+        for payload in payloads:
+            bad = [v for v in self.leaves(payload) if type(v) not in self.PLAIN]
+            assert bad == [], (payload["kind"], bad)
