@@ -19,7 +19,8 @@ def best_stop_index(prefix_low, denom_base, wbars, thresholds) -> np.ndarray:
     level) the first group index with
     ``prefix_low[k] / (denom_base[k] + wbars[r, j]) >= thresholds[r, j]`` is
     found; each row gets the minimum over its feasible levels, or -1 when none
-    of them produces a crossing. A zero denominator counts as CDF value 0.
+    of them produces a crossing. ``x / 0 = inf`` crosses, ``0 / 0`` never
+    does, and a threshold ``<= 0`` crosses at the first group.
 
     The arrays must be float64 ndarrays over at least one loss group (a
     ``CalibrationSet`` is never empty), as ``conformal._scan_arrays`` builds
@@ -39,7 +40,7 @@ def best_stop_index(prefix_low, denom_base, wbars, thresholds) -> np.ndarray:
     den = np.empty_like(wbars)
     ratio = np.empty_like(wbars)
     crossed = np.empty(wbars.shape, dtype=bool)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         while step:
             np.add(pos, step - 1, out=probe)
             # a probe past the end reads the last group, which extends every
@@ -52,8 +53,8 @@ def best_stop_index(prefix_low, denom_base, wbars, thresholds) -> np.ndarray:
             np.greater_equal(ratio, thresholds, out=crossed)
             np.add(pos, step, out=pos, where=~crossed)
             step >>= 1
-    # a zero denominator counts as ratio 0, so a level with threshold <= 0
-    # crosses at the first group, and an infeasible level never crosses
+    # a level with threshold <= 0 crosses at the first group, even where the
+    # ratio there is NaN, and an infeasible level never crosses
     pos[thresholds <= 0.0] = 0
     pos[~np.isfinite(wbars)] = size
     first = pos.min(axis=-1)

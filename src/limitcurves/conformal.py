@@ -166,27 +166,19 @@ def stand_in_cdf(cal: CalibrationSet, w: float, ell: float) -> float:
 
 def _scan_arrays(losses_sorted, lower, upper, group_ends):
     """Per loss group: its loss, the lower-weight mass at or below it
-    (``prefix``), and that mass plus the upper-weight mass above it
-    (``denom_base``).
+    (``prefix``), and the upper-weight mass strictly above it (``suffix``).
 
-    ``prefix`` is a cumulative sum of nonnegative weights, so it never
-    decreases. In exact arithmetic ``denom_base`` never increases, because
-    lower <= upper; the running minimum makes that hold in floating point as
-    well, where the sum can rise by an ulp. ``backend.best_stop_index``
-    relies on both orders. Sums of small dyadic weights are exact, and there
-    the minimum changes nothing.
-
-    ``_limits`` builds these arrays once per gamma, and every block of rows
-    it hands the kernel reads the same three.
+    With out-of-sample weight ``w`` the stand-in CDF there is
+    ``prefix / (prefix + suffix + w)``, so it reaches a level ``t < 1``
+    exactly when ``prefix / (suffix + w) >= t / (1 - t)``. ``gamma`` divides
+    the lower weights and multiplies the upper ones and ``w``, which only
+    scales ``t / (1 - t)`` by ``gamma**2``: one scan serves every gamma.
+    Both arrays are cumulative sums of nonnegative weights, so ``prefix``
+    never decreases and ``suffix`` never increases, in floating point too.
     """
-    prefix_all = np.cumsum(lower)
-    rev = np.cumsum(upper[::-1])[::-1]
-    suffix_after = np.empty_like(rev)
-    suffix_after[:-1] = rev[1:]
-    suffix_after[-1] = 0.0
-    prefix = prefix_all[group_ends]
-    denom_base = np.minimum.accumulate(prefix + suffix_after[group_ends])
-    return losses_sorted[group_ends], prefix, denom_base
+    above = np.cumsum(upper[::-1])[::-1]
+    suffix = np.append(above[1:], 0.0)
+    return losses_sorted[group_ends], np.cumsum(lower)[group_ends], suffix[group_ends]
 
 
 def quantile(cal: CalibrationSet, w_bound: float, alpha: float, beta: float) -> float | None:
@@ -201,20 +193,26 @@ def quantile(cal: CalibrationSet, w_bound: float, alpha: float, beta: float) -> 
     if w_bound < 0:
         raise ValueError("weight bound must be nonnegative")
     scan = _scan_arrays(cal.losses, cal.lower, cal.upper, cal.group_ends)
-    return _stop_losses(scan, np.array([[float(w_bound)]]), np.array([[(1.0 - alpha) / (1.0 - beta)]]))[0]
+    t = (1.0 - alpha) / (1.0 - beta)
+    return _stop_losses(scan, np.array([[float(w_bound)]]), np.array([[t / (1.0 - t)]]))[0]
 
 
-def _limits(cal: CalibrationSet, ws: WeightBoundSet, gamma: float, blocks) -> list[float | None]:
-    """The ``limit`` of every row of every ``(alphas, betas)`` block at a
-    checked ``gamma``, from one set of gamma-scaled sums: ``alphas`` is a
-    ``(rows, 1)`` column and ``betas`` a ``(rows, levels)`` grid. Each block
-    is one kernel call."""
-    scan = _scan_arrays(cal.losses, cal.lower / gamma, cal.upper * gamma, cal.group_ends)
-    sorted_bound = ws.upper * gamma
-    out: list[float | None] = []
+def _limits(cal: CalibrationSet, ws: WeightBoundSet, gammas, blocks) -> list[list[float | None]]:
+    """The ``limit`` of every row of every ``(alphas, betas)`` block, one list
+    per checked gamma: ``alphas`` is a ``(rows, 1)`` column and ``betas`` a
+    ``(rows, levels)`` grid. One scan serves every gamma, which scales only
+    the level (see ``_scan_arrays``); each block is one kernel call per
+    gamma."""
+    scan = _scan_arrays(cal.losses, cal.lower, cal.upper, cal.group_ends)
+    # a numpy square obeys the caller's errstate, so it cannot overflow silently
+    squares = [np.float64(g) ** 2 for g in gammas]
+    out: list[list[float | None]] = [[] for _ in squares]
     for alphas, betas in blocks:
-        wbars = _weight_bound_values(sorted_bound, betas)
-        out += _stop_losses(scan, wbars, (1.0 - alphas) / (1.0 - betas))
+        wbars = _weight_bound_values(ws.upper, betas)
+        t = (1.0 - alphas) / (1.0 - betas)
+        odds = t / (1.0 - t)
+        for limits, g2 in zip(out, squares):
+            limits += _stop_losses(scan, wbars, g2 * odds)
     return out
 
 
@@ -236,10 +234,10 @@ def _default_blocks(alphas, points: int):
 def _stop_losses(scan, wbars, thresholds) -> list[float | None]:
     """Per row of the ``(rows, levels)`` arrays ``wbars`` and ``thresholds``,
     the smallest loss of ``scan`` (``_scan_arrays``' loss ends, prefix and
-    denominator) where the stand-in CDF with weight ``wbars[r, j]`` reaches
+    suffix) where ``prefix / (suffix + wbars[r, j])`` reaches
     ``thresholds[r, j]`` for some j, or None."""
-    loss_ends, prefix, denom_base = scan
-    idx = backend.best_stop_index(prefix, denom_base, wbars, thresholds)
+    loss_ends, prefix, suffix = scan
+    idx = backend.best_stop_index(prefix, suffix, wbars, thresholds)
     return [None if i < 0 else float(loss_ends[i]) for i in idx.tolist()]
 
 
@@ -263,7 +261,7 @@ def limit(
         raise ValueError("beta grid must be a nonempty vector")
     if np.any(betas <= 0) or np.any(betas >= alpha):
         raise ValueError("beta grid must lie strictly inside (0, alpha)")
-    return _limits(cal, ws, g, [(np.array([[alpha]]), betas[None, :])])[0]
+    return _limits(cal, ws, [g], [(np.array([[alpha]]), betas[None, :])])[0][0]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -336,10 +334,10 @@ def limit_curve(
 
     points: list[LimitPoint] = []
     informativeness: dict[float, float] = {}
-    for g in gamma_list:
+    blocks = _default_blocks(alpha_list, beta_points)
+    for g, limits in zip(gamma_list, _limits(cal, ws, gamma_list, blocks)):
         finite_alphas = []
-        blocks = _default_blocks(alpha_list, beta_points)
-        for a, value in zip(alpha_list, _limits(cal, ws, g, blocks)):
+        for a, value in zip(alpha_list, limits):
             if value is None:
                 points.append(LimitPoint(g, a, l_max, True))
             else:

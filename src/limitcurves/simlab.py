@@ -208,7 +208,7 @@ class CertifiedMethod:
         from ``rng``."""
         split_seed = int(rng.integers(0, 2**63 - 1))
         cal, ws, _ = certify(trial, odds, policy, scn.design, self.split, self.split_frac, split_seed)
-        return _limits(cal, ws, float(self.gamma), _default_blocks(alphas, self.beta_points))
+        return _limits(cal, ws, [self.gamma], _default_blocks(alphas, self.beta_points))[0]
 
 
 @dataclasses.dataclass(frozen=True)

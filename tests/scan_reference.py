@@ -16,16 +16,19 @@ def best_stop_index(prefix_low, denom_base, wbars, thresholds) -> int:
     level) the first group index with
     ``prefix_low[k] / (denom_base[k] + wbars[j]) >= thresholds[j]`` is found;
     the minimum over all feasible levels is returned, or -1 when no level
-    produces a crossing. A zero denominator counts as CDF value 0.
+    produces a crossing. The ratio is plain IEEE division, so ``x / 0 = inf``
+    crosses and ``0 / 0`` never does; a threshold ``<= 0`` crosses at the
+    first group.
     """
     finite = np.isfinite(wbars)
     if not np.any(finite):
         return -1
     den = denom_base[np.newaxis, :] + wbars[finite, np.newaxis]
     num = np.broadcast_to(prefix_low, den.shape)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(den > 0.0, num / den, 0.0)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        ratio = num / den
     hit = ratio >= thresholds[finite, np.newaxis]
+    hit[thresholds[finite] <= 0.0, 0] = True
     rows = hit.any(axis=1)
     if not rows.any():
         return -1

@@ -1205,17 +1205,17 @@ class TestOverflow:
     @pytest.fixture
     def big_inputs(self, tmp_path, simulated):
         """A pool with one covariate at 1e308, and a score file with odds
-        1e308 on one treated trial row."""
+        1e308 on two treated trial rows, whose sum overflows."""
         _, trial, pool = simulated
         lines = pool.read_text().splitlines()
         lines[1] = "1e308," + lines[1].split(",", 1)[1]
         big_pool = tmp_path / "p_big.csv"
         big_pool.write_text("\n".join(lines) + "\n")
         actions = [row.split(",")[-2] for row in trial.read_text().splitlines()[1:]]
-        treated = actions.index("1")
+        treated = [i for i, a in enumerate(actions) if a == "1"][:2]
         scores = tmp_path / "s_big.csv"
         scores.write_text("id,odds\n" + "".join(
-            f"{i},{'1e308' if i == treated else '1.5'}\n" for i in range(len(actions))
+            f"{i},{'1e308' if i in treated else '1.5'}\n" for i in range(len(actions))
         ))
         return big_pool, scores
 
@@ -1243,6 +1243,19 @@ class TestOverflow:
         out_flag = "--out-json" if command == "evaluate" else "--out"
         capsys.readouterr()
         assert run(command, *argv, out_flag, out) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1, err
+        assert err[0].startswith("error: input values too large: overflow encountered in ")
+        assert list(tmp_path.glob("out.*")) == []
+
+    @pytest.mark.filterwarnings("default")
+    def test_gamma_whose_square_overflows(self, tmp_path, simulated, model, capsys):
+        _, trial, _ = simulated
+        assert run(
+            "evaluate", "--trial", trial, "--model", model, "--policy", "constant:1",
+            "--gammas", "1,1e200", "--l-max", 100.0,
+            "--out-json", tmp_path / "out.json", "--out-csv", tmp_path / "out.csv",
+        ) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1, err
         assert err[0].startswith("error: input values too large: overflow encountered in ")

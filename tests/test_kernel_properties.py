@@ -3,8 +3,10 @@
 The kernel's binary search must return, for every row of a block, what the
 dense first-crossing scan in ``scan_reference`` returns, on every array
 ``conformal._scan_arrays`` can build, and splitting the alphas into blocks
-under the level cap must not change a limit. The limits must keep the
-construction's orders and its invariance to the scale of the weights.
+under the level cap must not change a limit. The one unscaled scan must give
+the limits of the gamma-rescaled weights, built once per curve or study. The
+limits must keep the construction's orders and their invariance to the scale
+of the weights.
 """
 
 import math
@@ -17,7 +19,7 @@ from scan_reference import best_stop_index as dense_best_stop_index
 from scan_reference import best_stop_indices as dense_best_stop_indices
 
 import limitcurves as lc
-from limitcurves import backend, conformal
+from limitcurves import backend, conformal, simlab
 from limitcurves.conformal import _scan_arrays
 
 SETTINGS = settings(max_examples=100, deadline=None, database=None)
@@ -41,10 +43,10 @@ def calibration(draw, max_weight=1e300, max_size=40):
     return lc.CalibrationSet(np.array(losses, dtype=np.float64), lower, upper)
 
 
-def level_rows(data, prefix, denom_base):
+def level_rows(data, prefix, suffix):
     """A block of 1-4 rows of 1-12 levels each, laid out as the kernel takes
     them, some rows wholly infeasible, with some thresholds exactly on a
-    ratio the kernel will compute."""
+    ratio the kernel will compute (which may be inf or NaN)."""
     rows, levels = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 12))
     wbars, thresholds = [], []
     for _ in range(rows):
@@ -58,21 +60,21 @@ def level_rows(data, prefix, denom_base):
         r, c = divmod(j, levels)
         if math.isfinite(wbars[r, c]):
             k = data.draw(st.integers(0, prefix.shape[0] - 1))
-            den = denom_base[k] + wbars[r, c]
-            thresholds[r, c] = prefix[k] / den if den > 0 else 0.0
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                thresholds[r, c] = prefix[k] / (suffix[k] + wbars[r, c])
     return wbars, thresholds
 
 
 @given(cal=calibration(), data=st.data())
 @SETTINGS
 def test_kernel_matches_dense_scan(cal, data):
-    _, prefix, denom_base = _scan_arrays(cal.losses, cal.lower, cal.upper, cal.group_ends)
+    _, prefix, suffix = _scan_arrays(cal.losses, cal.lower, cal.upper, cal.group_ends)
     # the orders the binary search relies on
     assert np.all(np.diff(prefix) >= 0.0)
-    assert np.all(np.diff(denom_base) <= 0.0)
-    wbars, thresholds = level_rows(data, prefix, denom_base)
-    got = backend.best_stop_index(prefix, denom_base, wbars, thresholds)
-    assert got.tolist() == dense_best_stop_indices(prefix, denom_base, wbars, thresholds)
+    assert np.all(np.diff(suffix) <= 0.0)
+    wbars, thresholds = level_rows(data, prefix, suffix)
+    got = backend.best_stop_index(prefix, suffix, wbars, thresholds)
+    assert got.tolist() == dense_best_stop_indices(prefix, suffix, wbars, thresholds)
 
 
 def test_kernel_zero_denominators():
@@ -124,20 +126,72 @@ def test_level_cap_splits_batches_without_changing_limits(cal, ws, percents, poi
     with mock.patch.object(conformal, "LEVEL_CAP", cap), mock.patch.object(
         backend, "best_stop_index", counted
     ):
-        got = conformal._limits(cal, ws, gamma, conformal._default_blocks(alphas, points))
+        (got,) = conformal._limits(cal, ws, [gamma], conformal._default_blocks(alphas, points))
     # each call holds at most the cap, unless one beta grid alone exceeds it
     assert all(rows * levels <= max(cap, points) for rows, levels in calls)
     assert all(levels == points for _, levels in calls)
     assert sum(rows for rows, _ in calls) == len(alphas)
-    _, prefix, denom_base = _scan_arrays(
-        cal.losses, cal.lower / gamma, cal.upper * gamma, cal.group_ends
-    )
-    loss_ends = cal.losses[cal.group_ends]
+    loss_ends, prefix, suffix = _scan_arrays(cal.losses, cal.lower, cal.upper, cal.group_ends)
     for alpha, value in zip(alphas, got):
         betas = lc.default_beta_grid(alpha, points)
-        wbars = conformal._weight_bound_values(ws.upper * gamma, betas)
-        k = dense_best_stop_index(prefix, denom_base, wbars, (1.0 - alpha) / (1.0 - betas))
+        wbars = conformal._weight_bound_values(ws.upper, betas)
+        t = (1.0 - alpha) / (1.0 - betas)
+        k = dense_best_stop_index(prefix, suffix, wbars, gamma**2 * (t / (1.0 - t)))
         assert value == (None if k < 0 else loss_ends[k])
+
+
+def dyadic(low=0, high=64):
+    """Multiples of 1/64 up to 1: every sum of a few of them is exact."""
+    return st.integers(low, high).map(lambda k: k / 64)
+
+
+@st.composite
+def dyadic_calibration(draw, max_size=40):
+    size = draw(st.integers(1, max_size))
+    losses = draw(st.lists(st.integers(0, 6), min_size=size, max_size=size))
+    lower = draw(st.lists(dyadic(), min_size=size, max_size=size))
+    upper = [draw(dyadic(low=round(lo * 64))) for lo in lower]
+    return lc.CalibrationSet(np.array(losses, dtype=np.float64), lower, upper)
+
+
+@given(
+    cal=dyadic_calibration(),
+    # at least 3 small bounds, so most draws give a finite limit at gamma 4 too
+    ws=st.lists(dyadic(high=16), min_size=3, max_size=30).map(lc.WeightBoundSet),
+    # t = (1 - alpha) / (1 - beta) is 0.5 or 0.75, so t / (1 - t) is exact too
+    alpha=st.sampled_from((0.625, 0.4375)),
+    gamma=st.sampled_from((1.0, 2.0, 4.0)),
+)
+@SETTINGS
+def test_one_scan_equals_rescaled_scan(cal, ws, alpha, gamma):
+    """The stand-in CDF of the weights rescaled by gamma (lower / gamma,
+    upper * gamma, w * gamma), evaluated at every observed loss, crosses
+    where the one unscaled scan does against gamma**2 * t / (1 - t)."""
+    beta = 0.25
+    t = (1.0 - alpha) / (1.0 - beta)
+    scaled = lc.CalibrationSet(cal.losses, cal.lower / gamma, cal.upper * gamma)
+    w = lc.weight_bound(ws, beta) * gamma
+    hits = [ell for ell in np.unique(cal.losses) if lc.stand_in_cdf(scaled, w, ell) >= t]
+    assert lc.limit(cal, ws, alpha, gamma, [beta]) == (min(hits) if hits else None)
+
+
+def test_one_scan_per_curve_and_per_study(monkeypatch):
+    scans = []
+
+    def counted(*args):
+        scans.append(args)
+        return _scan_arrays(*args)
+
+    monkeypatch.setattr(conformal, "_scan_arrays", counted)
+    monkeypatch.setattr(conformal, "LEVEL_CAP", 8)
+    cal = lc.CalibrationSet(np.arange(6.0), np.ones(6), np.full(6, 2.0))
+    curve = lc.limit_curve(cal, lc.WeightBoundSet(np.ones(9)), None, (1.0, 1.5, 2.0), 10.0, 3)
+    assert len(curve.points) == 3 * 99 and len(scans) == 1
+    # each study of the miscoverage harness scans once, at its one gamma
+    monkeypatch.setattr(simlab, "_usable_cpus", lambda: 1)
+    scn = simlab.scenario("B", n=100, m=60, m_train=60)
+    simlab.miscoverage_gap(scn, simlab.CertifiedMethod(gamma=2.0), [0.1, 0.2], runs=3, per_run=20)
+    assert len(scans) == 1 + 3
 
 
 @given(
