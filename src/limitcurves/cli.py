@@ -24,7 +24,7 @@ from .data import (
     validate_dataset,
 )
 from .gamma_bench import benchmark_all
-from .ipsw import _ipsw_quantiles, ipsw_value
+from .ipsw import _ipsw_quantiles
 from .propensity import (
     LogisticConfig,
     fit_logistic,
@@ -35,6 +35,7 @@ from .propensity import (
     save_model,
 )
 from .simlab import CertifiedMethod, IpswMethod, SimScenario, miscoverage_gap, scenario
+from .weights import shift_weights
 
 
 def parse_floats(text: str) -> list[float]:
@@ -278,11 +279,13 @@ def _cmd_ipsw(ns) -> int:
     design, trial, policy, odds = _read_study(ns)
     target = fileio.read_target_csv(ns.target)
     validate_dataset(trial, target)
-    limits = _ipsw_quantiles(trial, odds, policy, design, target.n, alphas, ns.normalized)
+    weights = shift_weights(trial, odds, policy, design)
+    limits = _ipsw_quantiles(trial.losses, weights, target.n, alphas, ns.normalized)
     body = {
         "n": target.n,
         "m": trial.m,
-        "value": ipsw_value(trial, odds, policy, design, target.n),
+        # ipsw_value's formula, on the weights the quantiles used
+        "value": float(np.sum(weights * trial.losses) / target.n),
         "quantiles": [{"alpha": a, "limit": q, "trivial": q is None} for a, q in zip(alphas, limits)],
     }
     _write_payload(ns, ns.out, "ipsw-baseline", body)
@@ -492,7 +495,8 @@ def main(argv=None) -> int:
         print(f"error: input values too large: {exc}", file=sys.stderr)
         return 1
     except (ValueError, OSError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # a MemoryError raised bare has no text of its own
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

@@ -55,18 +55,18 @@ def ipsw_quantile(
     rescales the weights to total mass 1 before the scan.
     """
     check_open_unit(alpha, "alpha")
-    return _ipsw_quantiles(trial, odds, policy, design, n_target, [alpha], normalized)[0]
+    weights = shift_weights(trial, odds, policy, design)
+    return _ipsw_quantiles(trial.losses, weights, n_target, [alpha], normalized)[0]
 
 
-def _ipsw_quantiles(trial, odds, policy, design, n_target, alphas, normalized) -> list[float | None]:
-    """``ipsw_quantile`` at each of the checked ``alphas``, with the weights
-    computed and sorted once: the kernel scans the reweighted CDF as a
-    stand-in CDF with zero out-of-sample weight and a constant denominator."""
+def _ipsw_quantiles(losses, weights, n_target, alphas, normalized) -> list[float | None]:
+    """``ipsw_quantile`` at each of the checked ``alphas`` from the trial losses
+    and their ``shift_weights``: the kernel scans the reweighted CDF as a
+    stand-in CDF with zero out-of-sample weight and a constant suffix."""
     if n_target < 1:
         raise ValueError("n_target must be at least 1")
-    weights = shift_weights(trial, odds, policy, design)
     mass = float(weights.sum()) if normalized else n_target
-    cal = CalibrationSet.from_shift_weights(trial.losses, weights)
+    cal = CalibrationSet.from_shift_weights(losses, weights)
     # evaluate only at the last index of each tie group (right continuity)
     ends = cal.group_ends
     scan = (cal.losses[ends], np.cumsum(cal.lower)[ends], np.full(ends.shape, float(mass)))

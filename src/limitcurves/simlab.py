@@ -26,6 +26,7 @@ from .data import check_distinct, check_gamma, check_grid_points, check_odds, ch
 from .data import sample_actions
 from .ipsw import _ipsw_quantiles
 from .propensity import LogisticConfig, fit_logistic, predict_odds
+from .weights import shift_weights
 
 LOSS_NOISE_SD = 1.0
 
@@ -225,7 +226,8 @@ class IpswMethod:
 
     def _study_limits(self, scn, trial, odds, policy, alphas, rng) -> list[float | None]:
         """Per-alpha reweighting-baseline quantiles of one study; draws nothing."""
-        return _ipsw_quantiles(trial, odds, policy, scn.design, scn.n, alphas, self.normalized)
+        weights = shift_weights(trial, odds, policy, scn.design)
+        return _ipsw_quantiles(trial.losses, weights, scn.n, alphas, self.normalized)
 
 
 @dataclasses.dataclass(frozen=True)

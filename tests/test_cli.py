@@ -350,6 +350,25 @@ class TestIpsw:
         assert capsys.readouterr().err == "error: covariate dimensions differ: trial d=2, target d=3\n"
         assert not (tmp_path / "i.json").exists()
 
+    def test_weights_computed_once(self, tmp_path, simulated, model, monkeypatch):
+        """The quantiles and the value share one ``shift_weights`` call."""
+        from limitcurves.weights import shift_weights
+
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return shift_weights(*args)
+
+        for module in ("weights", "conformal", "ipsw", "simlab", "cli"):
+            monkeypatch.setattr(f"limitcurves.{module}.shift_weights", counted)
+        target, trial, _ = simulated
+        assert run(
+            "ipsw", "--trial", trial, "--target", target, "--model", model,
+            "--policy", "uniform", "--alphas", "0.1,0.5", "--out", tmp_path / "i.json",
+        ) == 0
+        assert len(calls) == 1
+
 
 class TestMiscoverage:
     def test_trivial_gamma_gap_equals_alpha(self, tmp_path):
@@ -721,6 +740,16 @@ class TestExitCodes:
 
     def test_usage_error(self):
         assert run("simulate") == 2
+
+    def test_bare_memory_error(self, tmp_path, monkeypatch, capsys):
+        def exhausted(path):
+            raise MemoryError()
+
+        monkeypatch.setattr("limitcurves.fileio.read_pool_csv", exhausted)
+        capsys.readouterr()
+        assert run("fit", "--pool", tmp_path / "p.csv", "--out", tmp_path / "m.json") == 1
+        assert capsys.readouterr() == ("", "error: out of memory\n")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestBadInputs:
