@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from . import fileio, simlab
-from .conformal import BETA_POINTS, certify, check_curve_args, limit_curve
+from .conformal import certify, check_curve_args, limit_curve
 from .data import (
     MAX_GRID_POINTS,
     PolicySpec,
@@ -117,9 +117,6 @@ def _fit_config(ns: argparse.Namespace) -> LogisticConfig:
     return LogisticConfig(l2=ns.l2, max_iter=ns.max_iter, tol=ns.tol)
 
 
-BETA_POINTS_HELP = f"beta grid points per alpha, at most {MAX_GRID_POINTS}"
-
-
 def _add_fit_flags(sub) -> None:
     sub.add_argument("--l2", type=float, default=LogisticConfig.l2, help="L2 penalty on coefficients")
     sub.add_argument("--max-iter", type=int, default=LogisticConfig.max_iter)
@@ -142,29 +139,30 @@ def _add_study_flags(sub, reads_target: bool) -> None:
         sub.add_argument("--target", required=True)
     else:
         sub.add_argument("--target", help=f"accepted for old command lines; {TARGET_UNREAD}")
-    _add_odds_source(sub)
+    # the certified limits, which read no target, are ratios of weight sums,
+    # so a common odds factor such as --prior-correction cancels in them too
+    _add_odds_source(sub, prior_correction=reads_target)
     sub.add_argument("--policy", required=True, help=POLICY_FORMS)
     sub.add_argument("--design", default="uniform:2", help=DESIGN_FORMS)
 
 
-def _add_odds_source(sub) -> None:
+def _add_odds_source(sub, prior_correction: bool = True) -> None:
     group = sub.add_mutually_exclusive_group(required=True)
     group.add_argument("--model", help="logistic odds model JSON")
     group.add_argument("--scores", help="external score CSV (id,p_s1 or id,odds)")
-    sub.add_argument(
-        "--prior-correction",
-        type=float,
-        default=1.0,
-        help="multiplier applied to external odds (for class-balanced scores)",
-    )
+    if prior_correction:
+        help_text = "multiplier applied to external odds (for class-balanced scores)"
+        sub.add_argument("--prior-correction", type=float, default=1.0, help=help_text)
 
 
 def _resolve_odds(ns, x_rows: np.ndarray, rows: str) -> np.ndarray:
     """Odds per row of ``x_rows`` (the ``rows`` file's covariates) from
     ``--model``, or from the ``--scores`` file, which must have one score per
-    row. ``--prior-correction`` applies to scores only."""
+    row. ``--prior-correction``, where the command takes it, applies to
+    scores only."""
+    prior_correction = getattr(ns, "prior_correction", 1.0)
     if ns.model:
-        if ns.prior_correction != 1.0:
+        if prior_correction != 1.0:
             raise ValueError("--prior-correction applies to --scores only, not to --model")
         model = load_model(ns.model)
         if model.dim != x_rows.shape[1]:
@@ -172,7 +170,7 @@ def _resolve_odds(ns, x_rows: np.ndarray, rows: str) -> np.ndarray:
         if model.report is not None and not model.report.converged:
             print(f"warning: {ns.model}: odds model did not converge", file=sys.stderr)
         return predict_odds(model, x_rows)
-    odds = load_external_scores(ns.scores, ns.prior_correction)
+    odds = load_external_scores(ns.scores, prior_correction)
     if odds.shape[0] != x_rows.shape[0]:
         raise ValueError(f"{ns.scores} has {odds.shape[0]} rows, {rows} has {x_rows.shape[0]}")
     return odds
@@ -224,13 +222,13 @@ def _cmd_fit(ns) -> int:
 def _cmd_evaluate(ns) -> int:
     # the grids need no data, so a bad one is refused before any file is read
     alphas, gammas, l_max = check_curve_args(
-        parse_alpha_grid(ns.alpha_grid), parse_floats(ns.gammas), ns.l_max, ns.beta_points
+        parse_alpha_grid(ns.alpha_grid), parse_floats(ns.gammas), ns.l_max
     )
     if ns.target is not None:
         print(f"warning: {ns.target}: {TARGET_UNREAD}", file=sys.stderr)
     design, trial, policy, odds = _read_study(ns, l_max)
     cal, ws, _ = certify(trial, odds, policy, design, ns.split, ns.frac, ns.seed)
-    curve = limit_curve(cal, ws, alphas, gammas, l_max, ns.beta_points)
+    curve = limit_curve(cal, ws, alphas, gammas, l_max)
     body = {
         "l_max": curve.l_max,
         "gammas": list(curve.gammas),
@@ -300,7 +298,6 @@ def _cmd_miscoverage(ns) -> int:
             split=ns.split,
             split_frac=ns.frac,
             odds_source=ns.odds,
-            beta_points=ns.beta_points,
             fit=_fit_config(ns),
         )
     else:
@@ -365,7 +362,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     s.add_argument(
         "--alpha-grid", default="0.01:0.99:0.01", help=f"start:stop:step, at most {MAX_GRID_POINTS} points"
     )
-    s.add_argument("--beta-points", type=int, default=BETA_POINTS, help=BETA_POINTS_HELP)
     s.add_argument("--split", choices=("random", "matched"), default="random")
     s.add_argument("--frac", type=float, default=0.5, help="random-split fraction for the weight-bound half")
     s.add_argument("--seed", type=seed, default=0)
@@ -406,7 +402,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     s.add_argument("--policy", default="constant:1")
     s.add_argument("--design", default="uniform:2")
     s.add_argument("--alphas", default="0.05,0.1,0.2")
-    s.add_argument("--beta-points", type=int, default=BETA_POINTS, help=BETA_POINTS_HELP)
     s.add_argument("--runs", type=int, default=200)
     s.add_argument("--per-run", type=int, default=500)
     s.add_argument("--seed", type=seed, default=0)
@@ -455,7 +450,7 @@ def _config_flags(sub: argparse.ArgumentParser, path: str) -> list[str]:
 UNUSED_FLAGS = (
     ("simulate", "pool_out", None, ("m_train",)),
     ("evaluate", "split", "matched", ("frac",)),
-    ("miscoverage", "method", "ipsw", ("gamma", "split", "frac", "beta_points")),
+    ("miscoverage", "method", "ipsw", ("gamma", "split", "frac")),
     ("miscoverage", "method", "certified", ("normalized",)),
     ("miscoverage", "split", "matched", ("frac",)),
     ("miscoverage", "odds", "oracle", ("l2", "max_iter", "tol")),

@@ -19,7 +19,7 @@ from .data import check_distinct, check_gamma, check_grid_points, check_l_max, c
 from .data import matched_split, random_split
 from .weights import shift_weights, trial_odds
 
-BETA_POINTS = 49  # default beta grid points per alpha
+BETA_POINTS = 49  # beta grid points per alpha of every limit curve
 
 
 def default_alpha_grid() -> np.ndarray:
@@ -217,18 +217,17 @@ def _limits(cal: CalibrationSet, ws: WeightBoundSet, gammas, blocks) -> list[lis
 
 
 # levels per kernel call: a block holds as many alphas as fit under this
-# cap, or one alpha when its beta grid alone is longer, so memory stays
-# O(cap + one beta grid)
+# cap, so memory stays O(cap)
 LEVEL_CAP = 2**16
 
 
-def _default_blocks(alphas, points: int):
+def _default_blocks(alphas):
     """``(alphas, betas)`` blocks of the checked ``alphas`` in order, each
-    row with ``default_beta_grid(alpha, points)``."""
+    row with ``default_beta_grid(alpha)``."""
     column = np.asarray(alphas, dtype=np.float64)[:, None]
-    rows = max(1, LEVEL_CAP // points)
+    rows = LEVEL_CAP // BETA_POINTS
     for lo in range(0, column.shape[0], rows):
-        yield column[lo : lo + rows], default_beta_grid(column[lo : lo + rows], points)
+        yield column[lo : lo + rows], default_beta_grid(column[lo : lo + rows])
 
 
 def _stop_losses(scan, wbars, thresholds) -> list[float | None]:
@@ -288,13 +287,13 @@ class LimitCurve:
 
 
 def check_curve_args(
-    alpha_grid=None, gammas=(1.0,), l_max: float | None = None, beta_points: int = BETA_POINTS
+    alpha_grid=None, gammas=(1.0,), l_max: float | None = None
 ) -> tuple[list[float], list[float], float]:
     """The arguments of ``limit_curve`` once checked: the sorted alpha grid
-    (``default_alpha_grid()`` when None), which must be distinct and inside
-    (0, 1); the gammas, each ``>= 1``, at least one and distinct; the finite
-    ``l_max``; and at most ``MAX_GRID_POINTS`` beta points. None of them
-    depends on the data, so a caller can check them before reading any."""
+    (``default_alpha_grid()`` when None), distinct and inside (0, 1); the
+    gammas, each ``>= 1``, at least one and distinct, with at most
+    ``MAX_GRID_POINTS`` (alpha, gamma) pairs; and the finite ``l_max``. None
+    of them depends on the data, so a caller can check them before reading any."""
     l_max = check_l_max(l_max)
     alphas = (
         default_alpha_grid()
@@ -307,7 +306,8 @@ def check_curve_args(
     if not gamma_list:
         raise ValueError("need at least one gamma")
     check_distinct(gamma_list, "gammas")
-    check_grid_points(beta_points)
+    if alphas.shape[0] * len(gamma_list) > MAX_GRID_POINTS:
+        raise ValueError(f"need at most {MAX_GRID_POINTS} (alpha, gamma) pairs")
     return alphas.tolist(), gamma_list, l_max
 
 
@@ -317,7 +317,6 @@ def limit_curve(
     alpha_grid=None,
     gammas=(1.0,),
     l_max: float | None = None,
-    beta_points: int = BETA_POINTS,
 ) -> LimitCurve:
     """Limit curves for every (gamma, alpha) pair, with the arguments checked
     by ``check_curve_args``.
@@ -326,15 +325,16 @@ def limit_curve(
     entries whose stand-in CDF never reaches the level are reported at
     ``l_max`` with ``trivial=True``. Informativeness per gamma is one minus
     the smallest alpha with a nontrivial limit (0 when there is none).
+    Each alpha takes ``default_beta_grid(alpha)``; ``limit`` takes others.
     Weights are sorted once; every cell reuses the same prefix sums.
     """
-    alpha_list, gamma_list, l_max = check_curve_args(alpha_grid, gammas, l_max, beta_points)
+    alpha_list, gamma_list, l_max = check_curve_args(alpha_grid, gammas, l_max)
     if float(cal.losses[-1]) >= l_max:
         raise ValueError("all observed losses must lie strictly below l_max")
 
     points: list[LimitPoint] = []
     informativeness: dict[float, float] = {}
-    blocks = _default_blocks(alpha_list, beta_points)
+    blocks = _default_blocks(alpha_list)
     for g, limits in zip(gamma_list, _limits(cal, ws, gamma_list, blocks)):
         finite_alphas = []
         for a, value in zip(alpha_list, limits):

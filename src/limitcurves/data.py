@@ -236,6 +236,8 @@ def check_gamma(gamma: float) -> float:
     g = float(gamma)
     if not math.isfinite(g) or g < 1.0:
         raise ValueError("gamma must be a finite real >= 1 (1 = perfectly calibrated)")
+    if not math.isfinite(g * g):
+        raise ValueError(f"gamma={g!r} is too large: its square overflows")
     return g
 
 

@@ -20,9 +20,9 @@ import warnings
 
 import numpy as np
 
-from .conformal import BETA_POINTS, _default_blocks, _limits, certify
+from .conformal import _default_blocks, _limits, certify
 from .data import LabeledPool, PolicySpec, TargetCovariates, TrialDataset, TrialDesign
-from .data import check_distinct, check_gamma, check_grid_points, check_odds, check_open_unit
+from .data import check_distinct, check_gamma, check_odds, check_open_unit
 from .data import sample_actions
 from .ipsw import _ipsw_quantiles
 from .propensity import LogisticConfig, fit_logistic, predict_odds
@@ -189,7 +189,6 @@ class CertifiedMethod:
     split: str = "matched"
     split_frac: float = 0.5
     odds_source: str = "fitted"
-    beta_points: int = BETA_POINTS
     fit: LogisticConfig = LogisticConfig()
 
     def __post_init__(self):
@@ -198,7 +197,6 @@ class CertifiedMethod:
         if self.odds_source not in ("fitted", "oracle"):
             raise ValueError("odds_source must be 'fitted' or 'oracle'")
         check_gamma(self.gamma)
-        check_grid_points(self.beta_points)
         if self.split == "random":
             check_open_unit(self.split_frac, "frac")
         elif self.split_frac != 0.5:
@@ -209,7 +207,7 @@ class CertifiedMethod:
         from ``rng``."""
         split_seed = int(rng.integers(0, 2**63 - 1))
         cal, ws, _ = certify(trial, odds, policy, scn.design, self.split, self.split_frac, split_seed)
-        return _limits(cal, ws, [self.gamma], _default_blocks(alphas, self.beta_points))[0]
+        return _limits(cal, ws, [self.gamma], _default_blocks(alphas))[0]
 
 
 @dataclasses.dataclass(frozen=True)

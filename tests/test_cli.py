@@ -256,7 +256,6 @@ class TestLibraryDefaults:
 
     def test_flag_defaults_are_the_library_defaults(self):
         from limitcurves.cli import build_parser
-        from limitcurves.conformal import BETA_POINTS
         from limitcurves.propensity import LogisticConfig
         from limitcurves.simlab import CertifiedMethod, IpswMethod, SimScenario
 
@@ -278,8 +277,6 @@ class TestLibraryDefaults:
         assert lab.get_default("frac") == method.split_frac
         assert lab.get_default("odds") == method.odds_source == IpswMethod().odds_source
         assert method.fit == IpswMethod().fit == fit
-        for command in ("evaluate", "miscoverage"):
-            assert registry[command].get_default("beta_points") == method.beta_points == BETA_POINTS
 
     def test_default_flags_equal_library_calls(self, tmp_path, simulated):
         from limitcurves.fileio import read_pool_csv
@@ -400,7 +397,7 @@ class TestMiscoverage:
         assert p1 == p2
 
     @pytest.mark.parametrize(
-        "flags", [("--beta-points", 0), ("--split", "random", "--frac", 1.5)]
+        "flags", [("--gamma", "1e200"), ("--split", "random", "--frac", 1.5)]
     )
     def test_bad_setting_fails_before_first_run(self, tmp_path, monkeypatch, capsys, flags):
         def no_study(*args, **kwargs):
@@ -591,7 +588,7 @@ class TestUnusedFlags:
             ("miscoverage", ("--method", "ipsw"), "gamma", "0.5", 1.0),
             ("miscoverage", ("--method", "ipsw"), "split", "random", "matched"),
             ("miscoverage", ("--method", "ipsw"), "frac", "0.3", 0.5),
-            ("miscoverage", ("--method", "ipsw"), "beta-points", "0", 49),
+            ("miscoverage", ("--method", "ipsw"), "gamma", "1e200", 1.0),
             ("miscoverage", ("--method", "certified"), "normalized", None, False),
             ("miscoverage", ("--method", "certified", "--odds", "oracle"), "l2", "0.1", 1e-4),
             ("miscoverage", ("--method", "certified", "--odds", "oracle"), "max-iter", "3", 1000),
@@ -917,12 +914,20 @@ class TestBadInputs:
 
     def test_curve_flags_checked_before_any_file(self, tmp_path, capsys):
         missing = tmp_path / "missing.csv"
-        assert run(
-            "evaluate", "--trial", missing, "--model", missing,
-            "--policy", "constant:1", "--gammas", "1,1", "--l-max", 100.0,
-            "--out-json", tmp_path / "o.json", "--out-csv", tmp_path / "o.csv",
-        ) == 1
-        assert capsys.readouterr().err == "error: gammas must be distinct\n"
+        for flags, line in [
+            (("--gammas", "1,1"), "gammas must be distinct"),
+            (("--gammas", "1e200"), "gamma=1e+200 is too large: its square overflows"),
+            (
+                ("--alpha-grid", "0.000001:0.999999:0.000001", "--gammas", "1,2"),
+                "need at most 1000000 (alpha, gamma) pairs",
+            ),
+        ]:
+            assert run(
+                "evaluate", "--trial", missing, "--model", missing,
+                "--policy", "constant:1", *flags, "--l-max", 100.0,
+                "--out-json", tmp_path / "o.json", "--out-csv", tmp_path / "o.csv",
+            ) == 1
+            assert capsys.readouterr().err == f"error: {line}\n"
 
     def test_alpha_grid_with_repeated_values(self, tmp_path, simulated, model, capsys):
         # a step below the spacing of floats near 0.5 rounds 555113 grid
@@ -1004,19 +1009,27 @@ class TestBadInputs:
     def test_prior_correction_refused_with_model(
         self, tmp_path, simulated, model, capsys, command, value
     ):
+        """``ipsw`` and ``reliability`` apply the flag to scores only.
+        ``evaluate`` takes neither the flag nor the config key: its limits are
+        ratios of weight sums, so a common odds factor cancels in them."""
         argv = self.odds_argv(tmp_path, simulated, command)
-        line = "--prior-correction applies to --scores only, not to --model"
-        assert run(command, "--model", model, "--prior-correction", value, *argv) == 1
-        self.assert_only_error_line(capsys, line)
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"prior-correction={value}\n")
+        line = "error: --prior-correction applies to --scores only, not to --model"
+        code, flag_line, config_line = 1, line, line
+        if command == "evaluate":
+            code = 2  # an argparse usage error
+            flag_line = f"limitcurves: error: unrecognized arguments: --prior-correction {value}"
+            config_line = f"error: {cfg}: unknown config key 'prior-correction'"
+        assert run(command, "--model", model, "--prior-correction", value, *argv) == code
+        assert capsys.readouterr().err.splitlines()[-1] == flag_line
         assert run(command, "--config", cfg, "--model", model, *argv) == 1
-        self.assert_only_error_line(capsys, line)
+        assert capsys.readouterr().err == f"{config_line}\n"
         assert not (tmp_path / "out").exists()
 
     def test_default_prior_correction_with_model(self, tmp_path, simulated, model):
-        argv = self.odds_argv(tmp_path, simulated, "evaluate")
-        assert run("evaluate", "--model", model, "--prior-correction", "1.0", *argv) == 0
+        argv = self.odds_argv(tmp_path, simulated, "ipsw")
+        assert run("ipsw", "--model", model, "--prior-correction", "1.0", *argv) == 0
         assert read_json(tmp_path / "out")["config"]["prior_correction"] == 1.0
 
     def test_reliability_bins_refused_before_allocation(
@@ -1131,7 +1144,6 @@ class TestBadInputs:
             ("--alpha-grid", "0.01:inf:0.01", "must have a finite start, stop and step"),
             ("--alpha-grid", "0.01:0.99:nan", "must have a finite start, stop and step"),
             ("--alpha-grid", "0.01:0.99:1e-15", "has more than 1000000 points"),
-            ("--beta-points", "1000000000000000", "need at most 1000000 grid points"),
         ],
     )
     def test_grid_flags_refused(self, tmp_path, simulated, model, capsys, flag, value, message):
@@ -1143,6 +1155,25 @@ class TestBadInputs:
         ) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err and err.count("\n") == 1
+        assert not (tmp_path / "o.json").exists()
+
+    @pytest.mark.parametrize("command", ["evaluate", "miscoverage"])
+    def test_beta_points_refused(self, tmp_path, capsys, command):
+        """Every curve uses the fixed BETA_POINTS grid; an old command line
+        or config file that sets the grid size fails loudly."""
+        missing = tmp_path / "missing.csv"
+        argv = {
+            "evaluate": ("--trial", missing, "--model", missing, "--policy", "constant:1", "--l-max",
+                         100.0, "--out-json", tmp_path / "o.json", "--out-csv", tmp_path / "o.csv"),
+            "miscoverage": ("--pop", "A", "--method", "certified", "--out", tmp_path / "o.json"),
+        }[command]
+        assert run(command, *argv, "--beta-points", 49) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1] == "limitcurves: error: unrecognized arguments: --beta-points 49"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("beta-points=49\n")
+        assert run(command, "--config", cfg, *argv) == 1
+        assert capsys.readouterr().err == f"error: {cfg}: unknown config key 'beta-points'\n"
         assert not (tmp_path / "o.json").exists()
 
     def test_zero_feature_scale_in_model(self, tmp_path, simulated, model, capsys):
@@ -1267,7 +1298,7 @@ class TestOverflow:
             "evaluate": [*study, "--split", "matched", "--gammas", "1,2", "--l-max", 1000.0,
                          "--out-csv", tmp_path / "out.csv"],
             "miscoverage": ["--pop", "B", "--n", 200, "--m", 100, "--method", "certified",
-                            "--gamma", 1.7e308, "--policy", "uniform", "--runs", 4, "--per-run", 20],
+                            "--gamma", 1e154, "--policy", "uniform", "--runs", 4, "--per-run", 20],
         }[command]
         out_flag = "--out-json" if command == "evaluate" else "--out"
         capsys.readouterr()
@@ -1279,16 +1310,22 @@ class TestOverflow:
 
     @pytest.mark.filterwarnings("default")
     def test_gamma_whose_square_overflows(self, tmp_path, simulated, model, capsys):
+        """A gamma whose square overflows is refused as a setting; one whose
+        square is finite but overflows times a level's odds, as an overflow."""
         _, trial, _ = simulated
-        assert run(
-            "evaluate", "--trial", trial, "--model", model, "--policy", "constant:1",
-            "--gammas", "1,1e200", "--l-max", 100.0,
-            "--out-json", tmp_path / "out.json", "--out-csv", tmp_path / "out.csv",
-        ) == 1
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1, err
-        assert err[0].startswith("error: input values too large: overflow encountered in ")
-        assert list(tmp_path.glob("out.*")) == []
+        for gamma, line in [
+            ("1e200", "error: gamma=1e+200 is too large: its square overflows"),
+            ("1e154", "error: input values too large: overflow encountered in "),
+        ]:
+            assert run(
+                "evaluate", "--trial", trial, "--model", model, "--policy", "constant:1",
+                "--gammas", f"1,{gamma}", "--l-max", 100.0,
+                "--out-json", tmp_path / "out.json", "--out-csv", tmp_path / "out.csv",
+            ) == 1
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1, err
+            assert err[0].startswith(line)
+            assert list(tmp_path.glob("out.*")) == []
 
 
 class TestPayloadValues:

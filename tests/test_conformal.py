@@ -294,23 +294,23 @@ class TestLimitCurve:
             ), "limits must be nonincreasing in alpha"
 
 
-    def test_level_cap_bounds_memory_of_long_beta_grids(self):
-        """Each 200000-point beta grid exceeds the level cap and runs alone.
-        Batching all 20 cells into one kernel call would hold 4 million
-        levels; the per-cell engine this replaced peaked at 12.5 MiB here."""
+    def test_level_cap_bounds_memory_of_long_alpha_grids(self):
+        """30000 alphas run in blocks of at most the level cap. One kernel
+        call for all of them would hold 1.47 million levels and peaked at
+        106 MiB here; the blocks peak at 10.6 MiB, mostly the curve points."""
         rng = np.random.default_rng(0)
         cal = CalibrationSet.from_shift_weights(
             rng.standard_normal(2000), rng.exponential(size=2000)
         )
         ws = WeightBoundSet(rng.exponential(size=2000))
-        alphas = np.arange(1, 11) / 20.0
+        alphas = np.arange(1, 30_001) / 30_002.0
         tracemalloc.start()
         try:
-            curve = limit_curve(cal, ws, alphas, (1.0, 2.0), l_max=100.0, beta_points=200_000)
+            curve = limit_curve(cal, ws, alphas, (1.0, 2.0), l_max=100.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(curve.points) == 20
+        assert len(curve.points) == 60_000
         assert peak < 15.5 * 2**20
 
 

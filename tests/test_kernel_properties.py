@@ -108,12 +108,12 @@ def as_bound(value):
     cal=calibration(max_weight=1e6),
     ws=bound_set(1e6),
     percents=st.lists(st.integers(1, 99), min_size=1, max_size=8, unique=True),
-    points=st.integers(1, 9),
-    cap=st.integers(1, 20),
+    # from one alpha per block up to all eight in one
+    cap=st.integers(conformal.BETA_POINTS, 8 * conformal.BETA_POINTS),
     gamma=st.sampled_from(GAMMAS),
 )
 @SETTINGS
-def test_level_cap_splits_batches_without_changing_limits(cal, ws, percents, points, cap, gamma):
+def test_level_cap_splits_batches_without_changing_limits(cal, ws, percents, cap, gamma):
     """The alphas of a curve split into blocks under a small level cap."""
     alphas = [p / 100.0 for p in percents]
     kernel = backend.best_stop_index
@@ -126,14 +126,13 @@ def test_level_cap_splits_batches_without_changing_limits(cal, ws, percents, poi
     with mock.patch.object(conformal, "LEVEL_CAP", cap), mock.patch.object(
         backend, "best_stop_index", counted
     ):
-        (got,) = conformal._limits(cal, ws, [gamma], conformal._default_blocks(alphas, points))
-    # each call holds at most the cap, unless one beta grid alone exceeds it
-    assert all(rows * levels <= max(cap, points) for rows, levels in calls)
-    assert all(levels == points for _, levels in calls)
+        (got,) = conformal._limits(cal, ws, [gamma], conformal._default_blocks(alphas))
+    assert all(rows * levels <= cap for rows, levels in calls)
+    assert all(levels == conformal.BETA_POINTS for _, levels in calls)
     assert sum(rows for rows, _ in calls) == len(alphas)
     loss_ends, prefix, suffix = _scan_arrays(cal.losses, cal.lower, cal.upper, cal.group_ends)
     for alpha, value in zip(alphas, got):
-        betas = lc.default_beta_grid(alpha, points)
+        betas = lc.default_beta_grid(alpha)
         wbars = conformal._weight_bound_values(ws.upper, betas)
         t = (1.0 - alpha) / (1.0 - betas)
         k = dense_best_stop_index(prefix, suffix, wbars, gamma**2 * (t / (1.0 - t)))
@@ -183,9 +182,10 @@ def test_one_scan_per_curve_and_per_study(monkeypatch):
         return _scan_arrays(*args)
 
     monkeypatch.setattr(conformal, "_scan_arrays", counted)
-    monkeypatch.setattr(conformal, "LEVEL_CAP", 8)
+    # eight alphas per block, so the 99 default alphas take 13 blocks
+    monkeypatch.setattr(conformal, "LEVEL_CAP", 8 * conformal.BETA_POINTS)
     cal = lc.CalibrationSet(np.arange(6.0), np.ones(6), np.full(6, 2.0))
-    curve = lc.limit_curve(cal, lc.WeightBoundSet(np.ones(9)), None, (1.0, 1.5, 2.0), 10.0, 3)
+    curve = lc.limit_curve(cal, lc.WeightBoundSet(np.ones(9)), None, (1.0, 1.5, 2.0), 10.0)
     assert len(curve.points) == 3 * 99 and len(scans) == 1
     # each study of the miscoverage harness scans once, at its one gamma
     monkeypatch.setattr(simlab, "_usable_cpus", lambda: 1)

@@ -43,3 +43,14 @@ def test_readme_commands_run(tmp_path, monkeypatch, capsys):
     for line in COMMANDS:
         assert cli.main(shlex.split(line)[1:]) == 0, line
         assert "warning:" not in capsys.readouterr().err, line
+
+
+def test_readme_flags_exist():
+    """Every ``--flag`` README.md names, outside its install and benchmark
+    lines, is an option of some subcommand, so the README cannot keep a
+    deleted flag. ``--conf`` is named as a refused abbreviation."""
+    _, registry = cli.build_parser()
+    options = {opt for sub in registry.values() for a in sub._actions for opt in a.option_strings}
+    lines = [line for line in TEXT.splitlines() if not re.search(r"pip install|perfbench/run\.py", line)]
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", "\n".join(lines)))
+    assert named - options - {"--conf"} == set()

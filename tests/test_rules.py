@@ -239,6 +239,10 @@ GUARDS = {
         lambda: quantile(sets()[0], -1.0, 0.5, 0.1),
     ),
     "check_curve_args no gamma": ("need at least one gamma", lambda: check_curve_args(None, (), 9.0)),
+    "limit gamma square overflows": (
+        "gamma=1e+200 is too large: its square overflows",
+        lambda: limit(*sets(), 0.1, 1e200),
+    ),
     "ipsw_value n_target": ("n_target must be at least 1", lambda: ipsw_value(*ipsw_args(0))),
     "ipsw_cdf n_target": ("n_target must be at least 1", lambda: ipsw_cdf(*ipsw_args(0), 1.0)),
     "ipsw_quantile n_target": (
