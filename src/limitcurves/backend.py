@@ -36,22 +36,14 @@ def best_stop_index(prefix_low, denom_base, wbars, thresholds) -> np.ndarray:
     step = 1 << (size.bit_length() - 1)
     # pos[j] counts the leading groups where level j is known not to cross
     pos = np.zeros(wbars.shape, dtype=np.int64)
-    probe = np.empty_like(pos)
-    den = np.empty_like(wbars)
-    ratio = np.empty_like(wbars)
-    crossed = np.empty(wbars.shape, dtype=bool)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         while step:
-            np.add(pos, step - 1, out=probe)
             # a probe past the end reads the last group, which extends every
             # level's crossing predicate monotonically
-            np.take(denom_base, probe, out=den, mode="clip")
-            den += wbars
-            np.take(prefix_low, probe, out=ratio, mode="clip")
+            probe = pos + (step - 1)
+            ratio = prefix_low.take(probe, mode="clip") / (denom_base.take(probe, mode="clip") + wbars)
             # 0 / 0 is NaN and never crosses; the fix-up below covers t <= 0
-            ratio /= den
-            np.greater_equal(ratio, thresholds, out=crossed)
-            np.add(pos, step, out=pos, where=~crossed)
+            pos += step * ~(ratio >= thresholds)
             step >>= 1
     # a level with threshold <= 0 crosses at the first group, even where the
     # ratio there is NaN, and an infeasible level never crosses

@@ -141,11 +141,9 @@ def weight_bound(ws: WeightBoundSet, beta: float) -> float:
 
 def _weight_bound_values(sorted_upper: np.ndarray, betas: np.ndarray) -> np.ndarray:
     m = sorted_upper.shape[0]
-    positions = np.ceil((m + 1.0) * (1.0 - betas))
-    out = np.full(betas.shape, math.inf)
-    ok = positions <= m
-    out[ok] = sorted_upper[positions[ok].astype(np.int64) - 1]
-    return out
+    # every beta lies in (0, 1), so each position lies in [1, m + 1]; m + 1 reads the inf
+    positions = np.ceil((m + 1.0) * (1.0 - betas)).astype(np.int64)
+    return np.append(sorted_upper, math.inf)[positions - 1]
 
 
 def stand_in_cdf(cal: CalibrationSet, w: float, ell: float) -> float:

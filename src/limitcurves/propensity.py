@@ -325,7 +325,9 @@ def reliability_diagram(odds, labels, bins: int = 5) -> list[ReliabilityBin]:
         raise ValueError("need at least 2 bins")
     check_grid_points(bins, "bins")  # before the edges are allocated
     check_labels(labels)
-    edges = np.unique(np.quantile(values, np.linspace(0.0, 1.0, bins + 1)))
+    # np.unique imports numpy.ma on its first call; np.quantile need not be monotone
+    edges = np.sort(np.quantile(values, np.linspace(0.0, 1.0, bins + 1)))
+    edges = edges[np.append(True, edges[1:] > edges[:-1])]
     if edges.shape[0] == 1:
         edges = np.repeat(edges, 2)  # one [v, v] bin that holds every row
     assign = np.clip(np.searchsorted(edges, values, side="right") - 1, 0, edges.shape[0] - 2)

@@ -449,6 +449,7 @@ def miscoverage_gap(
         )
     if not isinstance(method, (CertifiedMethod, IpswMethod)):
         raise ValueError("method must be a CertifiedMethod or an IpswMethod")
+    np.random.SeedSequence(seed)  # run_rng's seed rule, checked before any worker forks
 
     # one run per queued item, or contiguous chunks of runs past the queue's size
     items = min(runs, _MAX_QUEUED)

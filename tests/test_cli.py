@@ -1,10 +1,16 @@
-"""End-to-end tests of the command-line interface (run in-process)."""
+"""End-to-end tests of the command-line interface (run in-process, apart from
+``TestProcess``)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import limitcurves
 from limitcurves.cli import main, parse_alpha_grid, parse_design, parse_policy
 from limitcurves.conformal import default_alpha_grid
 
@@ -747,6 +753,51 @@ class TestExitCodes:
         assert run("fit", "--pool", tmp_path / "p.csv", "--out", tmp_path / "m.json") == 1
         assert capsys.readouterr() == ("", "error: out of memory\n")
         assert list(tmp_path.iterdir()) == []
+
+
+class TestProcess:
+    """``python -m limitcurves.cli`` in a fresh interpreter: ``main_entry``'s
+    exit codes, and what an ``evaluate`` run imports, which pytest's own
+    imports would hide in-process."""
+
+    @staticmethod
+    def python(*args):
+        src = str(Path(limitcurves.__file__).resolve().parents[1])
+        return subprocess.run(
+            [sys.executable, *map(str, args)], env=dict(os.environ, PYTHONPATH=src),
+            capture_output=True, text=True, timeout=120,
+        )
+
+    def test_exit_codes(self, tmp_path, model):
+        cli = ["-m", "limitcurves.cli", "evaluate"]
+        assert self.python(*cli, "--help").returncode == 0
+        assert self.python(*cli, "--no-such-flag").returncode == 2
+        done = self.python(
+            *cli, "--trial", tmp_path / "missing.csv", "--model", model, "--policy", "uniform",
+            "--l-max", 100.0, "--out-json", tmp_path / "c.json", "--out-csv", tmp_path / "c.csv",
+        )
+        assert done.returncode == 1
+        assert done.stdout == ""
+        assert len(done.stderr.splitlines()) == 1
+        assert done.stderr.startswith("error: ") and "missing.csv" in done.stderr
+
+    def test_evaluate_does_not_import_masked_arrays(self, tmp_path, simulated, model):
+        # numpy 1.x imports numpy.ma with numpy itself, so compare with the state before the run
+        script = (
+            "import sys\n"
+            "from limitcurves.cli import main\n"
+            "before = 'numpy.ma' in sys.modules\n"
+            "code = main(sys.argv[1:])\n"
+            "print(code, before, 'numpy.ma' in sys.modules)\n"
+        )
+        done = self.python(
+            "-c", script, "evaluate", "--trial", simulated[1], "--model", model,
+            "--policy", "constant:1", "--design", "uniform:2", "--l-max", 100.0,
+            "--out-json", tmp_path / "c.json", "--out-csv", tmp_path / "c.csv",
+        )
+        code, before, after = done.stdout.split()
+        assert code == "0"
+        assert after == before
 
 
 class TestBadInputs:

@@ -40,6 +40,13 @@ class TestWeightBound:
         ws = WeightBoundSet([0.5, 1.0, 2.0, 8.0])
         assert math.isinf(weight_bound(ws, 0.1))
 
+    def test_tiny_beta_reads_past_the_last_weight(self):
+        # 1 - 1e-300 rounds to 1, so the order statistic is the (m + 1)-th
+        assert math.isinf(weight_bound(WeightBoundSet([0.5, 1.0, 2.0, 8.0]), 1e-300))
+
+    def test_beta_near_one_reads_the_smallest_weight(self):
+        assert weight_bound(WeightBoundSet([8.0, 0.5, 2.0, 1.0]), 1 - 1e-16) == 0.5
+
     def test_single_weight(self):
         assert weight_bound(WeightBoundSet([3.5]), 0.5) == 3.5
 

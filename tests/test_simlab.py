@@ -309,6 +309,21 @@ class TestMiscoverage:
                 runs=2, per_run=per_run, policy=table,
             )
 
+    @pytest.mark.parametrize(
+        "seed, error, message",
+        [(-1, ValueError, "^expected non-negative integer$"), (1.5, TypeError, "entropy")],
+    )
+    def test_bad_seed_refused_before_forking(self, monkeypatch, seed, error, message):
+        def no_fork(*args, **kwargs):
+            raise AssertionError("workers were forked")
+
+        monkeypatch.setattr(simlab, "_fork_map", no_fork)
+        with pytest.raises(error, match=message):
+            miscoverage_gap(
+                scenario("B", n=50, m=40, m_train=40), CertifiedMethod(gamma=2.0), [0.1],
+                runs=2, per_run=10, seed=seed,
+            )
+
 
 class TestForkedRuns:
     """Runs spread over forked workers give the report of one sequential loop."""
