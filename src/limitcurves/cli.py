@@ -114,12 +114,11 @@ def _write_payload(ns: argparse.Namespace, path, kind: str, body: dict) -> None:
 
 
 def _fit_config(ns: argparse.Namespace) -> LogisticConfig:
-    return LogisticConfig(l2=ns.l2, max_iter=ns.max_iter, tol=ns.tol)
+    return LogisticConfig(l2=ns.l2, tol=ns.tol)
 
 
 def _add_fit_flags(sub) -> None:
     sub.add_argument("--l2", type=float, default=LogisticConfig.l2, help="L2 penalty on coefficients")
-    sub.add_argument("--max-iter", type=int, default=LogisticConfig.max_iter)
     sub.add_argument("--tol", type=float, default=LogisticConfig.tol, help="gradient max-norm stop rule")
 
 
@@ -453,7 +452,7 @@ UNUSED_FLAGS = (
     ("miscoverage", "method", "ipsw", ("gamma", "split", "frac")),
     ("miscoverage", "method", "certified", ("normalized",)),
     ("miscoverage", "split", "matched", ("frac",)),
-    ("miscoverage", "odds", "oracle", ("l2", "max_iter", "tol")),
+    ("miscoverage", "odds", "oracle", ("l2", "tol")),
 )
 
 

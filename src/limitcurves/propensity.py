@@ -19,6 +19,7 @@ LOGIT_CLAMP = 30.0
 BACKTRACK = 0.5  # step-length factor of the line search
 ARMIJO = 1e-4  # share of the predicted decrease a step must achieve
 MAX_COEF = 100.0  # separation guard on the standardized coefficients
+MAX_ITER = 1000  # Newton step cap; the stop rules below end every fit long before it
 
 
 @dataclasses.dataclass(frozen=True)
@@ -38,7 +39,6 @@ class LogisticConfig:
     """
 
     l2: float = 1e-4
-    max_iter: int = 1000
     tol: float = 1e-6
 
     def __post_init__(self):
@@ -47,8 +47,6 @@ class LogisticConfig:
                 raise ValueError(f"{name} must be finite")
         if self.l2 < 0:
             raise ValueError("l2 must be nonnegative")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
         if self.tol <= 0:
             raise ValueError("tol must be positive")
 
@@ -150,7 +148,7 @@ def fit_logistic(pool: LabeledPool, config: LogisticConfig = LogisticConfig()) -
     grad, hess = _gradient_and_hessian(z, s, theta, logits, softplus, config.l2)
     objectives = [obj]
     iterations = 0
-    for iterations in range(1, config.max_iter + 1):
+    for iterations in range(1, MAX_ITER + 1):
         if float(np.max(np.abs(grad))) <= config.tol:
             iterations -= 1
             break

@@ -142,8 +142,7 @@ class TestFit:
         pool = tmp_path / "pool.csv"
         pool.write_text("\n".join(lines) + "\n")
         assert run(
-            "fit", "--pool", pool, "--l2", 0.0, "--max-iter", 400,
-            "--out", tmp_path / "model.json",
+            "fit", "--pool", pool, "--l2", 0.0, "--out", tmp_path / "model.json"
         ) == 1
 
     def test_fit_then_score_round_trip(self, tmp_path, simulated):
@@ -270,7 +269,6 @@ class TestLibraryDefaults:
         for command in ("fit", "benchmark-gamma", "miscoverage"):
             sub = registry[command]
             assert sub.get_default("l2") == fit.l2 == 1e-4
-            assert sub.get_default("max_iter") == fit.max_iter
             assert sub.get_default("tol") == fit.tol
         for command in ("simulate", "miscoverage"):
             sub = registry[command]
@@ -597,7 +595,6 @@ class TestUnusedFlags:
             ("miscoverage", ("--method", "ipsw"), "gamma", "1e200", 1.0),
             ("miscoverage", ("--method", "certified"), "normalized", None, False),
             ("miscoverage", ("--method", "certified", "--odds", "oracle"), "l2", "0.1", 1e-4),
-            ("miscoverage", ("--method", "certified", "--odds", "oracle"), "max-iter", "3", 1000),
             ("miscoverage", ("--method", "certified", "--odds", "oracle"), "tol", "nan", 1e-6),
         ],
     )
@@ -1225,6 +1222,25 @@ class TestBadInputs:
         cfg.write_text("beta-points=49\n")
         assert run(command, "--config", cfg, *argv) == 1
         assert capsys.readouterr().err == f"error: {cfg}: unknown config key 'beta-points'\n"
+        assert not (tmp_path / "o.json").exists()
+
+    @pytest.mark.parametrize("command", ["fit", "benchmark-gamma", "miscoverage"])
+    def test_max_iter_refused(self, tmp_path, capsys, command):
+        """The Newton fit's step cap is the constant MAX_ITER; an old command
+        line or config file that sets it fails loudly."""
+        missing = tmp_path / "missing.csv"
+        argv = {
+            "fit": ("--pool", missing, "--out", tmp_path / "o.json"),
+            "benchmark-gamma": ("--pool", missing, "--out", tmp_path / "o.json"),
+            "miscoverage": ("--pop", "A", "--method", "certified", "--out", tmp_path / "o.json"),
+        }[command]
+        assert run(command, *argv, "--max-iter", 400) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1] == "limitcurves: error: unrecognized arguments: --max-iter 400"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("max-iter=400\n")
+        assert run(command, "--config", cfg, *argv) == 1
+        assert capsys.readouterr().err == f"error: {cfg}: unknown config key 'max-iter'\n"
         assert not (tmp_path / "o.json").exists()
 
     def test_zero_feature_scale_in_model(self, tmp_path, simulated, model, capsys):

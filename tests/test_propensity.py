@@ -9,6 +9,8 @@ import pytest
 
 from limitcurves.data import PolicySpec, TrialDataset, TrialDesign
 from limitcurves.propensity import (
+    MAX_COEF,
+    MAX_ITER,
     LabeledPool,
     LogisticConfig,
     fit_logistic,
@@ -92,10 +94,10 @@ class TestFitLogistic:
 
     def test_config_fields(self):
         names = [f.name for f in dataclasses.fields(LogisticConfig)]
-        assert names == ["l2", "max_iter", "tol"]
+        assert names == ["l2", "tol"]
 
     def test_separable_without_penalty_reports_non_converged(self):
-        model = fit_logistic(separable_pool(), LogisticConfig(l2=0.0, max_iter=400))
+        model = fit_logistic(separable_pool(), LogisticConfig(l2=0.0))
         assert not model.report.converged
 
     def test_objective_decreases_across_accepted_iterations(self):
@@ -137,8 +139,15 @@ class TestFitLogistic:
         assert abs(model.coefficients[-1]) < 1e-12
 
     def test_separable_without_penalty_non_converged_at_default_max_iter(self):
-        model = fit_logistic(separable_pool(), LogisticConfig(l2=0.0))
+        """The fit meets ``tol`` with its coefficient below ``MAX_COEF``, far
+        before ``MAX_ITER`` steps, and only the l2 == 0 separation rule
+        reports it as non-converged."""
+        config = LogisticConfig(l2=0.0)
+        model = fit_logistic(separable_pool(), config)
         assert not model.report.converged
+        assert model.report.iterations < MAX_ITER
+        assert model.report.grad_max <= config.tol
+        assert np.max(np.abs(model.coefficients)) <= MAX_COEF
 
 
 class TestPredictOdds:

@@ -250,7 +250,6 @@ GUARDS = {
         lambda: ipsw_quantile(*ipsw_args(0), 0.5),
     ),
     "LogisticConfig l2": ("l2 must be nonnegative", lambda: LogisticConfig(l2=-1e-9)),
-    "LogisticConfig max_iter": ("max_iter must be at least 1", lambda: LogisticConfig(max_iter=0)),
     "LogisticConfig tol": ("tol must be positive", lambda: LogisticConfig(tol=0.0)),
     "reliability_diagram misaligned": (
         "odds and labels must align",
