@@ -191,14 +191,14 @@ def _read_study(ns, l_max=None):
 
 
 def _cmd_simulate(ns) -> int:
-    scn = scenario(ns.pop)
+    scn = scenario(ns.pop, n=ns.n, m=ns.m, m_train=ns.m_train)
     rng = np.random.default_rng(ns.seed)
-    target, _ = simlab.sample_target(scn.target, ns.n, rng)
-    trial, _ = simlab.sample_trial(scn.trial, ns.m, scn.design, rng)
+    target, _ = simlab.sample_target(scn.target, scn.n, rng)
+    trial, _ = simlab.sample_trial(scn.trial, scn.m, scn.design, rng)
     fileio.write_target_csv(ns.target_out, target)
     fileio.write_trial_csv(ns.trial_out, trial)
     if ns.pool_out:
-        pool = simlab.sample_pool(target.x, scn.trial, ns.m_train, rng)
+        pool = simlab.sample_pool(target.x, scn.trial, scn.m_train, rng)
         fileio.write_pool_csv(ns.pool_out, pool)
     return 0
 

@@ -21,8 +21,11 @@ from .data import LabeledPool, TargetCovariates, TrialDataset
 SCHEMA_VERSION = 1
 
 
-def atomic_write_text(path, text: str) -> None:
-    """Write via a temp file in the same directory plus rename."""
+@contextlib.contextmanager
+def atomic_output(path):
+    """A text handle on a temp file in ``path``'s directory, renamed to
+    ``path`` when the block ends; an exception in the block, or a failed
+    rename, removes the temp file and leaves ``path`` as it was."""
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     try:
@@ -32,7 +35,7 @@ def atomic_write_text(path, text: str) -> None:
         raise type(exc)(exc.errno, exc.strerror, path) from None
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -41,8 +44,11 @@ def atomic_write_text(path, text: str) -> None:
 
 
 def write_json(path, payload: dict) -> None:
-    """Refuses NaN and infinities, which are not JSON."""
-    atomic_write_text(path, json.dumps(payload, indent=2, allow_nan=False) + "\n")
+    """Refuses NaN and infinities, which are not JSON. The text is streamed
+    to the file, never held whole in memory."""
+    with atomic_output(path) as fh:
+        json.dump(payload, fh, indent=2, allow_nan=False)
+        fh.write("\n")
 
 
 def _column_text(column) -> list[str]:
@@ -59,10 +65,12 @@ def write_columns(path, header, columns) -> None:
     with LF line ends. Each column is converted to text once, by its dtype:
     bool as ``true``/``false``, integers as digits, anything else as the
     ``repr`` of its float64 value, the shortest text that parses back to the
-    same float. Columns of unequal length raise ``ValueError``."""
+    same float. The lines are streamed to the file one by one. Columns of
+    unequal length raise ``ValueError``."""
     cells = [_column_text(c) for c in columns]
-    lines = [",".join(header), *map(",".join, zip(*cells, strict=True))]
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    with atomic_output(path) as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(row) + "\n" for row in zip(*cells, strict=True))
 
 
 @contextlib.contextmanager

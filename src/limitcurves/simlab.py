@@ -29,6 +29,7 @@ from .propensity import LogisticConfig, fit_logistic, predict_odds
 from .weights import shift_weights
 
 LOSS_NOISE_SD = 1.0
+MAX_STUDY_ROWS = 10**7  # per sample size of one study, checked before any draw
 
 
 @dataclasses.dataclass(frozen=True)
@@ -70,6 +71,8 @@ class SimScenario:
     def __post_init__(self):
         if self.n < 1 or self.m < 1 or self.m_train < 1:
             raise ValueError("sample sizes must be at least 1")
+        if max(self.n, self.m, self.m_train) > MAX_STUDY_ROWS:
+            raise ValueError(f"sample sizes must be at most {MAX_STUDY_ROWS}")
 
 
 def scenario(name: str, **overrides) -> SimScenario:
@@ -437,6 +440,8 @@ def miscoverage_gap(
     integers, so the report does not depend on which worker ran which run."""
     if runs < 1 or per_run < 1:
         raise ValueError("runs and per_run must be at least 1")
+    if per_run > MAX_STUDY_ROWS:
+        raise ValueError(f"per_run must be at most {MAX_STUDY_ROWS}")
     alphas = [float(a) for a in alphas]
     check_open_unit(alphas, "alphas")
     check_distinct(alphas, "alphas")

@@ -449,8 +449,10 @@ class TestMiscoverage:
 
     @pytest.mark.parametrize("cpus", [1, 2])
     def test_impossible_allocation(self, tmp_path, monkeypatch, capsys, cpus):
-        # 10^16 rows exceed any address space, so the allocation fails at once
+        # 10^16 rows exceed any address space, so the allocation fails at once;
+        # the raised row cap lets them past the refusal and into a worker
         monkeypatch.setattr("limitcurves.simlab._usable_cpus", lambda: cpus)
+        monkeypatch.setattr("limitcurves.simlab.MAX_STUDY_ROWS", 10**17)
         out = tmp_path / "mc.json"
         assert run(
             "miscoverage", "--pop", "B", "--n", 60, "--m", 40, "--m-train", 40,
@@ -459,6 +461,36 @@ class TestMiscoverage:
         err = capsys.readouterr().err
         assert err.startswith("error: Unable to allocate") and "Traceback" not in err
         assert not out.exists()
+
+
+    @pytest.mark.parametrize(
+        "command, sizes, line",
+        [
+            ("simulate", ("--n", 10**9), "sample sizes must be at most 10000000"),
+            ("simulate", ("--m", 10**7 + 1), "sample sizes must be at most 10000000"),
+            ("simulate", ("--m-train", 10**9, "--pool-out", "p.csv"), "sample sizes must be at most 10000000"),
+            ("miscoverage", ("--n", 10**9), "sample sizes must be at most 10000000"),
+            ("miscoverage", ("--m-train", 10**9), "sample sizes must be at most 10000000"),
+            ("miscoverage", ("--per-run", 10**9), "per_run must be at most 10000000"),
+        ],
+    )
+    def test_lab_sizes_refused_before_any_draw(self, tmp_path, monkeypatch, capsys, command, sizes, line):
+        """A row count above MAX_STUDY_ROWS would otherwise fill the memory
+        before numpy refused it; the cap refuses it before a generator is made."""
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("rows drawn")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        monkeypatch.setattr("limitcurves.simlab._draw_population", no_draw)
+        argv = {
+            "simulate": ("simulate", "--pop", "A", "--target-out", "t.csv", "--trial-out", "d.csv"),
+            "miscoverage": ("miscoverage", "--pop", "A", "--method", "certified", "--out", "mc.json"),
+        }[command]
+        assert run(*argv, *sizes) == 1
+        assert capsys.readouterr().err == f"error: {line}\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestConfigFile:
@@ -796,6 +828,26 @@ class TestProcess:
         assert code == "0"
         assert after == before
 
+    def test_matched_split_of_a_0_1_policy_does_not_import_numpy_random(
+        self, tmp_path, simulated, model
+    ):
+        # numpy 1.x imports numpy.random with numpy itself, so compare with the state before the run
+        script = (
+            "import sys\n"
+            "from limitcurves.cli import main\n"
+            "before = 'numpy.random' in sys.modules\n"
+            "code = main(sys.argv[1:])\n"
+            "print(code, before, 'numpy.random' in sys.modules)\n"
+        )
+        done = self.python(
+            "-c", script, "evaluate", "--trial", simulated[1], "--model", model,
+            "--policy", "constant:1", "--split", "matched", "--l-max", 100.0,
+            "--out-json", tmp_path / "c.json", "--out-csv", tmp_path / "c.csv",
+        )
+        code, before, after = done.stdout.split()
+        assert code == "0"
+        assert after == before
+
 
 class TestBadInputs:
     """Empty inputs and broken model files end in one error line and exit 1."""
@@ -1092,7 +1144,8 @@ class TestBadInputs:
         self.assert_only_error_line(capsys, "need at most 1000000 bins")
         assert not (tmp_path / "out").exists()
 
-    def test_simulate_impossible_allocation(self, tmp_path, capsys):
+    def test_simulate_impossible_allocation(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("limitcurves.simlab.MAX_STUDY_ROWS", 10**17)  # past the refusal
         assert run(
             "simulate", "--pop", "A", "--n", 10**16,
             "--target-out", tmp_path / "t.csv", "--trial-out", tmp_path / "d.csv",

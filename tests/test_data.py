@@ -14,6 +14,7 @@ from limitcurves.data import (
     check_losses_below,
     matched_split,
     random_split,
+    sample_actions,
     validate_dataset,
 )
 
@@ -218,3 +219,47 @@ class TestMatchedSplit:
         expected = design.probs[0] * table[:, 0] + design.probs[1] * table[:, 1]
         se = np.sqrt(expected * (1 - expected) / reps)
         assert np.all(np.abs(freq - expected) <= 4 * se + 1e-9)
+
+    @pytest.mark.parametrize("kind", ["constant:0", "constant:2", "uniform", "0/1 table", "fractional table"])
+    def test_split_is_the_drawn_split(self, kind):
+        """Every policy splits as a draw by ``sample_actions`` from a generator
+        seeded by ``seed``; a 0/1 policy, split without a generator, too."""
+        rng = np.random.default_rng(13)
+        m, k = 60, 3
+        onehot = np.eye(k)[rng.integers(0, k, m)]
+        fractional = rng.dirichlet(np.ones(k), m)
+        policy = {
+            "constant:0": PolicySpec.constant(0),
+            "constant:2": PolicySpec.constant(2),
+            "uniform": PolicySpec.uniform(),
+            "0/1 table": PolicySpec.from_table(onehot),
+            "fractional table": PolicySpec.from_table(fractional),
+        }[kind]
+        for seed in range(40):
+            trial = make_trial(m=m, k=k, seed=seed)
+            split = matched_split(trial, policy, TrialDesign.uniform(k), seed=seed)
+            drawn = sample_actions(policy.prob_matrix(m, k), np.random.default_rng(seed))
+            assert np.array_equal(split.idx_double_prime, np.flatnonzero(drawn == trial.actions))
+            assert np.array_equal(split.idx_prime, np.flatnonzero(drawn != trial.actions))
+
+    def test_random_0_1_tables_split_without_a_generator(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        cases = []
+        for i, k in enumerate([2, 3, 5] * 20):
+            table = np.eye(k)[rng.integers(0, k, 30)]
+            trial = make_trial(m=30, k=k, seed=i)
+            drawn = sample_actions(table, np.random.default_rng(i))
+            cases.append((table, trial, np.flatnonzero(drawn == trial.actions)))
+
+        def no_generator(*args, **kwargs):
+            raise AssertionError("generator made")
+
+        monkeypatch.setattr(np.random, "default_rng", no_generator)
+        for i, (table, trial, expected) in enumerate(cases):
+            design = TrialDesign.uniform(table.shape[1])
+            if expected.size in (0, 30):  # every row matched, or none did
+                with pytest.raises(ValueError, match="degenerate matched split"):
+                    matched_split(trial, PolicySpec.from_table(table), design, seed=i)
+                continue
+            split = matched_split(trial, PolicySpec.from_table(table), design, seed=i)
+            assert np.array_equal(split.idx_double_prime, expected)

@@ -1,7 +1,9 @@
 """Tests for CSV/JSON formats and atomic writes."""
 
 import csv
+import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -70,7 +72,18 @@ class TestWriteColumns:
         path = tmp_path / "t.csv"
         with pytest.raises(ValueError):
             fileio.write_columns(path, ["a", "b"], [[1.0, 2.0], [1.0]])
-        assert not path.exists()
+        assert list(tmp_path.iterdir()) == []  # neither the output nor a temp file
+
+    def test_streamed_text_is_the_joined_text(self, tmp_path):
+        """The lines written one by one are the bytes of the whole file built
+        as one string."""
+        rng = np.random.default_rng(5)
+        columns = [rng.normal(size=300), rng.integers(-9, 9, 300), rng.random(300) < 0.5]
+        cells = [fileio._column_text(c) for c in columns]
+        joined = "\n".join(["f,i,b", *map(",".join, zip(*cells))]) + "\n"
+        path = tmp_path / "t.csv"
+        fileio.write_columns(path, ["f", "i", "b"], columns)
+        assert path.read_bytes() == joined.encode()
 
 
 class TestGoldenBytes:
@@ -329,32 +342,61 @@ class TestReadColumns:
         assert caught == []
 
 
+def atomic_write(path, text):
+    with fileio.atomic_output(path) as fh:
+        fh.write(text)
+
+
 class TestAtomicWrite:
     def test_no_temp_residue_and_content(self, tmp_path):
         path = tmp_path / "out.txt"
-        fileio.atomic_write_text(path, "hello\n")
+        atomic_write(path, "hello\n")
         assert path.read_text() == "hello\n"
         assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
 
     def test_overwrite_replaces(self, tmp_path):
         path = tmp_path / "out.txt"
         path.write_text("old")
-        fileio.atomic_write_text(path, "new")
+        atomic_write(path, "new")
         assert path.read_text() == "new"
 
     def test_missing_directory_names_the_path(self, tmp_path):
         path = tmp_path / "nodir" / "out.txt"
         with pytest.raises(FileNotFoundError) as info:
-            fileio.atomic_write_text(path, "x")
+            atomic_write(path, "x")
         assert info.value.filename == str(path)
 
     def test_failed_replace_leaves_no_temp_file(self, tmp_path):
         target = tmp_path / "out"
         target.mkdir()
         with pytest.raises(OSError):
-            fileio.atomic_write_text(target, "x")
+            atomic_write(target, "x")
         assert [p.name for p in tmp_path.iterdir()] == ["out"]
         assert list(target.iterdir()) == []
+
+    def test_error_in_the_block_keeps_the_old_file(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("old")
+        with pytest.raises(KeyError):
+            with fileio.atomic_output(path) as fh:
+                fh.write("half")
+                raise KeyError("stop")
+        assert path.read_text() == "old"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+def curve_payload(points):
+    """An ``evaluate``-shaped payload with ``points`` curve rows."""
+    rng = np.random.default_rng(3)
+    alphas, limits = rng.random(points).tolist(), (10.0 * rng.random(points)).tolist()
+    return {
+        "schema_version": 1,
+        "config": {"trial": "trial.csv", "gammas": "1,2", "seed": 0, "target": None},
+        "curves": [
+            {"gamma": 1.0, "alpha": a, "limit": q, "trivial": q > 9.0}
+            for a, q in zip(alphas, limits)
+        ],
+    }
 
 
 class TestJson:
@@ -364,6 +406,36 @@ class TestJson:
         with pytest.raises(ValueError, match="not JSON compliant"):
             fileio.write_json(path, {"v": value})
         assert not path.exists()
+
+    @pytest.mark.parametrize("value", [math.nan, -math.inf])
+    def test_infinity_late_in_the_payload_leaves_no_file(self, tmp_path, value):
+        """The streamed text stops at the bad value; the part already
+        written goes with the temp file."""
+        payload = curve_payload(1000)
+        payload["curves"][-1]["limit"] = value
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            fileio.write_json(tmp_path / "x.json", payload)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_streamed_text_is_the_dumped_text(self, tmp_path):
+        payload = curve_payload(500)
+        path = tmp_path / "x.json"
+        fileio.write_json(path, payload)
+        assert path.read_bytes() == (json.dumps(payload, indent=2, allow_nan=False) + "\n").encode()
+
+    def test_peak_memory_stays_below_the_text(self, tmp_path):
+        """At 1e5 curve points the text is about 11 MB; building it as one
+        string peaked near 85 MB, streaming it stays under 1 MB."""
+        payload = curve_payload(100_000)
+        path = tmp_path / "x.json"
+        tracemalloc.start()
+        try:
+            fileio.write_json(path, payload)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert path.stat().st_size > 10**7
+        assert peak < 10**6
 
 
 class TestConfigFile:

@@ -309,6 +309,10 @@ GUARDS = {
         "sample sizes must be at least 1",
         lambda: SimScenario(scenario("A").target, n=0),
     ),
+    "SimScenario too many rows": (
+        "sample sizes must be at most 10000000",
+        lambda: SimScenario(scenario("A").target, m_train=10**7 + 1),
+    ),
     "sample_target no rows": ("n must be at least 1", lambda: sample_target(scenario("A").target, 0, 0)),
     "sample_trial no rows": (
         "m must be at least 1",
@@ -333,6 +337,10 @@ GUARDS = {
     "miscoverage_gap no runs": (
         "runs and per_run must be at least 1",
         lambda: miscoverage_gap(scenario("A"), CertifiedMethod(gamma=1.0), [0.1], runs=0, per_run=1),
+    ),
+    "miscoverage_gap too many rows": (
+        "per_run must be at most 10000000",
+        lambda: miscoverage_gap(scenario("A"), CertifiedMethod(gamma=1.0), [0.1], runs=1, per_run=10**7 + 1),
     ),
     # other guards
     "benchmark_all rows": (
