@@ -19,7 +19,7 @@ LOGIT_CLAMP = 30.0
 BACKTRACK = 0.5  # step-length factor of the line search
 ARMIJO = 1e-4  # share of the predicted decrease a step must achieve
 MAX_COEF = 100.0  # separation guard on the standardized coefficients
-MAX_ITER = 1000  # Newton step cap; the stop rules below end every fit long before it
+MAX_ITER = 1000  # Newton step cap, far above the steps any fit takes
 
 
 @dataclasses.dataclass(frozen=True)
@@ -125,9 +125,10 @@ def fit_logistic(pool: LabeledPool, config: LogisticConfig = LogisticConfig()) -
     Standardization is fitted on the pool; the intercept is not penalized and
     no class reweighting is applied. Each step solves ``H delta = g``, or
     follows the gradient when that fails or does not descend, shrinking by
-    ``BACKTRACK`` until the ``ARMIJO`` condition holds. The report is
-    non-converged when the gradient stays above ``tol``, a coefficient passes
-    ``MAX_COEF``, or, at ``l2 == 0``, the logits separate the classes completely.
+    ``BACKTRACK`` until the ``ARMIJO`` condition holds, for at most
+    ``MAX_ITER`` steps. The report is non-converged when the gradient stays
+    above ``tol``, a coefficient passes ``MAX_COEF``, or, at ``l2 == 0``,
+    the logits separate the classes completely.
     """
     n, d = pool.x.shape
     # feature-major: each feature is a contiguous row, so the moments and the

@@ -463,36 +463,6 @@ class TestMiscoverage:
         assert not out.exists()
 
 
-    @pytest.mark.parametrize(
-        "command, sizes, line",
-        [
-            ("simulate", ("--n", 10**9), "sample sizes must be at most 10000000"),
-            ("simulate", ("--m", 10**7 + 1), "sample sizes must be at most 10000000"),
-            ("simulate", ("--m-train", 10**9, "--pool-out", "p.csv"), "sample sizes must be at most 10000000"),
-            ("miscoverage", ("--n", 10**9), "sample sizes must be at most 10000000"),
-            ("miscoverage", ("--m-train", 10**9), "sample sizes must be at most 10000000"),
-            ("miscoverage", ("--per-run", 10**9), "per_run must be at most 10000000"),
-        ],
-    )
-    def test_lab_sizes_refused_before_any_draw(self, tmp_path, monkeypatch, capsys, command, sizes, line):
-        """A row count above MAX_STUDY_ROWS would otherwise fill the memory
-        before numpy refused it; the cap refuses it before a generator is made."""
-
-        def no_draw(*args, **kwargs):
-            raise AssertionError("rows drawn")
-
-        monkeypatch.chdir(tmp_path)
-        monkeypatch.setattr(np.random, "default_rng", no_draw)
-        monkeypatch.setattr("limitcurves.simlab._draw_population", no_draw)
-        argv = {
-            "simulate": ("simulate", "--pop", "A", "--target-out", "t.csv", "--trial-out", "d.csv"),
-            "miscoverage": ("miscoverage", "--pop", "A", "--method", "certified", "--out", "mc.json"),
-        }[command]
-        assert run(*argv, *sizes) == 1
-        assert capsys.readouterr().err == f"error: {line}\n"
-        assert list(tmp_path.iterdir()) == []
-
-
 class TestConfigFile:
     def test_config_supplies_defaults_and_flags_override(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -1152,6 +1122,37 @@ class TestBadInputs:
         ) == 1
         self.assert_error_line(capsys, "Unable to allocate")
         assert not (tmp_path / "t.csv").exists()
+
+    @pytest.mark.parametrize(
+        "command, sizes, name",
+        [
+            ("simulate", ("--n", 10**9), "sample sizes"),
+            ("simulate", ("--m", 10**7 + 1), "sample sizes"),
+            ("simulate", ("--m-train", 10**9, "--pool-out", "p.csv"), "sample sizes"),
+            ("miscoverage", ("--n", 10**9), "sample sizes"),
+            ("miscoverage", ("--m-train", 10**9), "sample sizes"),
+            ("miscoverage", ("--per-run", 10**9), "per_run"),
+        ],
+        ids=["simulate-n", "simulate-m", "simulate-m-train", "miscoverage-n", "miscoverage-m-train",
+             "miscoverage-per-run"],
+    )
+    def test_lab_sizes_refused_before_any_draw(self, tmp_path, monkeypatch, capsys, command, sizes, name):
+        """A row count above MAX_STUDY_ROWS would otherwise fill the memory
+        before numpy refused it; the cap refuses it before a generator is made."""
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("rows drawn")
+
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        monkeypatch.setattr("limitcurves.simlab._draw_population", no_draw)
+        argv = {
+            "simulate": ("simulate", "--pop", "A", "--target-out", "t.csv", "--trial-out", "d.csv"),
+            "miscoverage": ("miscoverage", "--pop", "A", "--method", "certified", "--out", "mc.json"),
+        }[command]
+        assert run(*argv, *sizes) == 1
+        assert capsys.readouterr().err == f"error: {name} must be at most 10000000\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_nan_l2(self, tmp_path, simulated, capsys):
         assert run("fit", "--pool", simulated[2], "--l2", "nan", "--out", tmp_path / "m.json") == 1
