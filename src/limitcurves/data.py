@@ -311,16 +311,12 @@ def matched_split(
     policy draw reproduces its recorded action.
 
     Assumes the recorded actions were randomized covariate-free per ``design``.
-    A policy whose every probability is 0 or 1 is deterministic: each row's
-    draw is its one action whatever the seed, so no generator is made.
     """
     if design.k_actions != trial.k_actions:
         raise ValueError("design action count does not match the trial dataset")
     probs = policy.prob_matrix(trial.m, trial.k_actions)
-    if np.all((probs == 0.0) | (probs == 1.0)):
-        drawn = probs.argmax(axis=1)
-    else:
-        drawn = sample_actions(probs, np.random.default_rng(seed))
+    rng = np.random.default_rng(seed)
+    drawn = sample_actions(probs, rng)
     match = drawn == trial.actions
     idx_double = np.flatnonzero(match)
     idx_prime = np.flatnonzero(~match)

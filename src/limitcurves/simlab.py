@@ -30,6 +30,10 @@ from .weights import shift_weights
 
 LOSS_NOISE_SD = 1.0
 MAX_STUDY_ROWS = 10**7  # per sample size of one study, checked before any draw
+# Rows of one study with n, m, m_train and per_run all at MAX_STUDY_ROWS (2.7 GiB
+# peak RSS). miscoverage_gap forks no more workers than keep the rows of the
+# studies they hold at once within this bound.
+MAX_ROWS_IN_FLIGHT = 4 * MAX_STUDY_ROWS
 
 
 @dataclasses.dataclass(frozen=True)
@@ -435,7 +439,9 @@ def miscoverage_gap(
     uniform: a table policy is refused before any study is drawn.
 
     The runs are spread over one worker per usable CPU: this process and
-    forked children, each taking the next run whenever it is free. Every run
+    forked children, each taking the next run whenever it is free. Each worker
+    holds one study, so the workers are fewer where their studies' rows would
+    pass ``MAX_ROWS_IN_FLIGHT``, and one worker runs a study of any size. Every run
     draws from its own ``run_rng(seed, run_index)`` and the counts are
     integers, so the report does not depend on which worker ran which run."""
     if runs < 1 or per_run < 1:
@@ -459,10 +465,11 @@ def miscoverage_gap(
     # one run per queued item, or contiguous chunks of runs past the queue's size
     items = min(runs, _MAX_QUEUED)
     bounds = [runs * i // items for i in range(items + 1)]
+    study_rows = scn.n + scn.m + scn.m_train + per_run
     item_counts = _fork_map(
         functools.partial(_exceed_counts, scn, method, alphas, per_run, seed, policy),
         [range(lo, hi) for lo, hi in zip(bounds, bounds[1:])],
-        _usable_cpus(),
+        min(_usable_cpus(), max(1, MAX_ROWS_IN_FLIGHT // study_rows)),
     )
     exceed = [sum(counts) for counts in zip(*item_counts)]
 

@@ -798,26 +798,6 @@ class TestProcess:
         assert code == "0"
         assert after == before
 
-    def test_matched_split_of_a_0_1_policy_does_not_import_numpy_random(
-        self, tmp_path, simulated, model
-    ):
-        # numpy 1.x imports numpy.random with numpy itself, so compare with the state before the run
-        script = (
-            "import sys\n"
-            "from limitcurves.cli import main\n"
-            "before = 'numpy.random' in sys.modules\n"
-            "code = main(sys.argv[1:])\n"
-            "print(code, before, 'numpy.random' in sys.modules)\n"
-        )
-        done = self.python(
-            "-c", script, "evaluate", "--trial", simulated[1], "--model", model,
-            "--policy", "constant:1", "--split", "matched", "--l-max", 100.0,
-            "--out-json", tmp_path / "c.json", "--out-csv", tmp_path / "c.csv",
-        )
-        code, before, after = done.stdout.split()
-        assert code == "0"
-        assert after == before
-
 
 class TestBadInputs:
     """Empty inputs and broken model files end in one error line and exit 1."""

@@ -223,7 +223,7 @@ class TestMatchedSplit:
     @pytest.mark.parametrize("kind", ["constant:0", "constant:2", "uniform", "0/1 table", "fractional table"])
     def test_split_is_the_drawn_split(self, kind):
         """Every policy splits as a draw by ``sample_actions`` from a generator
-        seeded by ``seed``; a 0/1 policy, split without a generator, too."""
+        seeded by ``seed``."""
         rng = np.random.default_rng(13)
         m, k = 60, 3
         onehot = np.eye(k)[rng.integers(0, k, m)]
@@ -242,24 +242,13 @@ class TestMatchedSplit:
             assert np.array_equal(split.idx_double_prime, np.flatnonzero(drawn == trial.actions))
             assert np.array_equal(split.idx_prime, np.flatnonzero(drawn != trial.actions))
 
-    def test_random_0_1_tables_split_without_a_generator(self, monkeypatch):
-        rng = np.random.default_rng(14)
-        cases = []
-        for i, k in enumerate([2, 3, 5] * 20):
-            table = np.eye(k)[rng.integers(0, k, 30)]
-            trial = make_trial(m=30, k=k, seed=i)
-            drawn = sample_actions(table, np.random.default_rng(i))
-            cases.append((table, trial, np.flatnonzero(drawn == trial.actions)))
-
-        def no_generator(*args, **kwargs):
-            raise AssertionError("generator made")
-
-        monkeypatch.setattr(np.random, "default_rng", no_generator)
-        for i, (table, trial, expected) in enumerate(cases):
-            design = TrialDesign.uniform(table.shape[1])
-            if expected.size in (0, 30):  # every row matched, or none did
-                with pytest.raises(ValueError, match="degenerate matched split"):
-                    matched_split(trial, PolicySpec.from_table(table), design, seed=i)
-                continue
-            split = matched_split(trial, PolicySpec.from_table(table), design, seed=i)
-            assert np.array_equal(split.idx_double_prime, expected)
+    @pytest.mark.parametrize(
+        "seed, error, message",
+        [(-1, ValueError, "^expected non-negative integer$"), (1.5, TypeError, "entropy")],
+    )
+    @pytest.mark.parametrize(
+        "policy", [PolicySpec.constant(1), PolicySpec.uniform()], ids=["constant", "uniform"]
+    )
+    def test_bad_seed_refused(self, seed, error, message, policy):
+        with pytest.raises(error, match=message):
+            matched_split(make_trial(m=30, k=2, seed=0), policy, TrialDesign.uniform(2), seed=seed)

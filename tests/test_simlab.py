@@ -348,6 +348,24 @@ class TestForkedRuns:
         monkeypatch.setattr(simlab, "_MAX_QUEUED", 2)
         assert self.report(monkeypatch, 2, CertifiedMethod(gamma=2.0), 5) == sequential
 
+    @pytest.mark.parametrize(
+        "in_flight, workers", [(10**9, 8), (3 * 500, 3), (2 * 500 - 1, 1), (499, 1)]
+    )
+    def test_workers_bounded_by_rows_in_flight(self, monkeypatch, in_flight, workers):
+        # each study holds n + m + m_train + per_run = 60 + 370 + 40 + 30 = 500 rows
+        forked = []
+        fork_map = simlab._fork_map
+
+        def counting_fork_map(fn, items, n_workers):
+            forked.append(n_workers)
+            return fork_map(fn, items, 1)
+
+        monkeypatch.setattr(simlab, "_fork_map", counting_fork_map)
+        monkeypatch.setattr(simlab, "MAX_ROWS_IN_FLIGHT", in_flight)
+        sequential = self.report(monkeypatch, 1, CertifiedMethod(gamma=2.0), 3, m=370)
+        assert self.report(monkeypatch, 8, CertifiedMethod(gamma=2.0), 3, m=370) == sequential
+        assert forked == [1, workers]
+
     def test_too_many_items_refused(self):
         with pytest.raises(ValueError, match="at most 1024 items"):
             simlab._fork_map(abs, list(range(1025)), 2)
