@@ -61,7 +61,6 @@ class CalibrationSet:
         if np.any(lower > upper):
             raise ValueError("lower weights must not exceed upper weights")
         order = np.argsort(losses, kind="stable")
-        self.order = order
         self.losses = losses[order]
         self.lower = lower[order]
         self.upper = upper[order]
@@ -279,9 +278,6 @@ class LimitCurve:
     informativeness: dict[float, float]
     gammas: tuple[float, ...]
     l_max: float
-
-    def for_gamma(self, gamma: float) -> list[LimitPoint]:
-        return [p for p in self.points if p.gamma == gamma]
 
 
 def check_curve_args(

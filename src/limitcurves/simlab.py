@@ -87,10 +87,6 @@ def scenario(name: str, **overrides) -> SimScenario:
     return SimScenario(target=POPULATIONS[name], **overrides)
 
 
-def _rng(seed) -> np.random.Generator:
-    return seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-
-
 def _draw_population(
     params: PopulationParams, n: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -107,10 +103,11 @@ def sample_target(
     params: PopulationParams, n: int, seed
 ) -> tuple[TargetCovariates, np.ndarray]:
     """Draw covariate-only target rows; the hidden factor is returned separately
-    and only for oracle use."""
+    and only for oracle use. ``seed`` goes to ``np.random.default_rng``, so a
+    ``Generator`` continues its own stream."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    x, u = _draw_population(params, n, _rng(seed))
+    x, u = _draw_population(params, n, np.random.default_rng(seed))
     return TargetCovariates(x), u
 
 
@@ -132,7 +129,7 @@ def sample_trial(
     """Draw trial records with design-randomized actions and model losses."""
     if m < 1:
         raise ValueError("m must be at least 1")
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     x, u = _draw_population(params, m, rng)
     actions = sample_actions(
         np.broadcast_to(design.probs, (m, design.k_actions)), rng
