@@ -11,7 +11,7 @@ import csv
 import json
 import math
 import os
-import tempfile
+import secrets
 import warnings
 
 import numpy as np
@@ -20,16 +20,21 @@ from .data import LabeledPool, TargetCovariates, TrialDataset
 
 SCHEMA_VERSION = 1
 
+# rows converted to text at a time by ``write_columns``
+_BLOCK_ROWS = 4096
+
 
 @contextlib.contextmanager
 def atomic_output(path):
     """A text handle on a temp file in ``path``'s directory, renamed to
     ``path`` when the block ends; an exception in the block, or a failed
-    rename, removes the temp file and leaves ``path`` as it was."""
+    rename, removes the temp file and leaves ``path`` as it was. The file is
+    created with mode 0o666 less the umask, as ``open(path, "w")`` creates
+    it (``tempfile.mkstemp``'s 0o600 would survive the rename)."""
     path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
+    tmp = os.path.join(os.path.dirname(path), f".tmp-{secrets.token_hex(8)}~")
     try:
-        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     except OSError as exc:
         # name the requested path, not the temp file that could not be made
         raise type(exc)(exc.errno, exc.strerror, path) from None
@@ -62,15 +67,21 @@ def _column_text(column) -> list[str]:
 
 def write_columns(path, header, columns) -> None:
     """Write one CSV line per row of equal-length ``columns`` under ``header``,
-    with LF line ends. Each column is converted to text once, by its dtype:
-    bool as ``true``/``false``, integers as digits, anything else as the
-    ``repr`` of its float64 value, the shortest text that parses back to the
-    same float. The lines are streamed to the file one by one. Columns of
-    unequal length raise ``ValueError``."""
-    cells = [_column_text(c) for c in columns]
+    with LF line ends. Each column is converted to text by its dtype: bool as
+    ``true``/``false``, integers as digits, anything else as the ``repr`` of
+    its float64 value, the shortest text that parses back to the same float.
+    Rows are converted and written ``_BLOCK_ROWS`` at a time, so the text in
+    memory does not grow with the file. Columns of unequal length raise
+    ``ValueError`` before any file is made."""
+    arrays = [np.asarray(c) for c in columns]
+    rows = len(arrays[0]) if arrays else 0
+    if any(len(a) != rows for a in arrays):
+        raise ValueError("columns must have equal lengths")
     with atomic_output(path) as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(row) + "\n" for row in zip(*cells, strict=True))
+        for start in range(0, rows, _BLOCK_ROWS):
+            cells = [_column_text(a[start : start + _BLOCK_ROWS]) for a in arrays]
+            fh.writelines(",".join(row) + "\n" for row in zip(*cells))
 
 
 @contextlib.contextmanager

@@ -19,6 +19,7 @@ from limitcurves.simlab import (
     miscoverage_gap,
     run_rng,
     sample_losses,
+    sample_pool,
     sample_target,
     sample_trial,
     scenario,
@@ -69,6 +70,50 @@ class TestGenerators:
         trial, _ = sample_trial(POPULATIONS["trial"], 20000, design, seed=1)
         frac = trial.actions.mean()
         assert abs(frac - 0.75) <= 4 * math.sqrt(0.1875 / 20000)
+
+
+def draw_target(seed):
+    covs, u = sample_target(POPULATIONS["A"], 12, seed)
+    return covs.x, u
+
+
+def draw_trial(seed):
+    trial, u = sample_trial(POPULATIONS["trial"], 12, TrialDesign([0.3, 0.7]), seed)
+    return trial.x, trial.actions, trial.losses, u
+
+
+def draw_pool(seed):
+    pool = sample_pool(np.zeros((3, 2)), POPULATIONS["trial"], 12, seed)
+    return pool.x, pool.labels
+
+
+SAMPLERS = pytest.mark.parametrize(
+    "draw", [draw_target, draw_trial, draw_pool], ids=["target", "trial", "pool"]
+)
+
+
+class TestSeeds:
+    """A sampler hands ``seed`` to ``np.random.default_rng``: an int seeds a
+    new generator, and a ``Generator`` is drawn from as it stands."""
+
+    @SAMPLERS
+    def test_int_seed_is_a_fresh_generator(self, draw):
+        for got, want in zip(draw(7), draw(np.random.default_rng(7))):
+            assert np.array_equal(got, want)
+
+    @SAMPLERS
+    def test_generator_stream_continues(self, draw):
+        rng = np.random.default_rng(7)
+        first, second = draw(rng), draw(rng)
+        assert not np.array_equal(first[0], second[0])
+        assert all(np.array_equal(a, b) for a, b in zip(first, draw(7)))
+
+    def test_two_target_draws_are_one_longer_draw(self):
+        rng = np.random.default_rng(3)
+        (x1, u1), (x2, u2) = draw_target(rng), draw_target(rng)
+        both, u = sample_target(POPULATIONS["A"], 24, 3)
+        assert np.array_equal(both.x, np.vstack([x1, x2]))
+        assert np.array_equal(u, np.concatenate([u1, u2]))
 
 
 class TestTrueOdds:
