@@ -11,7 +11,6 @@ import csv
 import json
 import math
 import os
-import secrets
 import warnings
 
 import numpy as np
@@ -32,7 +31,7 @@ def atomic_output(path):
     created with mode 0o666 less the umask, as ``open(path, "w")`` creates
     it (``tempfile.mkstemp``'s 0o600 would survive the rename)."""
     path = os.fspath(path)
-    tmp = os.path.join(os.path.dirname(path), f".tmp-{secrets.token_hex(8)}~")
+    tmp = os.path.join(os.path.dirname(path), f".tmp-{os.urandom(8).hex()}~")
     try:
         fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     except OSError as exc:
