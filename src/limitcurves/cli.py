@@ -13,7 +13,7 @@ import sys
 import numpy as np
 
 from . import fileio, simlab
-from .conformal import certify, check_curve_args, limit_curve
+from .conformal import _none_if_inf, certify, check_curve_args, limit_curve
 from .data import (
     MAX_GRID_POINTS,
     PolicySpec,
@@ -233,10 +233,7 @@ def _cmd_evaluate(ns) -> int:
         "gammas": list(curve.gammas),
         "split_sizes": {"d_prime": ws.size, "d_double_prime": cal.size},
         "informativeness": curve.informativeness,
-        "curves": [
-            {"gamma": p.gamma, "alpha": p.alpha, "limit": p.limit, "trivial": p.trivial}
-            for p in curve.points
-        ],
+        "curves": [dict(zip(curve.columns, row)) for row in zip(*(c.tolist() for c in curve.columns.values()))],
     }
     _write_payload(ns, ns.out_json, "limit-curves", body)
     fileio.write_limit_curve_csv(ns.out_csv, curve)
@@ -277,13 +274,13 @@ def _cmd_ipsw(ns) -> int:
     target = fileio.read_target_csv(ns.target)
     validate_dataset(trial, target)
     weights = shift_weights(trial, odds, policy, design)
-    limits = _ipsw_quantiles(trial.losses, weights, target.n, alphas, ns.normalized)
+    quantiles = zip(alphas, _ipsw_quantiles(trial.losses, weights, target.n, alphas, ns.normalized).tolist())
     body = {
         "n": target.n,
         "m": trial.m,
         # ipsw_value's formula, on the weights the quantiles used
         "value": float(np.sum(weights * trial.losses) / target.n),
-        "quantiles": [{"alpha": a, "limit": q, "trivial": q is None} for a, q in zip(alphas, limits)],
+        "quantiles": [{"alpha": a, "limit": _none_if_inf(q), "trivial": q == math.inf} for a, q in quantiles],
     }
     _write_payload(ns, ns.out, "ipsw-baseline", body)
     return 0

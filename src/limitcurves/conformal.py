@@ -191,26 +191,30 @@ def quantile(cal: CalibrationSet, w_bound: float, alpha: float, beta: float) -> 
         raise ValueError("weight bound must be nonnegative")
     scan = _scan_arrays(cal.losses, cal.lower, cal.upper, cal.group_ends)
     t = (1.0 - alpha) / (1.0 - beta)
-    return _stop_losses(scan, np.array([[float(w_bound)]]), np.array([[t / (1.0 - t)]]))[0]
+    return _none_if_inf(_stop_losses(scan, np.array([[float(w_bound)]]), np.array([[t / (1.0 - t)]]))[0])
 
 
-def _limits(cal: CalibrationSet, ws: WeightBoundSet, gammas, blocks) -> list[list[float | None]]:
-    """The ``limit`` of every row of every ``(alphas, betas)`` block, one list
-    per checked gamma: ``alphas`` is a ``(rows, 1)`` column and ``betas`` a
-    ``(rows, levels)`` grid. One scan serves every gamma, which scales only
-    the level (see ``_scan_arrays``); each block is one kernel call per
-    gamma."""
+def _none_if_inf(value) -> float | None:
+    """A scalar limit for the public API: ``inf`` (no level reached) reads None."""
+    return None if value == math.inf else float(value)
+
+
+def _limits(cal: CalibrationSet, ws: WeightBoundSet, gammas, blocks) -> np.ndarray:
+    """The ``limit`` of every row of every ``(alphas, betas)`` block as a
+    ``(gammas, rows)`` array, ``inf`` where no level is reached: ``alphas``
+    is a ``(rows, 1)`` column and ``betas`` a ``(rows, levels)`` grid. One
+    scan serves every gamma, which scales only the level (see
+    ``_scan_arrays``); each block is one kernel call per gamma."""
     scan = _scan_arrays(cal.losses, cal.lower, cal.upper, cal.group_ends)
     # a numpy square obeys the caller's errstate, so it cannot overflow silently
     squares = [np.float64(g) ** 2 for g in gammas]
-    out: list[list[float | None]] = [[] for _ in squares]
+    parts = []
     for alphas, betas in blocks:
         wbars = _weight_bound_values(ws.upper, betas)
         t = (1.0 - alphas) / (1.0 - betas)
         odds = t / (1.0 - t)
-        for limits, g2 in zip(out, squares):
-            limits += _stop_losses(scan, wbars, g2 * odds)
-    return out
+        parts.append([_stop_losses(scan, wbars, g2 * odds) for g2 in squares])
+    return np.concatenate(parts, axis=1)
 
 
 # levels per kernel call: a block holds as many alphas as fit under this
@@ -227,14 +231,13 @@ def _default_blocks(alphas):
         yield column[lo : lo + rows], default_beta_grid(column[lo : lo + rows])
 
 
-def _stop_losses(scan, wbars, thresholds) -> list[float | None]:
+def _stop_losses(scan, wbars, thresholds) -> np.ndarray:
     """Per row of the ``(rows, levels)`` arrays ``wbars`` and ``thresholds``,
     the smallest loss of ``scan`` (``_scan_arrays``' loss ends, prefix and
     suffix) where ``prefix / (suffix + wbars[r, j])`` reaches
-    ``thresholds[r, j]`` for some j, or None."""
+    ``thresholds[r, j]`` for some j; the kernel's -1 reads the appended inf."""
     loss_ends, prefix, suffix = scan
-    idx = backend.best_stop_index(prefix, suffix, wbars, thresholds)
-    return [None if i < 0 else float(loss_ends[i]) for i in idx.tolist()]
+    return np.append(loss_ends, math.inf)[backend.best_stop_index(prefix, suffix, wbars, thresholds)]
 
 
 def limit(
@@ -257,7 +260,7 @@ def limit(
         raise ValueError("beta grid must be a nonempty vector")
     if np.any(betas <= 0) or np.any(betas >= alpha):
         raise ValueError("beta grid must lie strictly inside (0, alpha)")
-    return _limits(cal, ws, [g], [(np.array([[alpha]]), betas[None, :])])[0][0]
+    return _none_if_inf(_limits(cal, ws, [g], [(np.array([[alpha]]), betas[None, :])])[0, 0])
 
 
 @dataclasses.dataclass(frozen=True)
@@ -272,12 +275,17 @@ class LimitPoint:
 
 @dataclasses.dataclass(frozen=True)
 class LimitCurve:
-    """Limit-curve entries over (gamma, alpha) grids plus per-gamma informativeness."""
+    """Cells over (gamma, alpha) grids as one column per ``LimitPoint`` field, gamma-major."""
 
-    points: tuple[LimitPoint, ...]
+    columns: dict[str, np.ndarray]
     informativeness: dict[float, float]
     gammas: tuple[float, ...]
     l_max: float
+
+    @property
+    def points(self) -> tuple[LimitPoint, ...]:
+        """The cells as ``LimitPoint``s, built when read."""
+        return tuple(map(LimitPoint, *(c.tolist() for c in self.columns.values())))
 
 
 def check_curve_args(
@@ -326,16 +334,13 @@ def limit_curve(
     if float(cal.losses[-1]) >= l_max:
         raise ValueError("all observed losses must lie strictly below l_max")
 
-    points: list[LimitPoint] = []
-    informativeness: dict[float, float] = {}
-    blocks = _default_blocks(alpha_list)
-    for g, limits in zip(gamma_list, _limits(cal, ws, gamma_list, blocks)):
-        finite_alphas = []
-        for a, value in zip(alpha_list, limits):
-            if value is None:
-                points.append(LimitPoint(g, a, l_max, True))
-            else:
-                points.append(LimitPoint(g, a, value, False))
-                finite_alphas.append(a)
-        informativeness[g] = (1.0 - min(finite_alphas)) if finite_alphas else 0.0
-    return LimitCurve(tuple(points), informativeness, tuple(gamma_list), l_max)
+    limits = _limits(cal, ws, gamma_list, _default_blocks(alpha_list))
+    trivial = np.isinf(limits)
+    columns = {
+        "gamma": np.repeat(gamma_list, len(alpha_list)),
+        "alpha": np.tile(alpha_list, len(gamma_list)),
+        "limit": np.where(trivial, l_max, limits).ravel(),
+        "trivial": trivial.ravel(),
+    }
+    informativeness = {g: 0.0 if t.all() else 1.0 - alpha_list[t.argmin()] for g, t in zip(gamma_list, trivial)}
+    return LimitCurve(columns, informativeness, tuple(gamma_list), l_max)

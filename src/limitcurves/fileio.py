@@ -236,8 +236,7 @@ def read_pool_csv(path):
 
 
 def write_limit_curve_csv(path, curve) -> None:
-    rows = ((p.gamma, p.alpha, p.limit, p.trivial) for p in curve.points)
-    write_columns(path, ["gamma", "alpha", "limit", "trivial"], zip(*rows))
+    write_columns(path, list(curve.columns), curve.columns.values())
 
 
 def write_reliability_csv(path, bins) -> None:

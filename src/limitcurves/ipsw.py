@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .conformal import CalibrationSet, _stop_losses
+from .conformal import CalibrationSet, _none_if_inf, _stop_losses
 from .data import PolicySpec, TrialDataset, TrialDesign, check_open_unit
 from .weights import shift_weights
 
@@ -56,13 +56,13 @@ def ipsw_quantile(
     """
     check_open_unit(alpha, "alpha")
     weights = shift_weights(trial, odds, policy, design)
-    return _ipsw_quantiles(trial.losses, weights, n_target, [alpha], normalized)[0]
+    return _none_if_inf(_ipsw_quantiles(trial.losses, weights, n_target, [alpha], normalized)[0])
 
 
-def _ipsw_quantiles(losses, weights, n_target, alphas, normalized) -> list[float | None]:
-    """``ipsw_quantile`` at each of the checked ``alphas`` from the trial losses
-    and their ``shift_weights``: the kernel scans the reweighted CDF as a
-    stand-in CDF with zero out-of-sample weight and a constant suffix."""
+def _ipsw_quantiles(losses, weights, n_target, alphas, normalized) -> np.ndarray:
+    """``ipsw_quantile``, with ``inf`` for None, at each checked alpha from the
+    trial losses and their ``shift_weights``: the kernel scans the reweighted
+    CDF as a stand-in CDF with zero out-of-sample weight and a constant suffix."""
     if n_target < 1:
         raise ValueError("n_target must be at least 1")
     mass = float(weights.sum()) if normalized else n_target

@@ -206,7 +206,7 @@ class CertifiedMethod:
         elif self.split_frac != 0.5:
             raise ValueError("split_frac applies to the random split only")
 
-    def _study_limits(self, scn, trial, odds, policy, alphas, rng) -> list[float | None]:
+    def _study_limits(self, scn, trial, odds, policy, alphas, rng) -> np.ndarray:
         """Per-alpha certified limits of one study, split with a seed drawn
         from ``rng``."""
         split_seed = int(rng.integers(0, 2**63 - 1))
@@ -226,7 +226,7 @@ class IpswMethod:
         if self.odds_source not in ("fitted", "oracle"):
             raise ValueError("odds_source must be 'fitted' or 'oracle'")
 
-    def _study_limits(self, scn, trial, odds, policy, alphas, rng) -> list[float | None]:
+    def _study_limits(self, scn, trial, odds, policy, alphas, rng) -> np.ndarray:
         """Per-alpha reweighting-baseline quantiles of one study; draws nothing."""
         weights = shift_weights(trial, odds, policy, scn.design)
         return _ipsw_quantiles(trial.losses, weights, scn.n, alphas, self.normalized)
@@ -289,8 +289,7 @@ def _exceed_counts(scn, method, alphas, per_run, seed, policy, run_indices) -> l
         )
         fresh_losses = sample_losses(fresh_actions, fresh_covs.x, fresh_u, rng)
         for i, bound in enumerate(limits):
-            if bound is not None:
-                exceed[i] += int(np.sum(fresh_losses > bound))
+            exceed[i] += int(np.sum(fresh_losses > bound))
     return exceed
 
 

@@ -339,6 +339,27 @@ class TestIpsw:
         assert quantiles[0.6]["limit"] == 1.0
         assert [q["alpha"] for q in payload["quantiles"]] == [0.25, 0.6]
 
+    def test_unreached_level_is_a_null_trivial_limit(self, tmp_path):
+        """Odds 0.25 leave the two treated rows a total mass of 1 against
+        n = 4, so the reweighted CDF stops at 0.25: alpha 0.5 is never
+        reached, and alpha 0.8 is reached at the second treated loss."""
+        trial = tmp_path / "trial.csv"
+        trial.write_text("x0,a,l\n0.0,1,1.0\n0.0,0,5.0\n0.0,1,3.0\n0.0,0,6.0\n")
+        target = tmp_path / "target.csv"
+        target.write_text("x0\n0.0\n0.0\n0.0\n0.0\n")
+        scores = tmp_path / "scores.csv"
+        scores.write_text("id,odds\n0,0.25\n1,0.25\n2,0.25\n3,0.25\n")
+        out = tmp_path / "ipsw.json"
+        assert run(
+            "ipsw", "--trial", trial, "--target", target, "--scores", scores,
+            "--policy", "constant:1", "--design", "uniform:2",
+            "--alphas", "0.5,0.8", "--out", out,
+        ) == 0
+        assert read_json(out)["quantiles"] == [
+            {"alpha": 0.5, "limit": None, "trivial": True},
+            {"alpha": 0.8, "limit": 3.0, "trivial": False},
+        ]
+
     def test_dimension_mismatch_fails(self, tmp_path, simulated, model, capsys):
         _, trial, _ = simulated
         bad_target = tmp_path / "bad.csv"

@@ -4,6 +4,7 @@ Small instances are checked against direct evaluations of the defining sums;
 grid behavior is checked against independent brute-force scans.
 """
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -13,6 +14,7 @@ import pytest
 from limitcurves.conformal import (
     MAX_GRID_POINTS,
     CalibrationSet,
+    LimitPoint,
     WeightBoundSet,
     certify,
     default_alpha_grid,
@@ -239,16 +241,28 @@ class TestLimitCurve:
         ws = WeightBoundSet(rng.lognormal(0.0, 0.5, 40))
         return cal, ws, float(losses.max()) + 1.0
 
-    def test_gamma_one_column_matches_limit(self):
+    def test_every_gamma_column_matches_limit(self):
+        """Each cell, at every gamma, is the scalar ``limit`` at its (gamma,
+        alpha), with a trivial one at ``l_max``. The columns are keyed by the
+        ``LimitPoint`` fields, gamma-major, and ``points`` reads their rows."""
         cal, ws, l_max = self.make_inputs()
-        alphas = np.array([0.1, 0.2, 0.4])
-        curve = limit_curve(cal, ws, alphas, gammas=(1.0, 2.0), l_max=l_max)
-        for point in [p for p in curve.points if p.gamma == 1.0]:
-            direct = limit(cal, ws, point.alpha, 1.0)
+        alphas = [0.1, 0.2, 0.4]
+        gammas = (1.0, 2.0, 8.0)
+        curve = limit_curve(cal, ws, alphas, gammas=gammas, l_max=l_max)
+        assert list(curve.columns) == [f.name for f in dataclasses.fields(LimitPoint)]
+        rows = [
+            LimitPoint(**{name: column[i].item() for name, column in curve.columns.items()})
+            for i in range(len(gammas) * len(alphas))
+        ]
+        assert curve.points == tuple(rows)
+        assert [(p.gamma, p.alpha) for p in rows] == [(g, a) for g in gammas for a in alphas]
+        for point in rows:
+            direct = limit(cal, ws, point.alpha, point.gamma)
             if point.trivial:
                 assert direct is None and point.limit == l_max
             else:
                 assert direct == point.limit
+        assert {p.trivial for p in rows} == {False, True}
 
     def test_curves_ordered_by_gamma(self):
         cal, ws, l_max = self.make_inputs()
@@ -304,7 +318,8 @@ class TestLimitCurve:
     def test_level_cap_bounds_memory_of_long_alpha_grids(self):
         """30000 alphas run in blocks of at most the level cap. One kernel
         call for all of them would hold 1.47 million levels and peaked at
-        106 MiB here; the blocks peak at 10.6 MiB, mostly the curve points."""
+        106 MiB; the blocks and the curve's columns peak at 6.7 MiB. One
+        ``LimitPoint`` object per cell peaked at 9.7 MiB."""
         rng = np.random.default_rng(0)
         cal = CalibrationSet.from_shift_weights(
             rng.standard_normal(2000), rng.exponential(size=2000)
@@ -318,7 +333,7 @@ class TestLimitCurve:
         finally:
             tracemalloc.stop()
         assert len(curve.points) == 60_000
-        assert peak < 15.5 * 2**20
+        assert peak < 8 * 2**20
 
 
 class TestGrids:

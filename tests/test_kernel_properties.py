@@ -136,7 +136,7 @@ def test_level_cap_splits_batches_without_changing_limits(cal, ws, percents, cap
         wbars = conformal._weight_bound_values(ws.upper, betas)
         t = (1.0 - alpha) / (1.0 - betas)
         k = dense_best_stop_index(prefix, suffix, wbars, gamma**2 * (t / (1.0 - t)))
-        assert value == (None if k < 0 else loss_ends[k])
+        assert value == (math.inf if k < 0 else loss_ends[k])
 
 
 def dyadic(low=0, high=64):
