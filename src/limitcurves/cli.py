@@ -7,6 +7,7 @@ written atomically and JSON payloads embed the resolved configuration.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import sys
 
@@ -24,7 +25,7 @@ from .data import (
     validate_dataset,
 )
 from .gamma_bench import benchmark_all
-from .ipsw import _ipsw_quantiles
+from .ipsw import _ipsw_quantiles, _ipsw_value
 from .propensity import (
     LogisticConfig,
     fit_logistic,
@@ -243,18 +244,7 @@ def _cmd_evaluate(ns) -> int:
 def _cmd_benchmark_gamma(ns) -> int:
     pool = fileio.read_pool_csv(ns.pool)
     reports = benchmark_all(pool, _fit_config(ns), rows=ns.rows)
-    body = {
-        "reports": [
-            {
-                "feature": r.feature,
-                "rows_used": r.rows_used,
-                "suggested_gamma": r.suggested_gamma,
-                "ratio_quantiles": r.ratio_quantiles,
-            }
-            for r in reports
-        ],
-    }
-    _write_payload(ns, ns.out, "gamma-benchmark", body)
+    _write_payload(ns, ns.out, "gamma-benchmark", {"reports": [dataclasses.asdict(r) for r in reports]})
     return 0
 
 
@@ -278,8 +268,7 @@ def _cmd_ipsw(ns) -> int:
     body = {
         "n": target.n,
         "m": trial.m,
-        # ipsw_value's formula, on the weights the quantiles used
-        "value": float(np.sum(weights * trial.losses) / target.n),
+        "value": _ipsw_value(trial.losses, weights, target.n),
         "quantiles": [{"alpha": a, "limit": _none_if_inf(q), "trivial": q == math.inf} for a, q in quantiles],
     }
     _write_payload(ns, ns.out, "ipsw-baseline", body)
@@ -307,16 +296,7 @@ def _cmd_miscoverage(ns) -> int:
         seed=ns.seed,
         policy=parse_policy(ns.policy),
     )
-    body = {
-        "runs": report.runs,
-        "per_run": report.per_run,
-        "method": report.method,
-        "rows": [
-            {"alpha": r.alpha, "exceed_rate": r.exceed_rate, "gap": r.gap, "se": r.se}
-            for r in report.rows
-        ],
-    }
-    _write_payload(ns, ns.out, "miscoverage", body)
+    _write_payload(ns, ns.out, "miscoverage", dataclasses.asdict(report))
     return 0
 
 

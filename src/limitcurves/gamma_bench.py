@@ -24,13 +24,14 @@ class OmissionReport:
     ``suggested_gamma[q]`` is the q-quantile of max(ratio, 1/ratio): the
     miscalibration factor covering that share of the rows. Symmetrization is
     needed because the odds band constrains the ratio on both sides.
+    ``ratio_quantiles`` holds that quantile at each of ``SUMMARY_QUANTILES``.
+    The fields are the keys, in order, of one ``benchmark-gamma`` report.
     """
 
     feature: int
-    ratios: np.ndarray
-    ratio_quantiles: dict[float, float]
-    suggested_gamma: dict[float, float]
     rows_used: int
+    suggested_gamma: dict[float, float]
+    ratio_quantiles: dict[float, float]
 
 
 def _check_omission(pool: LabeledPool, rows: str) -> None:
@@ -46,7 +47,7 @@ def omitted_covariate_ratios(
     config: LogisticConfig = LogisticConfig(),
     rows: str = "all",
 ) -> OmissionReport:
-    """Fit the full and the feature-omitted model and report per-row odds ratios.
+    """Fit the full and the feature-omitted model and summarize the per-row odds ratios.
 
     ``rows`` restricts the evaluation rows to "trial" (label 1), "target"
     (label 0), or uses the whole pool. ``LabeledPool.drop_feature`` refuses
@@ -70,11 +71,7 @@ def _omission_report(pool, full, feature, config, rows) -> OmissionReport:
     sym = np.maximum(ratios, 1.0 / ratios)
     quantiles = {q: float(np.quantile(sym, q)) for q in SUMMARY_QUANTILES}
     return OmissionReport(
-        feature=int(feature),
-        ratios=ratios,
-        ratio_quantiles=quantiles,
-        suggested_gamma={q: quantiles[q] for q in COVERAGE_LEVELS},
-        rows_used=int(mask.sum()),
+        int(feature), int(mask.sum()), {q: quantiles[q] for q in COVERAGE_LEVELS}, quantiles
     )
 
 

@@ -21,8 +21,12 @@ def ipsw_value(
     """Reweighted mean loss (1/n) * sum_i odds_i * ratio_i * loss_i."""
     if n_target < 1:
         raise ValueError("n_target must be at least 1")
-    weights = shift_weights(trial, odds, policy, design)
-    return float(np.sum(weights * trial.losses) / n_target)
+    return _ipsw_value(trial.losses, shift_weights(trial, odds, policy, design), n_target)
+
+
+def _ipsw_value(losses, weights, n_target) -> float:
+    """``ipsw_value`` from the trial losses and their ``shift_weights``."""
+    return float(np.sum(weights * losses) / n_target)
 
 
 def ipsw_cdf(

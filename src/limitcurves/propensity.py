@@ -56,7 +56,6 @@ class FitReport:
     converged: bool
     iterations: int
     grad_max: float
-    objectives: tuple[float, ...]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -147,7 +146,6 @@ def fit_logistic(pool: LabeledPool, config: LogisticConfig = LogisticConfig()) -
     theta = np.zeros(d + 1)
     obj, logits, softplus = _objective(z, s, theta, config.l2)
     grad, hess = _gradient_and_hessian(z, s, theta, logits, softplus, config.l2)
-    objectives = [obj]
     iterations = 0
     for iterations in range(1, MAX_ITER + 1):
         if float(np.max(np.abs(grad))) <= config.tol:
@@ -166,7 +164,6 @@ def fit_logistic(pool: LabeledPool, config: LogisticConfig = LogisticConfig()) -
             break  # line search stalled
         theta, obj, logits, softplus = candidate, cand_obj, cand_logits, cand_softplus
         grad, hess = _gradient_and_hessian(z, s, theta, logits, softplus, config.l2)
-        objectives.append(obj)
         if float(np.max(np.abs(theta[:-1]))) > MAX_COEF:
             break  # separation guard
     gmax = float(np.max(np.abs(grad)))
@@ -174,7 +171,7 @@ def fit_logistic(pool: LabeledPool, config: LogisticConfig = LogisticConfig()) -
     if converged and config.l2 == 0:
         # every margin (2s - 1) * logit positive: no finite MLE exists
         converged = not bool(np.all(np.where(pool.labels == 1, logits, -logits) > 0))
-    report = FitReport(converged, iterations, gmax, tuple(objectives))
+    report = FitReport(converged, iterations, gmax)
     return LogisticModel(theta[:-1].copy(), float(theta[-1]), mean, scale, report)
 
 
@@ -248,8 +245,8 @@ def load_model(path) -> LogisticModel:
     whose feature scales are not all positive.
 
     A saved ``converged`` flag comes back, with ``iterations`` and
-    ``grad_max``, as the model's ``report`` (without the objective trace);
-    a file without the flag gives ``report=None``."""
+    ``grad_max``, as the model's ``report``; a file without the flag gives
+    ``report=None``."""
     with open_input(path) as fh:
         payload = json.load(fh)
     if not isinstance(payload, dict) or payload.get("kind") != "logistic-odds-model":
@@ -294,7 +291,7 @@ def _load_report(path, payload: dict) -> FitReport | None:
         raise ValueError(
             f"{path}: converged, iterations and grad_max must be a boolean, an integer and a number"
         )
-    return FitReport(converged, iterations, float(grad_max), ())
+    return FitReport(converged, iterations, float(grad_max))
 
 
 @dataclasses.dataclass(frozen=True)

@@ -243,12 +243,13 @@ class MiscoverageRow:
 @dataclasses.dataclass(frozen=True)
 class MiscoverageReport:
     """Empirical exceed rates per alpha; gap = alpha - exceed rate, with
-    se = sqrt(rate * (1 - rate) / (runs * per_run))."""
+    se = sqrt(rate * (1 - rate) / (runs * per_run)). The fields are the
+    keys, in order, of the ``miscoverage`` payload after its config."""
 
-    rows: tuple[MiscoverageRow, ...]
     runs: int
     per_run: int
     method: dict
+    rows: list[MiscoverageRow]
 
 
 def run_rng(master_seed: int, run_index: int) -> np.random.Generator:
@@ -476,4 +477,4 @@ def miscoverage_gap(
         rows.append(
             MiscoverageRow(a, rate, a - rate, math.sqrt(rate * (1.0 - rate) / total))
         )
-    return MiscoverageReport(tuple(rows), runs, per_run, dataclasses.asdict(method))
+    return MiscoverageReport(runs, per_run, dataclasses.asdict(method), rows)

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface (run in-process, apart from
 ``TestProcess``)."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -11,6 +12,7 @@ import numpy as np
 import pytest
 
 import limitcurves
+from limitcurves import fileio
 from limitcurves.cli import main, parse_alpha_grid, parse_design, parse_policy
 from limitcurves.conformal import default_alpha_grid
 
@@ -254,6 +256,21 @@ class TestBenchmarkGamma:
             g = report["suggested_gamma"]
             assert 1.0 <= g["0.9"] <= g["0.95"] <= g["1.0"]
 
+    def test_reports_are_the_library_records(self, tmp_path, simulated):
+        """Each written report is ``benchmark_all``'s record, key for field
+        in the same order; JSON only turns the quantile levels into text."""
+        _, _, pool = simulated
+        out = tmp_path / "g.json"
+        assert run("benchmark-gamma", "--pool", pool, "--rows", "trial", "--out", out) == 0
+        records = [
+            dataclasses.asdict(r)
+            for r in limitcurves.benchmark_all(fileio.read_pool_csv(pool), rows="trial")
+        ]
+        reports = read_json(out)["reports"]
+        assert reports == json.loads(json.dumps(records))
+        names = [f.name for f in dataclasses.fields(limitcurves.OmissionReport)]
+        assert all(list(report) == names for report in reports)
+
 
 class TestLibraryDefaults:
     """Every default a flag shows is the library's own, so a command with
@@ -420,6 +437,24 @@ class TestMiscoverage:
         p1.pop("config")
         p2.pop("config")
         assert p1 == p2
+
+    def test_payload_is_the_library_record(self, tmp_path):
+        """After its config, the payload is ``miscoverage_gap``'s report, key
+        for field in the same order."""
+        out = tmp_path / "m.json"
+        assert run(
+            "miscoverage", "--pop", "C", "--n", 80, "--m", 50, "--m-train", 50,
+            "--method", "certified", "--odds", "oracle", "--gamma", 2, "--alphas", "0.1,0.3",
+            "--runs", 3, "--per-run", 20, "--seed", 2, "--out", out,
+        ) == 0
+        scn = limitcurves.scenario("C", n=80, m=50, m_train=50)
+        method = limitcurves.CertifiedMethod(gamma=2.0, odds_source="oracle")
+        report = limitcurves.miscoverage_gap(scn, method, [0.1, 0.3], runs=3, per_run=20, seed=2)
+        payload = read_json(out)
+        assert list(payload)[:3] == ["schema_version", "kind", "config"]
+        body = {k: v for k, v in payload.items() if k not in ("schema_version", "kind", "config")}
+        assert body == dataclasses.asdict(report)
+        assert list(body) == [f.name for f in dataclasses.fields(limitcurves.MiscoverageReport)]
 
     @pytest.mark.parametrize(
         "flags", [("--gamma", "1e200"), ("--split", "random", "--frac", 1.5)]
@@ -1468,8 +1503,6 @@ class TestPayloadValues:
             yield value
 
     def test_payload_leaves_are_plain(self, tmp_path, simulated, model, monkeypatch):
-        from limitcurves import fileio
-
         target, trial, pool = simulated
         payloads = []
         write_json = fileio.write_json

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from limitcurves import propensity
 from limitcurves.data import PolicySpec, TrialDataset, TrialDesign
 from limitcurves.propensity import (
     MAX_COEF,
@@ -100,10 +101,85 @@ class TestFitLogistic:
         model = fit_logistic(separable_pool(), LogisticConfig(l2=0.0))
         assert not model.report.converged
 
-    def test_objective_decreases_across_accepted_iterations(self):
-        model = fit_logistic(noise_pool(seed=3), LogisticConfig(l2=1e-4))
-        objectives = model.report.objectives
+    @staticmethod
+    def traced_fit(monkeypatch, pool, config):
+        """``fit_logistic`` with the objectives of the points it accepts, in
+        order, and the number of line-search candidates it rejects. A point is
+        accepted when the fit takes its gradient, and the start point counts
+        as accepted."""
+        tried, accepted = [], []
+        objective, gradient = propensity._objective, propensity._gradient_and_hessian
+
+        def traced_objective(z, s, theta, l2):
+            out = objective(z, s, theta, l2)
+            tried.append((theta, out[0]))
+            return out
+
+        def traced_gradient(z, s, theta, *rest):
+            accepted.append(theta)
+            return gradient(z, s, theta, *rest)
+
+        monkeypatch.setattr(propensity, "_objective", traced_objective)
+        monkeypatch.setattr(propensity, "_gradient_and_hessian", traced_gradient)
+        model = fit_logistic(pool, config)
+        objectives = [obj for theta, obj in tried if any(theta is a for a in accepted)]
+        return model, objectives, len(tried) - len(accepted)
+
+    def test_objective_decreases_across_accepted_iterations(self, monkeypatch):
+        model, objectives, _ = self.traced_fit(monkeypatch, noise_pool(seed=3), LogisticConfig(l2=1e-4))
+        assert len(objectives) == model.report.iterations + 1
         assert all(b <= a for a, b in zip(objectives, objectives[1:]))
+
+    def test_backtracking_rejects_a_long_step(self, monkeypatch):
+        """A full Newton step overshoots on this pool; the line search
+        shortens it and the fit still converges."""
+        x = [
+            [939.141, 240.862], [1251.129, -299.774], [1439.714, 19.43], [-742.207, -472.531],
+            [-916.146, -1931.96], [598.81, 794.358], [-1242.715, -517.628], [803.418, 552.145],
+        ]
+        pool = LabeledPool(x, [1, 1, 1, 1, 1, 1, 0, 1])
+        model, objectives, rejected = self.traced_fit(monkeypatch, pool, LogisticConfig(l2=1e-4))
+        assert rejected >= 1
+        assert model.report.converged
+        assert all(b <= a for a, b in zip(objectives, objectives[1:]))
+
+    def test_stalled_line_search_ends_the_fit(self, monkeypatch):
+        """On separated data at l2 == 0 the objective rounds to a floor
+        before any gradient meets ``tol=1e-300``. The last line search then
+        rejects every candidate, steps 1 down to 2**-59, and the fit stops
+        non-converged with its coefficient below ``MAX_COEF``, long before
+        ``MAX_ITER``."""
+        pool = LabeledPool([[-2.0], [-1.0], [1.0], [2.0]], [0, 0, 1, 1])
+        model, _, rejected = self.traced_fit(monkeypatch, pool, LogisticConfig(l2=0.0, tol=1e-300))
+        assert rejected >= 60
+        assert not model.report.converged
+        assert model.report.iterations < 100
+        assert 0 < model.report.grad_max < 1e-12
+        assert np.max(np.abs(model.coefficients)) <= MAX_COEF
+
+    @pytest.mark.parametrize(
+        "hess", [-np.eye(2), np.diag([5e-324, 1.0])], ids=["uphill", "overflow"]
+    )
+    def test_newton_direction_falls_back_to_the_gradient(self, hess):
+        """A Newton solution that does not point downhill, or is not finite,
+        gives way to the gradient itself. Fits reach this only through the
+        rounding of nearly singular Hessians (nearly collinear covariates at
+        l2 == 0), which differs between LAPACK builds, so the rule is checked
+        on the helper."""
+        grad = np.array([0.5, -0.25])
+        assert propensity._newton_direction(grad, hess) is grad
+
+    def test_separation_guard_stops_growing_coefficients(self):
+        """A narrow gap between the classes makes each Newton step long, so
+        the coefficient passes ``MAX_COEF`` while the gradient is still above
+        ``tol``; the guard ends the fit there, non-converged."""
+        pool = LabeledPool([[-2.0], [-1.0], [-0.01], [0.01], [1.0], [2.0]], [0, 0, 0, 1, 1, 1])
+        config = LogisticConfig(l2=0.0)
+        model = fit_logistic(pool, config)
+        assert not model.report.converged
+        assert model.report.iterations < 20
+        assert model.report.grad_max > config.tol
+        assert np.max(np.abs(model.coefficients)) > MAX_COEF
 
     @pytest.mark.parametrize(
         "pool, l2",
@@ -213,7 +289,16 @@ class TestModelFile:
         assert model.report.converged is converged
         path = tmp_path / "model.json"
         save_model(model, path)
-        assert load_model(path).report == dataclasses.replace(model.report, objectives=())
+        assert load_model(path).report == model.report
+
+    def test_fit_report_fields_are_the_saved_keys(self, tmp_path):
+        """``FitReport`` holds exactly the fit keys that close a model file."""
+        path = tmp_path / "model.json"
+        save_model(fit_logistic(noise_pool(n=200, seed=2)), path)
+        with open(path) as fh:
+            keys = list(json.load(fh))
+        names = [f.name for f in dataclasses.fields(propensity.FitReport)]
+        assert names == ["converged", "iterations", "grad_max"] == keys[-3:]
 
     def test_file_without_fit_report(self, tmp_path):
         assert load_model(self.write_model(tmp_path / "m.json")).report is None
