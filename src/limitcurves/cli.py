@@ -139,38 +139,29 @@ def _add_study_flags(sub, reads_target: bool) -> None:
         sub.add_argument("--target", required=True)
     else:
         sub.add_argument("--target", help=f"accepted for old command lines; {TARGET_UNREAD}")
-    # the certified limits, which read no target, are ratios of weight sums,
-    # so a common odds factor such as --prior-correction cancels in them too
-    _add_odds_source(sub, prior_correction=reads_target)
+    _add_odds_source(sub)
     sub.add_argument("--policy", required=True, help=POLICY_FORMS)
     sub.add_argument("--design", default="uniform:2", help=DESIGN_FORMS)
 
 
-def _add_odds_source(sub, prior_correction: bool = True) -> None:
+def _add_odds_source(sub) -> None:
     group = sub.add_mutually_exclusive_group(required=True)
     group.add_argument("--model", help="logistic odds model JSON")
     group.add_argument("--scores", help="external score CSV (id,p_s1 or id,odds)")
-    if prior_correction:
-        help_text = "multiplier applied to external odds (for class-balanced scores)"
-        sub.add_argument("--prior-correction", type=float, default=1.0, help=help_text)
 
 
 def _resolve_odds(ns, x_rows: np.ndarray, rows: str) -> np.ndarray:
     """Odds per row of ``x_rows`` (the ``rows`` file's covariates) from
     ``--model``, or from the ``--scores`` file, which must have one score per
-    row. ``--prior-correction``, where the command takes it, applies to
-    scores only."""
-    prior_correction = getattr(ns, "prior_correction", 1.0)
+    row; either is read as given."""
     if ns.model:
-        if prior_correction != 1.0:
-            raise ValueError("--prior-correction applies to --scores only, not to --model")
         model = load_model(ns.model)
         if model.dim != x_rows.shape[1]:
             raise ValueError(f"{ns.model} expects {model.dim} covariates, {rows} has {x_rows.shape[1]}")
         if model.report is not None and not model.report.converged:
             print(f"warning: {ns.model}: odds model did not converge", file=sys.stderr)
         return predict_odds(model, x_rows)
-    odds = load_external_scores(ns.scores, prior_correction)
+    odds = load_external_scores(ns.scores)
     if odds.shape[0] != x_rows.shape[0]:
         raise ValueError(f"{ns.scores} has {odds.shape[0]} rows, {rows} has {x_rows.shape[0]}")
     return odds

@@ -272,14 +272,12 @@ def check_losses_below(trial: TrialDataset, l_max) -> None:
         raise ValueError(f"trial losses must lie strictly below l_max={l_max}")
 
 
-def validate_dataset(trial: TrialDataset, target: TargetCovariates, l_max: float | None = None):
-    """Raise ``ValueError`` at the first cross-file rule that fails: equal
-    covariate dimensions, then, given ``l_max``, ``check_losses_below``.
-    Each container checks its own values at construction."""
+def validate_dataset(trial: TrialDataset, target: TargetCovariates):
+    """Raise ``ValueError`` unless the trial and the target have the same
+    covariate dimension. Each container checks its own values at
+    construction, and ``check_losses_below`` checks the losses."""
     if trial.dim != target.dim:
         raise ValueError(f"covariate dimensions differ: trial d={trial.dim}, target d={target.dim}")
-    if l_max is not None:
-        check_losses_below(trial, l_max)
 
 
 def sample_actions(prob_matrix: np.ndarray, rng: np.random.Generator) -> np.ndarray:

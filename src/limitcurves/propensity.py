@@ -193,15 +193,10 @@ def predict_odds(model: LogisticModel, x) -> np.ndarray:
     return np.exp(-predict_logit(model, x))
 
 
-def load_external_scores(path, prior_correction: float = 1.0) -> np.ndarray:
+def load_external_scores(path) -> np.ndarray:
     """Per-row selection odds from an ``id,p_s1`` or ``id,odds`` score file;
-    ids must cover 0..N-1 and the odds come back in id order.
-
-    ``prior_correction`` multiplies the odds, for scores produced by models
-    trained with class balancing.
-    """
-    if prior_correction <= 0 or not math.isfinite(prior_correction):
-        raise ValueError("prior_correction must be a positive finite number")
+    ids must cover 0..N-1 and the odds come back in id order, as given. Scores
+    of a model trained with class balancing go in as corrected ``id,odds``."""
 
     def fields_for(header):
         if header not in (["id", "p_s1"], ["id", "odds"]):
@@ -221,7 +216,7 @@ def load_external_scores(path, prior_correction: float = 1.0) -> np.ndarray:
     else:
         odds = vals
     check_odds(odds, f"{path}: odds")
-    return odds * prior_correction
+    return odds
 
 
 def save_model(model: LogisticModel, path) -> None:

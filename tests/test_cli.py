@@ -1115,28 +1115,19 @@ class TestBadInputs:
     def test_prior_correction_refused_with_model(
         self, tmp_path, simulated, model, capsys, command, value
     ):
-        """``ipsw`` and ``reliability`` apply the flag to scores only.
-        ``evaluate`` takes neither the flag nor the config key: its limits are
-        ratios of weight sums, so a common odds factor cancels in them."""
+        """No command takes the flag or the config key: odds are read as
+        given, and a common odds factor cancels in the certified limits,
+        which are ratios of weight sums."""
         argv = self.odds_argv(tmp_path, simulated, command)
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"prior-correction={value}\n")
-        line = "error: --prior-correction applies to --scores only, not to --model"
-        code, flag_line, config_line = 1, line, line
-        if command == "evaluate":
-            code = 2  # an argparse usage error
-            flag_line = f"limitcurves: error: unrecognized arguments: --prior-correction {value}"
-            config_line = f"error: {cfg}: unknown config key 'prior-correction'"
-        assert run(command, "--model", model, "--prior-correction", value, *argv) == code
+        # an argparse usage error
+        assert run(command, "--model", model, "--prior-correction", value, *argv) == 2
+        flag_line = f"limitcurves: error: unrecognized arguments: --prior-correction {value}"
         assert capsys.readouterr().err.splitlines()[-1] == flag_line
         assert run(command, "--config", cfg, "--model", model, *argv) == 1
-        assert capsys.readouterr().err == f"{config_line}\n"
+        assert capsys.readouterr().err == f"error: {cfg}: unknown config key 'prior-correction'\n"
         assert not (tmp_path / "out").exists()
-
-    def test_default_prior_correction_with_model(self, tmp_path, simulated, model):
-        argv = self.odds_argv(tmp_path, simulated, "ipsw")
-        assert run("ipsw", "--model", model, "--prior-correction", "1.0", *argv) == 0
-        assert read_json(tmp_path / "out")["config"]["prior_correction"] == 1.0
 
     def test_reliability_bins_refused_before_allocation(
         self, tmp_path, simulated, model, capsys, monkeypatch

@@ -82,18 +82,10 @@ class TestValidateDataset:
 
     def test_only_cross_file_checks(self):
         trial = TrialDataset([[0.0]], [0], [1e300], 1)
-        # without l_max the losses are not compared with anything
+        # the losses are not compared with anything
         validate_dataset(trial, TargetCovariates(np.zeros((1, 1))))
-        # the dimension rule is checked first
         with pytest.raises(ValueError, match="covariate dimensions differ"):
-            validate_dataset(trial, TargetCovariates(np.zeros((1, 2))), l_max=5.0)
-
-    def test_l_max_check(self):
-        trial = TrialDataset([[0.0]], [0], [5.0], 1)
-        target = TargetCovariates(np.zeros((1, 1)))
-        validate_dataset(trial, target, l_max=6.0)
-        with pytest.raises(ValueError, match="^trial losses must lie strictly below l_max=5.0$"):
-            validate_dataset(trial, target, l_max=5.0)
+            validate_dataset(trial, TargetCovariates(np.zeros((1, 2))))
 
     def test_l_max_rule_is_shared(self):
         # evaluate reads no target, so it checks l_max through the same rule

@@ -364,9 +364,9 @@ class TestExternalScores:
         path = self.write(tmp_path, ["id,p_s1", "0,0.25", "1,0.5"])
         assert np.array_equal(load_external_scores(path), [3.0, 1.0])
 
-    def test_odds_passthrough_and_prior_correction(self, tmp_path):
+    def test_odds_passthrough_in_id_order(self, tmp_path):
         path = self.write(tmp_path, ["id,odds", "1,2.0", "0,0.5"])
-        assert np.array_equal(load_external_scores(path, prior_correction=2.0), [1.0, 4.0])
+        assert np.array_equal(load_external_scores(path), [0.5, 2.0])
 
     def test_zero_probability_rejected(self, tmp_path):
         path = self.write(tmp_path, ["id,p_s1", "0,0.0"])

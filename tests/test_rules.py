@@ -365,13 +365,6 @@ def test_guard_message_at_each_site(site):
         call()
 
 
-@pytest.mark.parametrize("value", [0.0, -1.0, math.nan, math.inf])
-def test_prior_correction_refused(tmp_path, value):
-    path = scores_file(tmp_path, "odds", 2.0)
-    with raises_exactly("prior_correction must be a positive finite number"):
-        load_external_scores(path, value)
-
-
 def test_bins_refused_before_the_edges_are_allocated(monkeypatch):
     """10**9 bins would allocate 8 GB of edges; the cap refuses them first."""
 
