@@ -104,14 +104,14 @@ def _gradient_and_hessian(z, s, theta, logits, softplus, l2):
 
 
 def _newton_direction(grad, hess):
-    """The Newton direction, or the gradient when its solution does not point
-    downhill. A singular system (a constant covariate at ``l2 == 0``) takes
-    the minimum-norm least-squares step, which leaves the coefficients of
-    the flat directions unchanged."""
+    """The minimum-norm least-squares solution of ``hess @ delta = grad``, or
+    the gradient when that fails or does not point downhill. A singular or
+    nearly singular system (a constant or nearly collinear covariate at
+    ``l2 == 0``) leaves the coefficients of its flat directions unchanged."""
     try:
-        delta = np.linalg.solve(hess, grad)
-    except np.linalg.LinAlgError:
         delta = np.linalg.lstsq(hess, grad, rcond=None)[0]
+    except np.linalg.LinAlgError:  # a non-finite Hessian
+        return grad
     if not np.all(np.isfinite(delta)) or not float(grad @ delta) > 0.0:
         return grad
     return delta

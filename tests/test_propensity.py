@@ -158,13 +158,15 @@ class TestFitLogistic:
         assert np.max(np.abs(model.coefficients)) <= MAX_COEF
 
     @pytest.mark.parametrize(
-        "hess", [-np.eye(2), np.diag([5e-324, 1.0])], ids=["uphill", "overflow"]
+        "hess",
+        [-np.eye(2), np.zeros((2, 2)), np.full((2, 2), np.nan)],
+        ids=["uphill", "zero", "non-finite"],
     )
     def test_newton_direction_falls_back_to_the_gradient(self, hess):
-        """A Newton solution that does not point downhill, or is not finite,
-        gives way to the gradient itself. Fits reach this only through the
-        rounding of nearly singular Hessians (nearly collinear covariates at
-        l2 == 0), which differs between LAPACK builds, so the rule is checked
+        """A Newton step that does not point downhill (a zero step does not),
+        or a Hessian that ``lstsq`` refuses, gives way to the gradient itself.
+        Fits reach this only through the rounding of nearly singular
+        Hessians, which differs between LAPACK builds, so the rule is checked
         on the helper."""
         grad = np.array([0.5, -0.25])
         assert propensity._newton_direction(grad, hess) is grad
@@ -213,6 +215,16 @@ class TestFitLogistic:
         assert model.report.converged
         assert model.report.iterations <= 10
         assert abs(model.coefficients[-1]) < 1e-12
+
+    def test_nearly_collinear_covariates_converge_without_penalty(self):
+        """At l2 = 0 two covariates that differ by 1e-9 leave the Hessian
+        nearly singular; the least-squares step ignores the flat direction
+        instead of taking a huge step along it that no line search accepts."""
+        pool = LabeledPool([[-3, -3], [-2, -2], [-1, -1 + 1e-9], [0, 1e-9]], [0, 1, 0, 1])
+        config = LogisticConfig(l2=0.0)
+        model = fit_logistic(pool, config)
+        assert model.report.converged
+        assert model.report.grad_max <= config.tol
 
     def test_separable_without_penalty_non_converged_at_default_max_iter(self):
         """The fit meets ``tol`` with its coefficient below ``MAX_COEF``, far
