@@ -352,6 +352,8 @@ class TestGrids:
         for points in (MAX_GRID_POINTS + 1, 10**15):
             with pytest.raises(ValueError, match="at most 1000000 grid points"):
                 default_beta_grid(0.5, points)
+        with pytest.raises(ValueError, match="^need at least one grid point$"):
+            default_beta_grid(0.5, 0)
 
     def test_sorted_tie_order_stable(self):
         cal = CalibrationSet([2.0, 1.0, 2.0], [0.1, 0.2, 0.3], [0.1, 0.2, 0.3])

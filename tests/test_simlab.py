@@ -3,6 +3,7 @@
 import math
 import os
 import select
+import time
 
 import numpy as np
 import pytest
@@ -497,6 +498,27 @@ class TestForkedRuns:
 
         with pytest.raises(MemoryError):
             simlab._fork_map(allocate, [0, 1], 2)
+
+    def test_interrupt_kills_the_children(self):
+        # the child holds an item that waits 30 s for a signal nobody sends;
+        # the interrupted parent kills it instead of waiting for it to finish
+        parent = os.getpid()
+        send_taken, wait_taken = self.handshake()
+        _, wait_forever = self.handshake()
+
+        def hold(item):
+            if os.getpid() != parent:
+                send_taken()
+                wait_forever()
+            wait_taken()
+            raise KeyboardInterrupt
+
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            simlab._fork_map(hold, [0, 1], 2)
+        assert time.monotonic() - start < 10
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_held_up_worker_takes_fewer_items(self):
         # once both workers hold an item, this process holds its item until the
