@@ -18,9 +18,11 @@ def best_stop_index(prefix_low, denom_base, wbars, thresholds) -> np.ndarray:
     For each level ``j`` of a row (``wbars[r, j] = inf`` marks an infeasible
     level) the first group index with
     ``prefix_low[k] / (denom_base[k] + wbars[r, j]) >= thresholds[r, j]`` is
-    found; each row gets the minimum over its feasible levels, or -1 when none
-    of them produces a crossing. ``x / 0 = inf`` crosses, ``0 / 0`` never
-    does, and a threshold ``<= 0`` crosses at the first group.
+    found; each row gets the minimum over its levels, or -1 when none of them
+    produces a crossing. ``x / 0 = inf`` crosses, ``0 / 0`` never does.
+    Every threshold must be positive (finite or ``inf``), so an infeasible
+    level's ratio, ``prefix / inf = 0`` or NaN after an overflow, never
+    crosses.
 
     The arrays must be float64 ndarrays over at least one loss group (a
     ``CalibrationSet`` is never empty), as ``conformal._scan_arrays`` builds
@@ -42,13 +44,9 @@ def best_stop_index(prefix_low, denom_base, wbars, thresholds) -> np.ndarray:
             # level's crossing predicate monotonically
             probe = pos + (step - 1)
             ratio = prefix_low.take(probe, mode="clip") / (denom_base.take(probe, mode="clip") + wbars)
-            # 0 / 0 is NaN and never crosses; the fix-up below covers t <= 0
+            # a NaN ratio (0 / 0 or inf / inf) never crosses
             pos += step * ~(ratio >= thresholds)
             step >>= 1
-    # a level with threshold <= 0 crosses at the first group, even where the
-    # ratio there is NaN, and an infeasible level never crosses
-    pos[thresholds <= 0.0] = 0
-    pos[~np.isfinite(wbars)] = size
     first = pos.min(axis=-1)
     first[first >= size] = -1
     return first

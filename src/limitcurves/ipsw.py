@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .conformal import CalibrationSet, _none_if_inf, _stop_losses
+from .conformal import CalibrationSet, _none_if_inf, _scan_arrays, _stop_losses
 from .data import PolicySpec, TrialDataset, TrialDesign, check_open_unit
 from .weights import shift_weights
 
@@ -66,13 +66,12 @@ def ipsw_quantile(
 def _ipsw_quantiles(losses, weights, n_target, alphas, normalized) -> np.ndarray:
     """``ipsw_quantile``, with ``inf`` for None, at each checked alpha from the
     trial losses and their ``shift_weights``: the kernel scans the reweighted
-    CDF as a stand-in CDF with zero out-of-sample weight and a constant suffix."""
+    CDF as a stand-in CDF with zero suffix and the mass in the out-of-sample
+    weight's slot."""
     if n_target < 1:
         raise ValueError("n_target must be at least 1")
     mass = float(weights.sum()) if normalized else n_target
     cal = CalibrationSet.from_shift_weights(losses, weights)
-    # evaluate only at the last index of each tie group (right continuity)
-    ends = cal.group_ends
-    scan = (cal.losses[ends], np.cumsum(cal.lower)[ends], np.full(ends.shape, float(mass)))
+    scan = _scan_arrays(cal.losses, cal.lower, np.zeros(cal.size), cal.group_ends)
     thresholds = 1.0 - np.asarray(alphas, dtype=np.float64)[:, None]
-    return _stop_losses(scan, np.zeros_like(thresholds), thresholds)
+    return _stop_losses(scan, np.full_like(thresholds, mass), thresholds)

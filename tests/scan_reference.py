@@ -17,8 +17,7 @@ def best_stop_index(prefix_low, denom_base, wbars, thresholds) -> int:
     ``prefix_low[k] / (denom_base[k] + wbars[j]) >= thresholds[j]`` is found;
     the minimum over all feasible levels is returned, or -1 when no level
     produces a crossing. The ratio is plain IEEE division, so ``x / 0 = inf``
-    crosses and ``0 / 0`` never does; a threshold ``<= 0`` crosses at the
-    first group.
+    crosses and ``0 / 0`` never does; every threshold is positive.
     """
     finite = np.isfinite(wbars)
     if not np.any(finite):
@@ -28,7 +27,6 @@ def best_stop_index(prefix_low, denom_base, wbars, thresholds) -> int:
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         ratio = num / den
     hit = ratio >= thresholds[finite, np.newaxis]
-    hit[thresholds[finite] <= 0.0, 0] = True
     rows = hit.any(axis=1)
     if not rows.any():
         return -1

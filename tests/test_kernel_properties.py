@@ -45,8 +45,8 @@ def calibration(draw, max_weight=1e300, max_size=40):
 
 def level_rows(data, prefix, suffix):
     """A block of 1-4 rows of 1-12 levels each, laid out as the kernel takes
-    them, some rows wholly infeasible, with some thresholds exactly on a
-    ratio the kernel will compute (which may be inf or NaN)."""
+    them, some rows wholly infeasible, with positive thresholds, some exactly
+    on a positive ratio the kernel will compute (which may be inf)."""
     rows, levels = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 12))
     wbars, thresholds = [], []
     for _ in range(rows):
@@ -54,14 +54,17 @@ def level_rows(data, prefix, suffix):
         if data.draw(st.booleans()):
             level = st.one_of(level, weights(1e300))
         wbars.append(data.draw(st.lists(level, min_size=levels, max_size=levels)))
-        thresholds.append(data.draw(st.lists(st.floats(0.0, 1.5), min_size=levels, max_size=levels)))
+        positive = st.floats(0.0, 1.5, exclude_min=True)
+        thresholds.append(data.draw(st.lists(positive, min_size=levels, max_size=levels)))
     wbars, thresholds = np.array(wbars), np.array(thresholds)
     for j in data.draw(st.sets(st.integers(0, wbars.size - 1))):
         r, c = divmod(j, levels)
         if math.isfinite(wbars[r, c]):
             k = data.draw(st.integers(0, prefix.shape[0] - 1))
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                thresholds[r, c] = prefix[k] / (suffix[k] + wbars[r, c])
+                ratio = prefix[k] / (suffix[k] + wbars[r, c])
+            if ratio > 0.0:
+                thresholds[r, c] = ratio
     return wbars, thresholds
 
 
@@ -80,12 +83,11 @@ def test_kernel_matches_dense_scan(cal, data):
 def test_kernel_zero_denominators():
     zeros = np.zeros(4)
     wbars = np.array([0.0, math.inf, 0.0, math.inf])
-    for t in (0.5, 0.0):
-        thresholds = np.array([t, t, 0.5, 0.0])
-        for shape in ((1, 4), (2, 2), (4, 1)):
-            w, th = wbars.reshape(shape), thresholds.reshape(shape)
-            got = backend.best_stop_index(zeros, zeros, w, th)
-            assert got.tolist() == dense_best_stop_indices(zeros, zeros, w, th)
+    thresholds = np.full(4, 0.5)
+    for shape in ((1, 4), (2, 2), (4, 1)):
+        w, th = wbars.reshape(shape), thresholds.reshape(shape)
+        got = backend.best_stop_index(zeros, zeros, w, th)
+        assert got.tolist() == dense_best_stop_indices(zeros, zeros, w, th)
 
 
 def test_kernel_without_finite_level():
