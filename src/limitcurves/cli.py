@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
+import os
 import sys
 
 import numpy as np
@@ -437,6 +438,33 @@ def _refuse_unused(ns: argparse.Namespace, sub: argparse.ArgumentParser) -> None
                 raise ValueError(f"{flag} is not used {where}")
 
 
+INPUT_FLAGS = ("trial", "target", "model", "scores", "pool", "config")
+OUTPUT_FLAGS = ("target_out", "trial_out", "pool_out", "out", "out_json", "out_csv")
+
+
+def _refuse_clobber(ns: argparse.Namespace) -> None:
+    """Refuse an output path that names the same file as an input or another
+    output of the command, so that no output overwrites either."""
+
+    def named(keys):
+        return [(f"--{key.replace('_', '-')}", getattr(ns, key, None)) for key in keys]
+
+    inputs = named(INPUT_FLAGS)
+    policy = getattr(ns, "policy", None) or ""
+    if policy.startswith("table:"):
+        inputs.append(("--policy", policy.split(":", 1)[1]))
+    seen = {}
+    for flag, path in inputs:
+        if path:
+            seen.setdefault(os.path.realpath(path), flag)
+    for flag, path in named(OUTPUT_FLAGS):
+        if path:
+            real = os.path.realpath(path)
+            if real in seen:
+                raise ValueError(f"{flag} and {seen[real]} name the same file {path}")
+            seen[real] = flag
+
+
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, registry = build_parser()
@@ -447,6 +475,7 @@ def main(argv=None) -> int:
                 argv[1:1] = _config_flags(registry[argv[0]], path)
         ns = parser.parse_args(argv)
         _refuse_unused(ns, registry[ns.command])
+        _refuse_clobber(ns)
         # finite inputs near the float64 limit must not overflow into a wrong
         # output; forked miscoverage workers inherit this setting
         with np.errstate(over="raise"):

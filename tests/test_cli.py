@@ -675,6 +675,63 @@ class TestUnusedFlags:
         assert read_json(tmp_path / "out.json")["config"][flag.replace("-", "_")] == default
 
 
+class TestOutputsNeverClobber:
+    """An output flag that names the same file as an input or another output
+    of the command is refused before any file is read: one error line names
+    both flags, the exit code is 1, and every named file keeps its bytes."""
+
+    @staticmethod
+    def refused(capsys, argv, flags, path, files):
+        before = {f: f.read_bytes() for f in files}
+        assert run(*argv) == 1
+        assert capsys.readouterr().err == f"error: {flags} name the same file {path}\n"
+        assert {f: f.read_bytes() for f in files} == before
+
+    def test_evaluate_json_and_csv(self, tmp_path, simulated, model, capsys):
+        _, trial, _ = simulated
+        same = tmp_path / "same"
+        argv = ("evaluate", "--trial", trial, "--model", model, "--policy", "constant:1",
+                "--l-max", 100.0, "--out-json", same, "--out-csv", same)
+        self.refused(capsys, argv, "--out-csv and --out-json", same, [trial, model])
+        assert not same.exists()
+
+    def test_simulate_target_and_trial(self, tmp_path, capsys):
+        x = tmp_path / "x.csv"
+        x.write_text("kept\n")
+        argv = ("simulate", "--pop", "A", "--n", 10, "--m", 10, "--target-out", x, "--trial-out", x)
+        self.refused(capsys, argv, "--trial-out and --target-out", x, [x])
+
+    def test_evaluate_json_over_trial(self, tmp_path, simulated, model, capsys):
+        _, trial, _ = simulated
+        argv = ("evaluate", "--trial", trial, "--model", model, "--policy", "constant:1",
+                "--l-max", 100.0, "--out-json", trial, "--out-csv", tmp_path / "o.csv")
+        self.refused(capsys, argv, "--out-json and --trial", trial, [trial, model])
+        assert not (tmp_path / "o.csv").exists()
+
+    def test_other_spellings_and_inputs(self, tmp_path, simulated, model, capsys):
+        """Paths are compared once resolved, so a symlink or a ``..`` detour
+        to an input is refused too, and so are the policy table and the
+        config file."""
+        target, trial, pool = simulated
+        link = tmp_path / "link.csv"
+        link.symlink_to(trial)
+        detour = tmp_path / "sub" / ".." / pool.name
+        table = tmp_path / "policy.csv"
+        table.write_text("p0,p1\n0.5,0.5\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("bins=3\n")
+        study = ("--trial", trial, "--target", target, "--model", model)
+        cases = [
+            (("ipsw", *study, "--policy", "constant:1", "--out", link), "--out and --trial", link),
+            (("fit", "--pool", pool, "--out", detour), "--out and --pool", detour),
+            (("ipsw", *study, "--policy", f"table:{table}", "--out", table), "--out and --policy", table),
+            (("reliability", "--config", cfg, "--pool", pool, "--model", model, "--out", cfg),
+             "--out and --config", cfg),
+        ]
+        for argv, flags, path in cases:
+            self.refused(capsys, argv, flags, path, [target, trial, pool, model, table, cfg])
+
+
 class TestInputDecoding:
     """Every input file is read past a byte-order mark; one holding a byte
     that does not decode ends in one error line that names it."""
