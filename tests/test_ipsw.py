@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from limitcurves import simlab
 from limitcurves.cli import main
@@ -124,6 +126,43 @@ class TestQuantile:
         untreated = TrialDataset(trial.x, np.zeros(4, dtype=int), trial.losses, 2)
         for normalized in (False, True):
             assert ipsw_quantile(untreated, odds, policy, design, 4, 0.5, normalized) is None
+
+
+@st.composite
+def dyadic_study(draw):
+    """A two-arm trial with tied losses and odds that are multiples of 1/64,
+    a ``constant`` or ``uniform`` policy and a power-of-two ``n_target``: every
+    weight sum and every division by ``n_target`` is exact."""
+    m = draw(st.integers(1, 30))
+    losses = draw(st.lists(st.integers(0, 6).map(float), min_size=m, max_size=m))
+    actions = draw(st.lists(st.integers(0, 1), min_size=m, max_size=m))
+    odds = draw(st.lists(st.integers(1, 256).map(lambda k: k / 64), min_size=m, max_size=m))
+    policy = draw(st.sampled_from([PolicySpec.constant(0), PolicySpec.constant(1), PolicySpec.uniform()]))
+    trial = TrialDataset(np.zeros((m, 1)), np.array(actions), np.array(losses), 2)
+    return trial, np.array(odds), policy, TrialDesign.uniform(2), 2 ** draw(st.integers(0, 8))
+
+
+@given(
+    study=dyadic_study(),
+    # dyadic alphas put 1 - alpha exactly on a CDF value now and then
+    alpha=st.one_of(
+        st.integers(1, 63).map(lambda k: k / 64),
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    ),
+)
+@settings(max_examples=200, deadline=None, database=None)
+def test_quantile_is_first_loss_where_cdf_reaches_level(study, alpha):
+    """``ipsw_quantile`` is the smallest observed loss whose ``ipsw_cdf``
+    reaches 1 - alpha, the CDF divided by its total when normalized, or None,
+    bit for bit."""
+    trial, odds, policy, design, n_target = study
+    losses = sorted(set(trial.losses.tolist()))
+    cdf = [ipsw_cdf(trial, odds, policy, design, n_target, ell) for ell in losses]
+    total = cdf[-1]
+    for normalized, levels in ((False, cdf), (True, [c / total for c in cdf] if total else [])):
+        hits = [ell for ell, level in zip(losses, levels) if level >= 1.0 - alpha]
+        got = ipsw_quantile(trial, odds, policy, design, n_target, alpha, normalized)
+        assert got == (hits[0] if hits else None)
 
 
 class TestSortsOnce:

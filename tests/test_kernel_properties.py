@@ -97,6 +97,46 @@ def test_kernel_without_finite_level():
     assert got.tolist() == [-1, 0, -1]
 
 
+def test_every_caller_meets_the_kernel_contract(monkeypatch):
+    """Every call hands the kernel positive thresholds (finite or inf, never
+    NaN) and weight bounds that are >= 0 or inf: curves at the extremes of
+    the CLI's rounded alpha grid and at gamma 1e100, ``limit``, ``quantile``,
+    the IPSW quantiles plain and normalized (also at zero mass), and the lab's
+    studies of each method."""
+    kernel = backend.best_stop_index
+    calls = []
+
+    def checked(prefix, suffix, wbars, thresholds):
+        assert np.all(thresholds > 0.0)
+        assert np.all((wbars >= 0.0) | (wbars == math.inf))
+        calls.append(wbars.shape)
+        return kernel(prefix, suffix, wbars, thresholds)
+
+    monkeypatch.setattr(backend, "best_stop_index", checked)
+    cal = lc.CalibrationSet(np.arange(6.0), np.ones(6), np.full(6, 2.0))
+    ws = lc.WeightBoundSet(np.ones(9))
+    # at alpha 1e-15, t = (1 - alpha) / (1 - beta) rounds to 1 for the
+    # largest betas, so t / (1 - t) divides by zero: an inf level
+    with np.errstate(divide="ignore"):
+        lc.limit_curve(cal, ws, [1e-15, 1 - 1e-15], (1.0, 1e100), 10.0)
+    assert len(calls) == 2
+    lc.limit(cal, ws, 0.1, 2.0)
+    lc.quantile(cal, 1.0, 0.1, 0.05)
+    assert len(calls) == 4
+    trial = lc.TrialDataset(np.zeros((4, 1)), np.array([1, 0, 1, 0]), np.array([1.0, 5.0, 3.0, 6.0]), 2)
+    # the table policy plays each row's untried action: zero mass
+    zero_mass = lc.PolicySpec.from_table(np.eye(2)[1 - trial.actions])
+    for policy in (lc.PolicySpec.constant(0), lc.PolicySpec.uniform(), zero_mass):
+        for normalized in (False, True):
+            lc.ipsw_quantile(trial, np.ones(4), policy, lc.TrialDesign.uniform(2), 4, 0.1, normalized)
+    assert len(calls) == 10
+    monkeypatch.setattr(simlab, "_usable_cpus", lambda: 1)
+    scn = simlab.scenario("B", n=100, m=60, m_train=60)
+    for method in (simlab.CertifiedMethod(gamma=2.0), simlab.IpswMethod(), simlab.IpswMethod(normalized=True)):
+        simlab.miscoverage_gap(scn, method, [0.1, 0.2], runs=2, per_run=20)
+    assert len(calls) == 10 + 3 * 2
+
+
 def bound_set(max_weight):
     return st.lists(weights(max_weight), min_size=1, max_size=30).map(lc.WeightBoundSet)
 
