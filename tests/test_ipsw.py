@@ -159,7 +159,9 @@ def test_quantile_is_first_loss_where_cdf_reaches_level(study, alpha):
     losses = sorted(set(trial.losses.tolist()))
     cdf = [ipsw_cdf(trial, odds, policy, design, n_target, ell) for ell in losses]
     total = cdf[-1]
-    for normalized, levels in ((False, cdf), (True, [c / total for c in cdf] if total else [])):
+    # zero mass reaches no level
+    normed = [c / total for c in cdf] if total else []
+    for normalized, levels in ((False, cdf), (True, normed)):
         hits = [ell for ell, level in zip(losses, levels) if level >= 1.0 - alpha]
         got = ipsw_quantile(trial, odds, policy, design, n_target, alpha, normalized)
         assert got == (hits[0] if hits else None)
