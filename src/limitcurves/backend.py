@@ -20,9 +20,9 @@ def best_stop_index(prefix_low, denom_base, wbars, thresholds) -> np.ndarray:
     ``prefix_low[k] / (denom_base[k] + wbars[r, j]) >= thresholds[r, j]`` is
     found; each row gets the minimum over its levels, or -1 when none of them
     produces a crossing. ``x / 0 = inf`` crosses, ``0 / 0`` never does.
-    Every threshold must be positive (finite or ``inf``), so an infeasible
-    level's ratio, ``prefix / inf = 0`` or NaN after an overflow, never
-    crosses.
+    Every threshold must be positive (``inf`` only where a level
+    overflows), so an infeasible level's ratio, ``prefix / inf = 0`` or NaN
+    after an overflow, never crosses.
 
     The arrays must be float64 ndarrays over at least one loss group (a
     ``CalibrationSet`` is never empty), as ``conformal._scan_arrays`` builds

@@ -174,7 +174,7 @@ def _read_study(ns, l_max=None):
     design = parse_design(ns.design)
     trial = fileio.read_trial_csv(ns.trial, k_actions=design.k_actions)
     if l_max is not None:
-        check_losses_below(trial, l_max)
+        check_losses_below(trial.losses, l_max)
     policy = parse_policy(ns.policy)
     return design, trial, policy, _resolve_odds(ns, trial.x, "trial")
 

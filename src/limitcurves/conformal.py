@@ -15,8 +15,8 @@ import numpy as np
 
 from . import backend
 from .data import MAX_GRID_POINTS, PolicySpec, SplitResult, TrialDataset, TrialDesign
-from .data import check_distinct, check_gamma, check_grid_points, check_l_max, check_open_unit
-from .data import matched_split, random_split
+from .data import check_distinct, check_gamma, check_grid_points, check_l_max, check_losses_below
+from .data import check_open_unit, matched_split, random_split
 from .weights import shift_weights, trial_odds
 
 BETA_POINTS = 49  # beta grid points per alpha of every limit curve
@@ -166,10 +166,11 @@ def _scan_arrays(losses_sorted, lower, upper, group_ends):
     (``prefix``), and the upper-weight mass strictly above it (``suffix``).
 
     With out-of-sample weight ``w`` the stand-in CDF there is
-    ``prefix / (prefix + suffix + w)``, so it reaches a level ``t < 1``
-    exactly when ``prefix / (suffix + w) >= t / (1 - t)``. ``gamma`` divides
-    the lower weights and multiplies the upper ones and ``w``, which only
-    scales ``t / (1 - t)`` by ``gamma**2``: one scan serves every gamma.
+    ``prefix / (prefix + suffix + w)``, so it reaches ``(1 - alpha) / (1 -
+    beta)`` exactly when ``prefix / (suffix + w) >= (1 - alpha) / (alpha -
+    beta)``, a positive level as ``beta < alpha``. ``gamma`` divides the lower
+    weights and multiplies the upper ones and ``w``, which only scales the
+    level by ``gamma**2``: one scan serves every gamma.
     Both arrays are cumulative sums of nonnegative weights, so ``prefix``
     never decreases and ``suffix`` never increases, in floating point too.
     """
@@ -190,8 +191,8 @@ def quantile(cal: CalibrationSet, w_bound: float, alpha: float, beta: float) -> 
     if w_bound < 0:
         raise ValueError("weight bound must be nonnegative")
     scan = _scan_arrays(cal.losses, cal.lower, cal.upper, cal.group_ends)
-    t = (1.0 - alpha) / (1.0 - beta)
-    return _none_if_inf(_stop_losses(scan, np.array([[float(w_bound)]]), np.array([[t / (1.0 - t)]]))[0])
+    level = (1.0 - alpha) / (alpha - beta)
+    return _none_if_inf(_stop_losses(scan, np.array([[float(w_bound)]]), np.array([[level]]))[0])
 
 
 def _none_if_inf(value) -> float | None:
@@ -211,9 +212,8 @@ def _limits(cal: CalibrationSet, ws: WeightBoundSet, gammas, blocks) -> np.ndarr
     parts = []
     for alphas, betas in blocks:
         wbars = _weight_bound_values(ws.upper, betas)
-        t = (1.0 - alphas) / (1.0 - betas)
-        odds = t / (1.0 - t)
-        parts.append([_stop_losses(scan, wbars, g2 * odds) for g2 in squares])
+        levels = (1.0 - alphas) / (alphas - betas)
+        parts.append([_stop_losses(scan, wbars, g2 * levels) for g2 in squares])
     return np.concatenate(parts, axis=1)
 
 
@@ -331,8 +331,7 @@ def limit_curve(
     Weights are sorted once; every cell reuses the same prefix sums.
     """
     alpha_list, gamma_list, l_max = check_curve_args(alpha_grid, gammas, l_max)
-    if float(cal.losses[-1]) >= l_max:
-        raise ValueError("all observed losses must lie strictly below l_max")
+    check_losses_below(cal.losses, l_max)
 
     limits = _limits(cal, ws, gamma_list, _default_blocks(alpha_list))
     trivial = np.isinf(limits)

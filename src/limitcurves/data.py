@@ -265,10 +265,10 @@ def check_grid_points(points: int, name: str = "grid points") -> None:
         raise ValueError(f"need at most {MAX_GRID_POINTS} {name}")
 
 
-def check_losses_below(trial: TrialDataset, l_max) -> None:
+def check_losses_below(losses, l_max) -> None:
     """Refuse a missing or non-finite ``l_max``, or one that is not strictly
-    above every trial loss."""
-    if not np.all(trial.losses < check_l_max(l_max)):
+    above every one of the trial ``losses``."""
+    if not np.all(losses < check_l_max(l_max)):
         raise ValueError(f"trial losses must lie strictly below l_max={l_max}")
 
 

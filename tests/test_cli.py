@@ -230,6 +230,21 @@ class TestEvaluate:
         assert read_json(tmp_path / "bare" / "c.json")["config"]["target"] is None
         assert bare == self.curves(tmp_path, "real", trial, model, "--target", target)
 
+    def test_extreme_alpha_grid_runs_without_warnings(self, tmp_path, simulated, model, capsys):
+        """The smallest and largest alphas the grid's 15-digit rounding keeps,
+        at gamma 1 and 1e100, give finite levels: no warning on stderr (and
+        none raised here, where every warning is an error)."""
+        _, trial, _ = simulated
+        capsys.readouterr()
+        assert run(
+            "evaluate", "--trial", trial, "--model", model,
+            "--policy", "constant:1", "--gammas", "1,1e100",
+            "--alpha-grid", "1e-15:0.999999999999999:0.1", "--l-max", 100.0,
+            "--out-json", tmp_path / "c.json", "--out-csv", tmp_path / "c.csv",
+        ) == 0
+        assert capsys.readouterr().err == ""
+        assert len(read_json(tmp_path / "c.json")["curves"]) == 2 * 10
+
     def test_scores_input(self, tmp_path, simulated):
         _, trial, _ = simulated
         m = len(trial.read_text().splitlines()) - 1

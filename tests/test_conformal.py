@@ -6,6 +6,8 @@ grid behavior is checked against independent brute-force scans.
 
 import dataclasses
 import math
+import re
+from fractions import Fraction
 import tracemalloc
 
 import numpy as np
@@ -25,7 +27,7 @@ from limitcurves.conformal import (
     stand_in_cdf,
     weight_bound,
 )
-from limitcurves.data import PolicySpec, TrialDataset, TrialDesign, matched_split, random_split
+from limitcurves.data import PolicySpec, TrialDataset, TrialDesign, check_losses_below, matched_split, random_split
 
 
 def unit_cal(losses):
@@ -149,6 +151,14 @@ class TestQuantile:
         # at ell=1 the CDF is 3/5 with w=1
         assert quantile(cal, 1.0, 0.5, 0.1) == 1.0
 
+    def test_level_next_to_one_is_finite(self):
+        # (1 - alpha) / (1 - beta) rounds to 1 here, but (1 - alpha) /
+        # (alpha - beta) = 5e16 is finite: out of reach unless the weight
+        # bound is 0, where the CDF reaches 1 at the largest loss
+        cal = unit_cal(np.arange(1.0, 10.0))
+        assert quantile(cal, 1.0, 3e-17, 1e-17) is None
+        assert quantile(cal, 0.0, 3e-17, 1e-17) == 9.0
+
 
 class TestLimit:
     def test_nine_sample_hand_case(self):
@@ -156,6 +166,19 @@ class TestLimit:
         ws = WeightBoundSet(np.ones(9))
         grid = np.array([0.02, 0.04, 0.06, 0.08, 0.10, 0.12, 0.14, 0.16, 0.18])
         assert limit(cal, ws, 0.2, 1.0, grid) == 9.0
+
+    def test_level_within_rounding_of_the_cdf_is_reached(self):
+        """At gamma 2 the stand-in CDF at the loss 1.0 is (50 / 2) / (50 / 2 +
+        2 * 3) = 25/31, the level (1 - 0.2) / (1 - 0.008) in decimals; in
+        exact arithmetic on the float inputs the level lies just below it.
+        So 1.0 is the limit, in the curve too."""
+        cal = CalibrationSet.from_shift_weights([1.0], [50.0])
+        ws = WeightBoundSet(np.full(239, 3.0))
+        assert weight_bound(ws, 0.008) == 3.0
+        assert (1 - Fraction(0.2)) / (1 - Fraction(0.008)) <= Fraction(25, 31)
+        assert limit(cal, ws, 0.2, 2.0, [0.008]) == 1.0
+        (point,) = limit_curve(cal, ws, [0.2], (2.0,), 5.0).points
+        assert point == LimitPoint(gamma=2.0, alpha=0.2, limit=1.0, trivial=False)
 
     def test_huge_gamma_gives_no_finite_limit(self):
         cal = unit_cal(np.arange(1.0, 10.0))
@@ -290,8 +313,11 @@ class TestLimitCurve:
     def test_requires_l_max_above_losses(self):
         cal = unit_cal([1.0, 2.0])
         ws = WeightBoundSet([1.0])
-        with pytest.raises(ValueError):
+        message = "trial losses must lie strictly below l_max=2.0"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             limit_curve(cal, ws, l_max=2.0)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            check_losses_below(cal.losses, 2.0)
         with pytest.raises(ValueError):
             limit_curve(cal, ws, l_max=None)
         for l_max in (math.inf, math.nan):

@@ -90,12 +90,12 @@ class TestValidateDataset:
     def test_l_max_rule_is_shared(self):
         # evaluate reads no target, so it checks l_max through the same rule
         trial = TrialDataset([[0.0]], [0], [5.0], 1)
-        check_losses_below(trial, 6.0)
+        check_losses_below(trial.losses, 6.0)
         for l_max, message in ((5.0, "trial losses must lie strictly below l_max=5.0"),
                                (math.nan, "l_max must be finite"),
                                (None, "l_max (declared loss-support upper bound) is required")):
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-                check_losses_below(trial, l_max)
+                check_losses_below(trial.losses, l_max)
 
 
 @pytest.mark.parametrize("k", [0, -1])

@@ -98,16 +98,16 @@ def test_kernel_without_finite_level():
 
 
 def test_every_caller_meets_the_kernel_contract(monkeypatch):
-    """Every call hands the kernel positive thresholds (finite or inf, never
-    NaN) and weight bounds that are >= 0 or inf: curves at the extremes of
-    the CLI's rounded alpha grid and at gamma 1e100, ``limit``, ``quantile``,
-    the IPSW quantiles plain and normalized (also at zero mass), and the lab's
-    studies of each method."""
+    """Every call hands the kernel positive finite thresholds and weight
+    bounds that are >= 0 or inf: curves at the extremes of the CLI's rounded
+    alpha grid and at gamma 1e100, ``limit``, ``quantile``, the IPSW
+    quantiles plain and normalized (also at zero mass), and the lab's studies
+    of each method."""
     kernel = backend.best_stop_index
     calls = []
 
     def checked(prefix, suffix, wbars, thresholds):
-        assert np.all(thresholds > 0.0)
+        assert np.all(thresholds > 0.0) and np.all(np.isfinite(thresholds))
         assert np.all((wbars >= 0.0) | (wbars == math.inf))
         calls.append(wbars.shape)
         return kernel(prefix, suffix, wbars, thresholds)
@@ -115,10 +115,7 @@ def test_every_caller_meets_the_kernel_contract(monkeypatch):
     monkeypatch.setattr(backend, "best_stop_index", checked)
     cal = lc.CalibrationSet(np.arange(6.0), np.ones(6), np.full(6, 2.0))
     ws = lc.WeightBoundSet(np.ones(9))
-    # at alpha 1e-15, t = (1 - alpha) / (1 - beta) rounds to 1 for the
-    # largest betas, so t / (1 - t) divides by zero: an inf level
-    with np.errstate(divide="ignore"):
-        lc.limit_curve(cal, ws, [1e-15, 1 - 1e-15], (1.0, 1e100), 10.0)
+    lc.limit_curve(cal, ws, [1e-15, 1 - 1e-15], (1.0, 1e100), 10.0)
     assert len(calls) == 2
     lc.limit(cal, ws, 0.1, 2.0)
     lc.quantile(cal, 1.0, 0.1, 0.05)
@@ -176,8 +173,7 @@ def test_level_cap_splits_batches_without_changing_limits(cal, ws, percents, cap
     for alpha, value in zip(alphas, got):
         betas = lc.default_beta_grid(alpha)
         wbars = conformal._weight_bound_values(ws.upper, betas)
-        t = (1.0 - alpha) / (1.0 - betas)
-        k = dense_best_stop_index(prefix, suffix, wbars, gamma**2 * (t / (1.0 - t)))
+        k = dense_best_stop_index(prefix, suffix, wbars, gamma**2 * ((1.0 - alpha) / (alpha - betas)))
         assert value == (math.inf if k < 0 else loss_ends[k])
 
 
@@ -199,7 +195,8 @@ def dyadic_calibration(draw, max_size=40):
     cal=dyadic_calibration(),
     # at least 3 small bounds, so most draws give a finite limit at gamma 4 too
     ws=st.lists(dyadic(high=16), min_size=3, max_size=30).map(lc.WeightBoundSet),
-    # t = (1 - alpha) / (1 - beta) is 0.5 or 0.75, so t / (1 - t) is exact too
+    # with beta 0.25, (1 - alpha) / (1 - beta) is 0.5 or 0.75 and the kernel's
+    # level (1 - alpha) / (alpha - beta) is 1 or 3: both exact
     alpha=st.sampled_from((0.625, 0.4375)),
     gamma=st.sampled_from((1.0, 2.0, 4.0)),
 )
@@ -207,7 +204,8 @@ def dyadic_calibration(draw, max_size=40):
 def test_one_scan_equals_rescaled_scan(cal, ws, alpha, gamma):
     """The stand-in CDF of the weights rescaled by gamma (lower / gamma,
     upper * gamma, w * gamma), evaluated at every observed loss, crosses
-    where the one unscaled scan does against gamma**2 * t / (1 - t)."""
+    where the one unscaled scan does against gamma**2 * (1 - alpha) / (alpha
+    - beta)."""
     beta = 0.25
     t = (1.0 - alpha) / (1.0 - beta)
     scaled = lc.CalibrationSet(cal.losses, cal.lower / gamma, cal.upper * gamma)
