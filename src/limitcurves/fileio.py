@@ -116,32 +116,42 @@ def _row_error(path, fields_for) -> None:
     raise the first defect found, with its message: an empty file, a
     nonempty row whose width differs from the header's, no data rows, a
     wrong header, or a cell that does not parse (fields in order, row by row
-    within one)."""
+    within one). One pass keeps only the first failure of each field, so
+    memory does not grow with the file."""
     with open_input(path, newline="") as fh:
         reader = csv.reader(fh)
         header = _read_header(reader)
         if header is None:
             raise ValueError(f"{path}: empty file")
-        rows = []
+        try:
+            fields, header_error = fields_for(header), None
+        except ValueError as exc:
+            fields, header_error = [], exc
+        spans, stop = [], 0
+        for _, parse, shape in fields:
+            start, stop = stop, stop + math.prod(shape)
+            spans.append((parse, start, stop))
+        rows, limit, failure = 0, len(spans), None
         for row in filter(None, reader):
             if len(row) != len(header):
                 raise ValueError(
                     f"{path}:{reader.line_num}: expected {len(header)} columns, got {len(row)}"
                 )
-            rows.append(row)
+            rows += 1
+            # only the fields before the first failed one can still decide the message
+            for i, (parse, start, stop) in enumerate(spans[:limit]):
+                try:
+                    for cell in row[start:stop]:
+                        parse(cell)
+                except ValueError as exc:
+                    limit, failure = i, exc
+                    break
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    fields = fields_for(header)
-    start = 0
-    try:
-        for _, parse, shape in fields:
-            stop = start + math.prod(shape)
-            for row in rows:
-                for cell in row[start:stop]:
-                    parse(cell)
-            start = stop
-    except ValueError as exc:
-        raise ValueError(f"{path}: parse failure: {exc}") from None
+    if header_error is not None:
+        raise header_error
+    if failure is not None:
+        raise ValueError(f"{path}: parse failure: {failure}") from None
 
 
 def read_table(path, fields_for) -> np.ndarray:

@@ -338,6 +338,28 @@ class TestReadColumns:
             fileio.read_columns(path, "x", tail)
         assert str(info.value) == f"{path}{message}"
 
+    def test_diagnosis_memory_does_not_grow_with_rows(self, tmp_path):
+        """A rejected file is diagnosed in one pass that keeps only each
+        field's first failure: holding every row first peaked about four
+        times higher at 1e5 rows than at 2.5e4."""
+
+        def fields_for(header):
+            return [("x", float, (2,)), ("a", int, ())]
+
+        peaks = []
+        for rows in (25_000, 100_000):
+            path = tmp_path / f"{rows}.csv"
+            path.write_text("x0,x1,a\n" + "0.25,-1.5,1\n" * (rows - 1) + "0.25,-1.5,bad\n")
+            tracemalloc.start()
+            try:
+                with pytest.raises(ValueError) as info:
+                    fileio._row_error(path, fields_for)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert str(info.value) == f"{path}: parse failure: invalid literal for int() with base 10: 'bad'"
+        assert peaks[1] < 1.2 * peaks[0]
+
     @pytest.mark.filterwarnings("default")
     def test_cast_warning_is_a_parse_failure(self, tmp_path, monkeypatch):
         """numpy 1.x reads an int64 cell ``1.5`` as 1 after a
