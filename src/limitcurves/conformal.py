@@ -166,11 +166,11 @@ def _scan_arrays(losses_sorted, lower, upper, group_ends):
     (``prefix``), and the upper-weight mass strictly above it (``suffix``).
 
     With out-of-sample weight ``w`` the stand-in CDF there is
-    ``prefix / (prefix + suffix + w)``, so it reaches ``(1 - alpha) / (1 -
-    beta)`` exactly when ``prefix / (suffix + w) >= (1 - alpha) / (alpha -
-    beta)``, a positive level as ``beta < alpha``. ``gamma`` divides the lower
-    weights and multiplies the upper ones and ``w``, which only scales the
-    level by ``gamma**2``: one scan serves every gamma.
+    ``prefix / (prefix + suffix + w)``, so it reaches ``(1 - alpha) / (1 - beta)``
+    exactly when ``prefix / (suffix + w) >= (1 - alpha) / (alpha - beta)``,
+    positive as ``beta < alpha``. ``gamma`` divides the lower weights and
+    multiplies the upper ones and ``w``, which only scales that level by
+    ``gamma**2``: one scan serves every gamma.
     Both arrays are cumulative sums of nonnegative weights, so ``prefix``
     never decreases and ``suffix`` never increases, in floating point too.
     """

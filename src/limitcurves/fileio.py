@@ -116,8 +116,8 @@ def _row_error(path, fields_for) -> None:
     raise the first defect found, with its message: an empty file, a
     nonempty row whose width differs from the header's, no data rows, a
     wrong header, or a cell that does not parse (fields in order, row by row
-    within one). One pass keeps only the first failure of each field, so
-    memory does not grow with the file."""
+    within one). The file is read once, keeping only the failure that
+    decides the message, so memory does not grow with the file."""
     with open_input(path, newline="") as fh:
         reader = csv.reader(fh)
         header = _read_header(reader)
