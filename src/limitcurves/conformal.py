@@ -153,7 +153,7 @@ def stand_in_cdf(cal: CalibrationSet, w: float, ell: float) -> float:
     ``w = inf`` gives 0. The function is a nondecreasing right-continuous step
     function of ``ell`` jumping only at observed losses.
     """
-    if w < 0:
+    if not w >= 0:
         raise ValueError("out-of-sample weight must be nonnegative")
     below = cal.losses <= ell
     num = float(np.sum(cal.lower[below]))
@@ -165,12 +165,6 @@ def _scan_arrays(losses_sorted, lower, upper, group_ends):
     """Per loss group: its loss, the lower-weight mass at or below it
     (``prefix``), and the upper-weight mass strictly above it (``suffix``).
 
-    With out-of-sample weight ``w`` the stand-in CDF there is
-    ``prefix / (prefix + suffix + w)``, so it reaches ``(1 - alpha) / (1 - beta)``
-    exactly when ``prefix / (suffix + w) >= (1 - alpha) / (alpha - beta)``,
-    positive as ``beta < alpha``. ``gamma`` divides the lower weights and
-    multiplies the upper ones and ``w``, which only scales that level by
-    ``gamma**2``: one scan serves every gamma.
     Both arrays are cumulative sums of nonnegative weights, so ``prefix``
     never decreases and ``suffix`` never increases, in floating point too.
     """
@@ -188,11 +182,10 @@ def quantile(cal: CalibrationSet, w_bound: float, alpha: float, beta: float) -> 
     """
     if not 0.0 < beta < alpha < 1.0:
         raise ValueError("need 0 < beta < alpha < 1")
-    if w_bound < 0:
+    if not w_bound >= 0:
         raise ValueError("weight bound must be nonnegative")
-    scan = _scan_arrays(cal.losses, cal.lower, cal.upper, cal.group_ends)
-    level = (1.0 - alpha) / (alpha - beta)
-    return _none_if_inf(_stop_losses(scan, np.array([[float(w_bound)]]), np.array([[level]]))[0])
+    block = (np.array([[alpha]]), np.array([[beta]]), np.array([[float(w_bound)]]))
+    return _none_if_inf(_limits(cal, [1.0], [block])[0, 0])
 
 
 def _none_if_inf(value) -> float | None:
@@ -200,19 +193,29 @@ def _none_if_inf(value) -> float | None:
     return None if value == math.inf else float(value)
 
 
-def _limits(cal: CalibrationSet, ws: WeightBoundSet, gammas, blocks) -> np.ndarray:
-    """The ``limit`` of every row of every ``(alphas, betas)`` block as a
-    ``(gammas, rows)`` array, ``inf`` where no level is reached: ``alphas``
-    is a ``(rows, 1)`` column and ``betas`` a ``(rows, levels)`` grid. One
-    scan serves every gamma, which scales only the level (see
-    ``_scan_arrays``); each block is one kernel call per gamma."""
+def _limits(cal: CalibrationSet, gammas, blocks) -> np.ndarray:
+    """The ``limit`` of every row of every ``(alphas, betas, wbars)`` block
+    as a ``(gammas, rows)`` array, ``inf`` where no level is reached:
+    ``alphas`` is a ``(rows, 1)`` column, ``betas`` a ``(rows, levels)``
+    grid and ``wbars`` its weight bounds. Each block is one kernel call per
+    gamma, and every certified level is computed here.
+
+    With out-of-sample weight ``w`` the stand-in CDF at a loss group is
+    ``prefix / (prefix + suffix + w)`` (see ``_scan_arrays``), so it reaches
+    ``(1 - alpha) / (1 - beta)`` exactly when
+    ``prefix / (suffix + w) >= (1 - alpha) / (alpha - beta)``, positive as
+    ``beta < alpha``. ``gamma`` divides the lower weights and multiplies the
+    upper ones and ``w``, which only scales that level by ``gamma**2``: one
+    scan serves every gamma."""
     scan = _scan_arrays(cal.losses, cal.lower, cal.upper, cal.group_ends)
     # a numpy square obeys the caller's errstate, so it cannot overflow silently
     squares = [np.float64(g) ** 2 for g in gammas]
     parts = []
-    for alphas, betas in blocks:
-        wbars = _weight_bound_values(ws.upper, betas)
-        levels = (1.0 - alphas) / (alphas - betas)
+    for alphas, betas, wbars in blocks:
+        # only a beta within about 1e-308 of its alpha overflows, to a level
+        # no finite ratio reaches; the gamma product below keeps the errstate
+        with np.errstate(over="ignore"):
+            levels = (1.0 - alphas) / (alphas - betas)
         parts.append([_stop_losses(scan, wbars, g2 * levels) for g2 in squares])
     return np.concatenate(parts, axis=1)
 
@@ -222,13 +225,14 @@ def _limits(cal: CalibrationSet, ws: WeightBoundSet, gammas, blocks) -> np.ndarr
 LEVEL_CAP = 2**16
 
 
-def _default_blocks(alphas):
-    """``(alphas, betas)`` blocks of the checked ``alphas`` in order, each
-    row with ``default_beta_grid(alpha)``."""
+def _default_blocks(alphas, ws: WeightBoundSet):
+    """``(alphas, betas, wbars)`` blocks of the checked ``alphas`` in order,
+    each row with ``default_beta_grid(alpha)`` and its bounds from ``ws``."""
     column = np.asarray(alphas, dtype=np.float64)[:, None]
     rows = LEVEL_CAP // BETA_POINTS
     for lo in range(0, column.shape[0], rows):
-        yield column[lo : lo + rows], default_beta_grid(column[lo : lo + rows])
+        betas = default_beta_grid(column[lo : lo + rows])
+        yield column[lo : lo + rows], betas, _weight_bound_values(ws.upper, betas)
 
 
 def _stop_losses(scan, wbars, thresholds) -> np.ndarray:
@@ -258,9 +262,10 @@ def limit(
     )
     if betas.ndim != 1 or betas.shape[0] == 0:
         raise ValueError("beta grid must be a nonempty vector")
-    if np.any(betas <= 0) or np.any(betas >= alpha):
+    if not np.all((betas > 0) & (betas < alpha)):
         raise ValueError("beta grid must lie strictly inside (0, alpha)")
-    return _none_if_inf(_limits(cal, ws, [g], [(np.array([[alpha]]), betas[None, :])])[0, 0])
+    block = (np.array([[alpha]]), betas[None, :], _weight_bound_values(ws.upper, betas)[None, :])
+    return _none_if_inf(_limits(cal, [g], [block])[0, 0])
 
 
 @dataclasses.dataclass(frozen=True)
@@ -333,7 +338,7 @@ def limit_curve(
     alpha_list, gamma_list, l_max = check_curve_args(alpha_grid, gammas, l_max)
     check_losses_below(cal.losses, l_max)
 
-    limits = _limits(cal, ws, gamma_list, _default_blocks(alpha_list))
+    limits = _limits(cal, gamma_list, _default_blocks(alpha_list, ws))
     trivial = np.isinf(limits)
     columns = {
         "gamma": np.repeat(gamma_list, len(alpha_list)),

@@ -211,7 +211,7 @@ class CertifiedMethod:
         from ``rng``."""
         split_seed = int(rng.integers(0, 2**63 - 1))
         cal, ws, _ = certify(trial, odds, policy, scn.design, self.split, self.split_frac, split_seed)
-        return _limits(cal, ws, [self.gamma], _default_blocks(alphas))[0]
+        return _limits(cal, [self.gamma], _default_blocks(alphas, ws))[0]
 
 
 @dataclasses.dataclass(frozen=True)

@@ -9,6 +9,7 @@ import math
 import re
 from fractions import Fraction
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -179,6 +180,15 @@ class TestLimit:
         assert limit(cal, ws, 0.2, 2.0, [0.008]) == 1.0
         (point,) = limit_curve(cal, ws, [0.2], (2.0,), 5.0).points
         assert point == LimitPoint(gamma=2.0, alpha=0.2, limit=1.0, trivial=False)
+
+    def test_overflowing_level_gives_no_limit_and_no_warning(self):
+        """A beta within 1e-308 of alpha overflows the level to inf, which
+        no ratio reaches; the division says nothing about it."""
+        cal = unit_cal(np.arange(1.0, 10.0))
+        ws = WeightBoundSet(np.ones(9))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert limit(cal, ws, 1e-300, 1.0, [np.nextafter(1e-300, 0)]) is None
 
     def test_huge_gamma_gives_no_finite_limit(self):
         cal = unit_cal(np.arange(1.0, 10.0))

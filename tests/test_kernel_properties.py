@@ -165,7 +165,7 @@ def test_level_cap_splits_batches_without_changing_limits(cal, ws, percents, cap
     with mock.patch.object(conformal, "LEVEL_CAP", cap), mock.patch.object(
         backend, "best_stop_index", counted
     ):
-        (got,) = conformal._limits(cal, ws, [gamma], conformal._default_blocks(alphas))
+        (got,) = conformal._limits(cal, [gamma], conformal._default_blocks(alphas, ws))
     assert all(rows * levels <= cap for rows, levels in calls)
     assert all(levels == conformal.BETA_POINTS for _, levels in calls)
     assert sum(rows for rows, _ in calls) == len(alphas)

@@ -238,6 +238,14 @@ GUARDS = {
         "weight bound must be nonnegative",
         lambda: quantile(sets()[0], -1.0, 0.5, 0.1),
     ),
+    "quantile nan bound": (
+        "weight bound must be nonnegative",
+        lambda: quantile(sets()[0], math.nan, 0.5, 0.1),
+    ),
+    "limit nan beta": (
+        "beta grid must lie strictly inside (0, alpha)",
+        lambda: limit(*sets(), 0.2, 1.0, [math.nan]),
+    ),
     "check_curve_args no gamma": ("need at least one gamma", lambda: check_curve_args(None, (), 9.0)),
     "limit gamma square overflows": (
         "gamma=1e+200 is too large: its square overflows",
@@ -354,6 +362,10 @@ GUARDS = {
     "stand_in_cdf minus infinity": (
         "out-of-sample weight must be nonnegative",
         lambda: stand_in_cdf(sets()[0], -math.inf, 2.0),
+    ),
+    "stand_in_cdf nan weight": (
+        "out-of-sample weight must be nonnegative",
+        lambda: stand_in_cdf(sets()[0], math.nan, 2.0),
     ),
 }
 
