@@ -176,7 +176,8 @@ def _scan_arrays(losses_sorted, lower, upper, group_ends):
 def quantile(cal: CalibrationSet, w_bound: float, alpha: float, beta: float) -> float | None:
     """Smallest observed loss where the stand-in CDF reaches (1-alpha)/(1-beta).
 
-    Computed from prefix sums by a binary search over the loss groups.
+    Computed as a one-cell block of ``_limits`` at gamma 1, with ``w_bound``
+    as its only weight bound.
     ``None`` means no observed loss reaches the level (including an infinite
     weight bound); callers report it as the trivial loss-support limit.
     """

@@ -10,8 +10,10 @@ float answer equals this reference except where rounding can decide it, and
 - (b) some loss group's exact ratio ``prefix / (suffix + w)`` lies within a
   relative ``(n + 4) * 2**-52`` of some beta's exact level ``gamma**2 * (1 -
   alpha) / (alpha - beta)``, for ``n`` calibration rows. The float ratio
-  sums ``n`` weights and the float level takes five roundings, so outside
-  that window their comparison is exact.
+  (two sums of at most ``n`` weights, an addition and a division) and the
+  float level (five operations) round about ``2n + 4`` times between them,
+  each by at most ``2**-53`` relative, so outside that window the float
+  comparison agrees with the exact one.
 
 A weight bound of ``None`` is the infinite bound; the stand-in CDF is then 0.
 """
@@ -60,10 +62,6 @@ class Reference:
         self._by_beta = {}
         self._ratios = {}
 
-    def weight_bound(self, beta: float) -> Fraction | None:
-        position = bound_position(len(self.upper), beta)
-        return self.upper[position - 1] if position <= len(self.upper) else None
-
     def stand_in_cdf(self, w: Fraction | None, ell: float, gamma: float = 1.0) -> Fraction:
         """Lower weights over ``gamma`` at or below ``ell`` against upper
         weights and ``w`` times ``gamma`` above it; 0 when ``w`` is infinite
@@ -96,14 +94,15 @@ class Reference:
         return (self.ends[first] if first < len(self.ends) else None), flagged
 
     def _at_bound(self, beta: float):
-        """The ratio lists at ``beta``'s weight bound, and whether the
+        """The ratio lists at ``beta``'s exact weight bound, and whether the
         engine's float position ``ceil((m + 1.0) * (1.0 - beta))`` differs
         from the exact one."""
         if beta not in self._by_beta:
             m = len(self.upper)
             position = bound_position(m, beta)
+            w = self.upper[position - 1] if position <= m else None
             moved = math.ceil((m + 1.0) * (1.0 - beta)) != position
-            self._by_beta[beta] = self._ratio_lists(self.weight_bound(beta)), moved
+            self._by_beta[beta] = self._ratio_lists(w), moved
         return self._by_beta[beta]
 
     def _first_crossing(self, lists, level: Fraction):

@@ -149,10 +149,8 @@ def test_reference_quantile_is_the_first_loss_where_its_cdf_reaches_the_level():
                 assert ref.quantile(w, alpha, beta, gamma)[0] == (hits[0] if hits else None)
 
 
-POWER_SETS = (
-    (CalibrationSet.from_shift_weights(np.arange(8.0), np.ones(8)), WeightBoundSet(np.ones(10))),
-    (CalibrationSet([0.0, 2.0, 2.0, 5.0], [1 / 3, 2 / 3, 1.0, 0.25], [1.0, 1.0, 1.0, 0.5]), WeightBoundSet([0.5, 2.0, 3.0])),
-)
+# eight unit-weight losses: stand-in CDF values 1/9, ..., 8/9 at unit bounds
+POWER_SET = (CalibrationSet.from_shift_weights(np.arange(8.0), np.ones(8)), WeightBoundSet(np.ones(10)))
 
 
 @pytest.mark.parametrize("factor", [1 + 1e-12, 1 + 1e-7, 1.001, 1.01, 0.99])
@@ -165,7 +163,7 @@ def test_near_boundary_check_sees_a_scaled_level(factor):
         return kernel(prefix, suffix, wbars, thresholds * factor)
 
     def mismatches():
-        return [m for cal, ws in POWER_SETS for beta in FIXED_BETAS for m in near_boundary_mismatches(cal, ws, beta)]
+        return [m for beta in FIXED_BETAS for m in near_boundary_mismatches(*POWER_SET, beta)]
 
     assert mismatches() == []
     with mock.patch.object(backend, "best_stop_index", scaled):
@@ -173,9 +171,9 @@ def test_near_boundary_check_sees_a_scaled_level(factor):
 
 
 def rounded_sum_sets():
-    """ROADMAP item 4's reproducer: at gamma 2, alpha 0.25 and beta 0.025
-    the exact weight sum lies below the level and the float sum rounds
-    above it."""
+    """Sets where rounding certifies a cell: at gamma 2, alpha 0.25 and beta
+    0.025 the exact weight sum lies below the level and the float sum
+    rounds above it."""
     losses = [0, 7, 0, 2, 2, 2, 0, 0, 2, 3, 1, 6, 0, 1, 7, 6, 7, 5, 4, 1, 6, 5, 7, 6]
     lower = [1, 1, 1, 1, 2, 2, 2, 3, 2, 2, 1, 1, 3, 1, 1, 3, 3, 1, 2, 1, 2, 1, 1, 2]
     upper = [3, 3, 1, 1, 3, 2, 1, 2, 3, 2, 1, 2, 3, 3, 3, 1, 2, 2, 3, 1, 1, 2, 1, 3, 2, 3, 1, 2, 3, 1, 1, 2, 2, 2, 3, 1, 3, 2, 3, 3, 3, 3]
