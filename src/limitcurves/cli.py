@@ -443,8 +443,9 @@ OUTPUT_FLAGS = ("target_out", "trial_out", "pool_out", "out", "out_json", "out_c
 
 
 def _refuse_clobber(ns: argparse.Namespace) -> None:
-    """Refuse an output path that names the same file as an input or another
-    output of the command, so that no output overwrites either."""
+    """Refuse, before any file is read, an empty path, an output path that is
+    a directory, and an output path that names the same file as an input or
+    another output of the command, so that no output overwrites either."""
 
     def named(keys):
         return [(f"--{key.replace('_', '-')}", getattr(ns, key, None)) for key in keys]
@@ -453,12 +454,18 @@ def _refuse_clobber(ns: argparse.Namespace) -> None:
     policy = getattr(ns, "policy", None) or ""
     if policy.startswith("table:"):
         inputs.append(("--policy", policy.split(":", 1)[1]))
+    outputs = named(OUTPUT_FLAGS)
+    for flag, path in inputs + outputs:
+        if path == "":
+            raise ValueError(f"{flag} names no file: its path is empty")
     seen = {}
     for flag, path in inputs:
         if path:
             seen.setdefault(os.path.realpath(path), flag)
-    for flag, path in named(OUTPUT_FLAGS):
+    for flag, path in outputs:
         if path:
+            if os.path.isdir(path):
+                raise ValueError(f"{flag} {path} is a directory")
             real = os.path.realpath(path)
             if real in seen:
                 raise ValueError(f"{flag} and {seen[real]} name the same file {path}")

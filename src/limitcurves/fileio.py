@@ -40,7 +40,11 @@ def atomic_output(path):
     try:
         with os.fdopen(fd, "w") as fh:
             yield fh
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            # nor the temp file that could not replace it, which is removed
+            raise type(exc)(exc.errno, exc.strerror, path) from None
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)

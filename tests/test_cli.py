@@ -519,10 +519,10 @@ class TestMiscoverage:
         assert not out.exists()
 
     @pytest.mark.parametrize("cpus", [1, 2])
-    def test_impossible_allocation(self, tmp_path, monkeypatch, capsys, cpus):
+    def test_impossible_allocation(self, tmp_path, monkeypatch, force_cpus, capsys, cpus):
         # 10^16 rows exceed any address space, so the allocation fails at once;
         # the raised row cap lets them past the refusal and into a worker
-        monkeypatch.setattr("limitcurves.simlab._usable_cpus", lambda: cpus)
+        force_cpus(cpus)
         monkeypatch.setattr("limitcurves.simlab.MAX_STUDY_ROWS", 10**17)
         out = tmp_path / "mc.json"
         assert run(
@@ -745,6 +745,57 @@ class TestOutputsNeverClobber:
         ]
         for argv, flags, path in cases:
             self.refused(capsys, argv, flags, path, [target, trial, pool, model, table, cfg])
+
+
+class TestUnusablePaths:
+    """An empty path, or an output path that is a directory, is refused
+    before any file is read: one error line names the flag, the exit code is
+    1, and no file is written."""
+
+    @staticmethod
+    def refused(tmp_path, capsys, argv, line):
+        def files():
+            return {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+
+        before = files()
+        assert run(*argv) == 1
+        assert capsys.readouterr().err == f"error: {line}\n"
+        assert files() == before
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [("evaluate", "--model"), ("ipsw", "--model"), ("reliability", "--model"),
+         ("simulate", "--pool-out"), ("fit", "--config"), ("ipsw", "--policy")],
+    )
+    def test_empty_path(self, tmp_path, simulated, model, capsys, command, flag):
+        target, trial, pool = simulated
+        out = tmp_path / "out.json"
+        study = ("--trial", trial, "--policy", "constant:1")
+        argv = {
+            "evaluate": (*study, "--l-max", 100.0, "--out-json", out, "--out-csv", tmp_path / "o.csv"),
+            "ipsw": (*study, "--target", target, "--model", model, "--out", out),
+            "reliability": ("--pool", pool, "--out", out),
+            "simulate": ("--pop", "A", "--n", 10, "--m", 10,
+                         "--target-out", tmp_path / "t.csv", "--trial-out", tmp_path / "r.csv"),
+            "fit": ("--pool", pool, "--out", out),
+        }[command]
+        # the empty path comes last, so it wins over a flag given earlier
+        value = "table:" if flag == "--policy" else ""
+        line = f"{flag} names no file: its path is empty"
+        self.refused(tmp_path, capsys, (command, *argv, flag, value), line)
+
+    @pytest.mark.parametrize("flag", ["--out-json", "--out-csv", "--out"])
+    def test_output_directory(self, tmp_path, simulated, model, capsys, flag):
+        _, trial, pool = simulated
+        folder = tmp_path / "folder"
+        folder.mkdir()
+        if flag == "--out":
+            argv = ("fit", "--pool", pool, "--out", folder)
+        else:
+            outputs = {"--out-json": tmp_path / "o.json", "--out-csv": tmp_path / "o.csv", flag: folder}
+            argv = ("evaluate", "--trial", trial, "--model", model, "--policy", "constant:1",
+                    "--l-max", 100.0, *(a for pair in outputs.items() for a in pair))
+        self.refused(tmp_path, capsys, argv, f"{flag} {folder} is a directory")
 
 
 class TestInputDecoding:
@@ -1503,10 +1554,10 @@ class TestOverflow:
     @pytest.mark.filterwarnings("default")
     @pytest.mark.parametrize("command", ["benchmark-gamma", "fit", "ipsw", "evaluate", "miscoverage"])
     def test_overflow_is_one_error_line(
-        self, tmp_path, simulated, big_inputs, monkeypatch, capsys, command
+        self, tmp_path, simulated, big_inputs, force_cpus, capsys, command
     ):
         # miscoverage runs its studies in this process and a forked worker
-        monkeypatch.setattr("limitcurves.simlab._usable_cpus", lambda: 2)
+        force_cpus(2)
         target, trial, _ = simulated
         big_pool, scores = big_inputs
         out = tmp_path / "out.json"

@@ -413,10 +413,12 @@ class TestAtomicWrite:
         assert info.value.filename == str(path)
 
     def test_failed_replace_leaves_no_temp_file(self, tmp_path):
+        # the error names the requested path only, not the removed temp file
         target = tmp_path / "out"
         target.mkdir()
-        with pytest.raises(OSError):
+        with pytest.raises(IsADirectoryError) as info:
             atomic_write(target, "x")
+        assert (info.value.filename, info.value.filename2) == (str(target), None)
         assert [p.name for p in tmp_path.iterdir()] == ["out"]
         assert list(target.iterdir()) == []
 

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from limitcurves import simlab
 from limitcurves.cli import main
 from limitcurves.conformal import CalibrationSet
 from limitcurves.data import PolicySpec, TrialDataset, TrialDesign
@@ -197,8 +196,8 @@ class TestSortsOnce:
         assert len(constructions) == 1
 
     @pytest.mark.parametrize("normalized", [False, True])
-    def test_lab_studies(self, monkeypatch, constructions, normalized):
-        monkeypatch.setattr(simlab, "_usable_cpus", lambda: 1)
+    def test_lab_studies(self, force_cpus, constructions, normalized):
+        force_cpus(1)
         scn = scenario("B", n=60, m=40, m_train=40)
         method = IpswMethod(odds_source="oracle", normalized=normalized)
         miscoverage_gap(scn, method, [0.05, 0.1, 0.2, 0.5, 0.9], runs=3, per_run=10, seed=1)

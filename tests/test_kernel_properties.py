@@ -97,7 +97,7 @@ def test_kernel_without_finite_level():
     assert got.tolist() == [-1, 0, -1]
 
 
-def test_every_caller_meets_the_kernel_contract(monkeypatch):
+def test_every_caller_meets_the_kernel_contract(monkeypatch, force_cpus):
     """Every call hands the kernel positive finite thresholds and weight
     bounds that are >= 0 or inf: curves at the extremes of the CLI's rounded
     alpha grid and at gamma 1e100, ``limit``, ``quantile``, the IPSW
@@ -127,7 +127,7 @@ def test_every_caller_meets_the_kernel_contract(monkeypatch):
         for normalized in (False, True):
             lc.ipsw_quantile(trial, np.ones(4), policy, lc.TrialDesign.uniform(2), 4, 0.1, normalized)
     assert len(calls) == 10
-    monkeypatch.setattr(simlab, "_usable_cpus", lambda: 1)
+    force_cpus(1)
     scn = simlab.scenario("B", n=100, m=60, m_train=60)
     for method in (simlab.CertifiedMethod(gamma=2.0), simlab.IpswMethod(), simlab.IpswMethod(normalized=True)):
         simlab.miscoverage_gap(scn, method, [0.1, 0.2], runs=2, per_run=20)
@@ -214,7 +214,7 @@ def test_one_scan_equals_rescaled_scan(cal, ws, alpha, gamma):
     assert lc.limit(cal, ws, alpha, gamma, [beta]) == (min(hits) if hits else None)
 
 
-def test_one_scan_per_curve_and_per_study(monkeypatch):
+def test_one_scan_per_curve_and_per_study(monkeypatch, force_cpus):
     scans = []
 
     def counted(*args):
@@ -228,7 +228,7 @@ def test_one_scan_per_curve_and_per_study(monkeypatch):
     curve = lc.limit_curve(cal, lc.WeightBoundSet(np.ones(9)), None, (1.0, 1.5, 2.0), 10.0)
     assert len(curve.points) == 3 * 99 and len(scans) == 1
     # each study of the miscoverage harness scans once, at its one gamma
-    monkeypatch.setattr(simlab, "_usable_cpus", lambda: 1)
+    force_cpus(1)
     scn = simlab.scenario("B", n=100, m=60, m_train=60)
     simlab.miscoverage_gap(scn, simlab.CertifiedMethod(gamma=2.0), [0.1, 0.2], runs=3, per_run=20)
     assert len(scans) == 1 + 3

@@ -2,14 +2,12 @@
 
 import math
 import os
-import select
-import time
 
 import numpy as np
 import pytest
 import scipy.stats
 
-from limitcurves import simlab
+from limitcurves import forks, simlab
 from limitcurves.data import PolicySpec, TrialDesign
 from limitcurves.simlab import (
     POPULATIONS,
@@ -363,7 +361,7 @@ class TestMiscoverage:
         def no_fork(*args, **kwargs):
             raise AssertionError("workers were forked")
 
-        monkeypatch.setattr(simlab, "_fork_map", no_fork)
+        monkeypatch.setattr(forks, "fork_map", no_fork)
         with pytest.raises(error, match=message):
             miscoverage_gap(
                 scenario("B", n=50, m=40, m_train=40), CertifiedMethod(gamma=2.0), [0.1],
@@ -375,8 +373,8 @@ class TestForkedRuns:
     """Runs spread over forked workers give the report of one sequential loop."""
 
     @staticmethod
-    def report(monkeypatch, cpus, method, runs, m=40):
-        monkeypatch.setattr(simlab, "_usable_cpus", lambda: cpus)
+    def report(force_cpus, cpus, method, runs, m=40):
+        force_cpus(cpus)
         scn = scenario("B", n=60, m=m, m_train=40)
         return miscoverage_gap(scn, method, [0.1, 0.3], runs=runs, per_run=30, seed=11)
 
@@ -385,161 +383,50 @@ class TestForkedRuns:
     @pytest.mark.parametrize(
         "method", [CertifiedMethod(gamma=2.0), IpswMethod(normalized=True)], ids=["certified", "ipsw"]
     )
-    def test_reports_match_one_worker(self, monkeypatch, cpus, runs, method):
-        sequential = self.report(monkeypatch, 1, method, runs)
-        assert self.report(monkeypatch, cpus, method, runs) == sequential
+    def test_reports_match_one_worker(self, force_cpus, cpus, runs, method):
+        sequential = self.report(force_cpus, 1, method, runs)
+        assert self.report(force_cpus, cpus, method, runs) == sequential
 
-    def test_runs_past_the_queue_size_go_in_chunks(self, monkeypatch):
-        sequential = self.report(monkeypatch, 1, CertifiedMethod(gamma=2.0), 5)
-        monkeypatch.setattr(simlab, "_MAX_QUEUED", 2)
-        assert self.report(monkeypatch, 2, CertifiedMethod(gamma=2.0), 5) == sequential
+    def test_runs_past_the_queue_size_go_in_chunks(self, monkeypatch, force_cpus):
+        sequential = self.report(force_cpus, 1, CertifiedMethod(gamma=2.0), 5)
+        monkeypatch.setattr(forks, "MAX_ITEMS", 2)
+        assert self.report(force_cpus, 2, CertifiedMethod(gamma=2.0), 5) == sequential
 
     @pytest.mark.parametrize(
         "in_flight, workers", [(10**9, 8), (3 * 500, 3), (2 * 500 - 1, 1), (499, 1)]
     )
-    def test_workers_bounded_by_rows_in_flight(self, monkeypatch, in_flight, workers):
-        # each study holds n + m + m_train + per_run = 60 + 370 + 40 + 30 = 500 rows
-        forked = []
-        fork_map = simlab._fork_map
+    def test_workers_bounded_by_rows_in_flight(self, monkeypatch, force_cpus, in_flight, workers):
+        # each study holds n + m + m_train + per_run = 60 + 370 + 40 + 30 = 500 rows;
+        # eight runs on eight CPUs would take eight workers
+        sequential = self.report(force_cpus, 1, CertifiedMethod(gamma=2.0), 8, m=370)
+        children = []
+        fork_child = forks._fork_child
 
-        def counting_fork_map(fn, items, n_workers):
-            forked.append(n_workers)
-            return fork_map(fn, items, 1)
+        def counting_fork_child(work):
+            children.append(fork_child(work))
+            return children[-1]
 
-        monkeypatch.setattr(simlab, "_fork_map", counting_fork_map)
+        monkeypatch.setattr(forks, "_fork_child", counting_fork_child)
         monkeypatch.setattr(simlab, "MAX_ROWS_IN_FLIGHT", in_flight)
-        sequential = self.report(monkeypatch, 1, CertifiedMethod(gamma=2.0), 3, m=370)
-        assert self.report(monkeypatch, 8, CertifiedMethod(gamma=2.0), 3, m=370) == sequential
-        assert forked == [1, workers]
+        assert self.report(force_cpus, 8, CertifiedMethod(gamma=2.0), 8, m=370) == sequential
+        assert len(children) == workers - 1
 
-    def test_too_many_items_refused(self):
-        with pytest.raises(ValueError, match="at most 1024 items"):
-            simlab._fork_map(abs, list(range(1025)), 2)
-
-    def test_one_worker_forks_nothing(self, monkeypatch):
+    def test_one_worker_forks_nothing(self, monkeypatch, force_cpus):
         # one worker drains the queue in this process: the report is the one
         # two workers give, and os.fork is never called
         method = CertifiedMethod(gamma=2.0)
-        forked = self.report(monkeypatch, 2, method, 3)
+        forked = self.report(force_cpus, 2, method, 3)
 
         def no_fork():
             raise AssertionError("forked with one worker")
 
         monkeypatch.setattr(os, "fork", no_fork)
-        assert self.report(monkeypatch, 1, method, 3) == forked
-        with pytest.raises(ValueError, match="at most 1024 items"):
-            simlab._fork_map(abs, list(range(1025)), 1)
+        assert self.report(force_cpus, 1, method, 3) == forked
 
     @pytest.mark.parametrize("cpus", [1, 2, 3])
-    def test_failing_runs_raise_and_leave_no_child(self, monkeypatch, cpus):
+    def test_failing_runs_raise_and_leave_no_child(self, force_cpus, cpus):
         # one trial row cannot be split in two matched halves
         with pytest.raises(ValueError, match="degenerate matched split"):
-            self.report(monkeypatch, cpus, CertifiedMethod(gamma=2.0), runs=4, m=1)
+            self.report(force_cpus, cpus, CertifiedMethod(gamma=2.0), runs=4, m=1)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
-
-    @staticmethod
-    def handshake():
-        """``(send, wait)``: ``wait(k)`` blocks until the other process has
-        called ``send`` ``k`` times, or raises ``TimeoutError`` after 30 s
-        without one. Holding this process's item until a child sends makes
-        sure the child takes an item."""
-        read_fd, write_fd = os.pipe()
-
-        def wait(k=1):
-            for _ in range(k):
-                if not select.select([read_fd], [], [], 30)[0]:
-                    raise TimeoutError("no signal from the other worker")
-                os.read(read_fd, 1)
-
-        return (lambda: os.write(write_fd, b"x")), wait
-
-    def test_child_without_result(self):
-        parent = os.getpid()
-        send, wait = self.handshake()
-
-        def exit_in_child(item):
-            if os.getpid() != parent:
-                send()
-                os._exit(3)
-            wait()
-            return item
-
-        with pytest.raises(ChildProcessError, match="status 3"):
-            simlab._fork_map(exit_in_child, [0, 1], 2)
-
-    def test_first_failing_item_wins(self):
-        # when both workers hold an item before either fails, the error of
-        # item 0 wins whichever worker ran it
-        parent = os.getpid()
-        send, wait = self.handshake()
-
-        def fail(item):
-            if os.getpid() != parent:
-                send()
-            else:
-                wait()
-            raise ValueError(f"item {item}")
-
-        with pytest.raises(ValueError, match="item 0"):
-            simlab._fork_map(fail, [0, 1, 2], 2)
-
-    def test_memory_error_in_child(self):
-        parent = os.getpid()
-        send, wait = self.handshake()
-
-        def allocate(item):
-            if os.getpid() != parent:
-                send()
-                # 10^16 rows exceed any address space, so nothing is touched
-                return np.empty((10**16, 3)).shape
-            wait()
-            return item
-
-        with pytest.raises(MemoryError):
-            simlab._fork_map(allocate, [0, 1], 2)
-
-    def test_interrupt_kills_the_children(self):
-        # the child holds an item that waits 30 s for a signal nobody sends;
-        # the interrupted parent kills it instead of waiting for it to finish
-        parent = os.getpid()
-        send_taken, wait_taken = self.handshake()
-        _, wait_forever = self.handshake()
-
-        def hold(item):
-            if os.getpid() != parent:
-                send_taken()
-                wait_forever()
-            wait_taken()
-            raise KeyboardInterrupt
-
-        start = time.monotonic()
-        with pytest.raises(KeyboardInterrupt):
-            simlab._fork_map(hold, [0, 1], 2)
-        assert time.monotonic() - start < 10
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
-
-    def test_held_up_worker_takes_fewer_items(self):
-        # once both workers hold an item, this process holds its item until the
-        # child has run the other five, which only a shared queue allows; the
-        # results keep item order
-        parent = os.getpid()
-        send_parent, wait_parent = self.handshake()
-        send_done, wait_done = self.handshake()
-        child_waited = []
-
-        def run(item):
-            if os.getpid() != parent:
-                if not child_waited:
-                    wait_parent()
-                    child_waited.append(True)
-                send_done()
-            else:
-                send_parent()
-                wait_done(5)
-            return item, os.getpid() == parent
-
-        results = simlab._fork_map(run, list(range(6)), 2)
-        assert [item for item, _ in results] == list(range(6))
-        assert sum(in_parent for _, in_parent in results) == 1
