@@ -172,15 +172,14 @@ class PolicySpec:
         return cls("table", table=table)
 
     def prob_matrix(self, n_rows: int, k_actions: int) -> np.ndarray:
-        """Per-row action probabilities as an (n_rows, k_actions) matrix."""
+        """Per-row action probabilities as an (n_rows, k_actions) matrix; a
+        constant or uniform policy's one row is broadcast read-only."""
         if self.kind == "constant":
             if self.action >= k_actions:
                 raise ValueError("constant policy action exceeds the action count")
-            out = np.zeros((n_rows, k_actions))
-            out[:, self.action] = 1.0
-            return out
+            return np.broadcast_to(np.eye(1, k_actions, self.action), (n_rows, k_actions))
         if self.kind == "uniform":
-            return np.full((n_rows, k_actions), 1.0 / k_actions)
+            return np.broadcast_to(1.0 / k_actions, (n_rows, k_actions))
         if self.table.shape != (n_rows, k_actions):
             raise ValueError(
                 f"policy table shape {self.table.shape} does not match "
@@ -281,11 +280,11 @@ def validate_dataset(trial: TrialDataset, target: TargetCovariates):
 
 
 def sample_actions(prob_matrix: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Draw one action per row from per-row probability vectors."""
+    """Draw one action per row from per-row probability vectors; the last
+    action takes whatever mass the first k - 1 cumulative columns leave."""
     cum = np.cumsum(prob_matrix, axis=1)
     u = rng.random(prob_matrix.shape[0])
-    drawn = (u[:, None] >= cum).sum(axis=1)
-    return np.minimum(drawn, prob_matrix.shape[1] - 1).astype(np.int64)
+    return (u[:, None] >= cum[:, :-1]).sum(axis=1, dtype=np.int64)
 
 
 def random_split(trial: TrialDataset, frac: float = 0.5, seed: int = 0) -> SplitResult:

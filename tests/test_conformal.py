@@ -470,6 +470,23 @@ class TestCertify:
         with pytest.raises(ValueError, match="odds"):
             certify(trial, bad, self.POLICY, self.DESIGN, strategy)
 
+    @pytest.mark.parametrize("policy", [PolicySpec.constant(1), PolicySpec.uniform()], ids=["constant", "uniform"])
+    def test_matched_split_peak_memory(self, policy):
+        """The policy's one probability row is broadcast, not copied per trial
+        row: the matched split peaked at 64 bytes per row with an (m, k)
+        matrix and at 44 without it."""
+        m = 20_000
+        trial, odds = self.trial_and_odds(m=m, seed=8)
+        design = TrialDesign.uniform(2)
+        certify(trial, odds, policy, design, "matched")
+        tracemalloc.start()
+        try:
+            certify(trial, odds, policy, design, "matched")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 52 * m
+
     def test_unknown_split_rejected(self):
         trial, odds = self.trial_and_odds()
         with pytest.raises(ValueError, match="unknown split"):

@@ -104,6 +104,54 @@ def test_uniform_design_needs_an_action(k):
         TrialDesign.uniform(k)
 
 
+class TestPolicyRows:
+    """A constant or uniform policy's probabilities are one row broadcast
+    read-only, and an action draw gives the last action whatever mass the
+    other cumulative columns leave."""
+
+    @pytest.mark.parametrize("k", [2, 3])
+    @pytest.mark.parametrize("kind", ["constant:1", "uniform"])
+    def test_broadcast_row_is_the_materialized_matrix(self, kind, k):
+        n = 7
+        if kind == "uniform":
+            policy, expected = PolicySpec.uniform(), np.full((n, k), 1.0 / k)
+        else:
+            policy, expected = PolicySpec.constant(1), np.zeros((n, k))
+            expected[:, 1] = 1.0
+        probs = policy.prob_matrix(n, k)
+        assert probs.shape == expected.shape and probs.dtype == expected.dtype
+        assert probs.tobytes() == expected.tobytes()
+        assert probs.strides[0] == 0
+        with pytest.raises(ValueError, match="read-only"):
+            probs[0, 0] = 0.5
+
+    @staticmethod
+    def clamped_draw(probs, rng):
+        """The clamped rule: count every cumulative column at or below u,
+        then clamp the count to the last action."""
+        cum = np.cumsum(probs, axis=1)
+        u = rng.random(probs.shape[0])
+        return np.minimum((u[:, None] >= cum).sum(axis=1), probs.shape[1] - 1)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 6])
+    def test_draw_equals_the_clamped_rule(self, k):
+        n = 400
+        for seed in range(5):
+            u = np.random.default_rng(seed).random(n)
+            rng = np.random.default_rng(100 * k + seed)
+            table = rng.dirichlet(np.ones(k), n)
+            table[:100] *= 1.0 + rng.choice([-1e-12, 1e-12], size=(100, 1))
+            if k > 1:
+                table[np.arange(100, 200), rng.integers(0, k, 100)] = 0.0
+                # a first cumulative column equal to the draw it is compared with
+                table[200:300, 0] = u[200:300]
+            # mass short of the draw, which the clamp gave to the last action
+            table[300:] *= u[300:, None] * rng.random((100, 1))
+            drawn = sample_actions(table, np.random.default_rng(seed))
+            assert drawn.dtype == np.int64
+            assert np.array_equal(drawn, self.clamped_draw(table, np.random.default_rng(seed)))
+
+
 class TestRandomSplit:
     def test_half_split_sizes(self):
         split = random_split(make_trial(m=10), frac=0.5, seed=1)
