@@ -444,8 +444,9 @@ OUTPUT_FLAGS = ("target_out", "trial_out", "pool_out", "out", "out_json", "out_c
 
 def _refuse_clobber(ns: argparse.Namespace) -> None:
     """Refuse, before any file is read, an empty path, an output path that is
-    a directory, and an output path that names the same file as an input or
-    another output of the command, so that no output overwrites either."""
+    a directory or whose directory does not exist, and an output path that
+    names the same file as an input or another output of the command, so that
+    no output overwrites either and a refused command writes no output."""
 
     def named(keys):
         return [(f"--{key.replace('_', '-')}", getattr(ns, key, None)) for key in keys]
@@ -469,6 +470,8 @@ def _refuse_clobber(ns: argparse.Namespace) -> None:
             real = os.path.realpath(path)
             if real in seen:
                 raise ValueError(f"{flag} and {seen[real]} name the same file {path}")
+            if not os.path.isdir(os.path.dirname(path) or "."):
+                raise ValueError(f"{flag} {path!r} is not in an existing directory")
             seen[real] = flag
 
 

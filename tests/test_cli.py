@@ -748,9 +748,9 @@ class TestOutputsNeverClobber:
 
 
 class TestUnusablePaths:
-    """An empty path, or an output path that is a directory, is refused
-    before any file is read: one error line names the flag, the exit code is
-    1, and no file is written."""
+    """An empty path, or an output path that is a directory or is not in
+    one, is refused before any file is read: one error line names the flag,
+    the exit code is 1, and no file is written."""
 
     @staticmethod
     def refused(tmp_path, capsys, argv, line):
@@ -796,6 +796,23 @@ class TestUnusablePaths:
             argv = ("evaluate", "--trial", trial, "--model", model, "--policy", "constant:1",
                     "--l-max", 100.0, *(a for pair in outputs.items() for a in pair))
         self.refused(tmp_path, capsys, argv, f"{flag} {folder} is a directory")
+
+    @pytest.mark.parametrize("parent", ["nodir", "trial.csv"])
+    @pytest.mark.parametrize("command", ["evaluate", "simulate", "fit"])
+    def test_output_outside_any_directory(self, tmp_path, simulated, model, capsys, command, parent):
+        """`evaluate` and `simulate` write the refused output last, so an
+        earlier output would be left behind if the check waited for the write."""
+        _, trial, pool = simulated
+        out = tmp_path / parent / "out.csv"
+        argv = {
+            "evaluate": ("evaluate", "--trial", trial, "--model", model, "--policy", "constant:1",
+                         "--l-max", 100.0, "--out-json", tmp_path / "o.json", "--out-csv", out),
+            "simulate": ("simulate", "--pop", "A", "--n", 10, "--m", 10, "--target-out",
+                         tmp_path / "t.csv", "--trial-out", tmp_path / "r.csv", "--pool-out", out),
+            "fit": ("fit", "--pool", pool, "--out", out),
+        }[command]
+        flag = argv[-2]
+        self.refused(tmp_path, capsys, argv, f"{flag} {str(out)!r} is not in an existing directory")
 
 
 class TestInputDecoding:
