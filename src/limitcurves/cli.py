@@ -219,7 +219,7 @@ def _cmd_evaluate(ns) -> int:
     if ns.target is not None:
         print(f"warning: {ns.target}: {TARGET_UNREAD}", file=sys.stderr)
     design, trial, policy, odds = _read_study(ns, l_max)
-    cal, ws, _ = certify(trial, odds, policy, design, ns.split, ns.frac, ns.seed)
+    cal, ws = certify(trial, odds, policy, design, ns.split, ns.frac, ns.seed)[:2]
     curve = limit_curve(cal, ws, alphas, gammas, l_max)
     body = {
         "l_max": curve.l_max,

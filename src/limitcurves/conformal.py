@@ -38,10 +38,10 @@ def default_beta_grid(alpha, points: int = BETA_POINTS) -> np.ndarray:
 
 
 class CalibrationSet:
-    """Losses with per-sample lower/upper shift weights, sorted by loss.
-
-    Ties keep their original input order; weights follow their sample through
-    the sort.
+    """Losses with per-sample lower/upper shift weights, sorted by loss; ties
+    keep their input order and weights follow their sample. ``lower`` and
+    ``upper`` may be one shared array, which is then sorted once and held
+    once; neither is written after construction.
     """
 
     def __init__(self, losses, lower, upper):
@@ -63,11 +63,11 @@ class CalibrationSet:
         order = np.argsort(losses, kind="stable")
         self.losses = losses[order]
         self.lower = lower[order]
-        self.upper = upper[order]
+        self.upper = self.lower if upper is lower else upper[order]
+        del order  # freed before group_ends is built
         # last index of every run of equal losses: the points where the
         # stand-in CDF can jump
-        changes = np.flatnonzero(self.losses[1:] != self.losses[:-1])
-        self.group_ends = np.append(changes, self.losses.shape[0] - 1).astype(np.int64)
+        self.group_ends = np.flatnonzero(np.append(self.losses[1:] != self.losses[:-1], True))
 
     @property
     def size(self) -> int:
@@ -168,9 +168,8 @@ def _scan_arrays(losses_sorted, lower, upper, group_ends):
     Both arrays are cumulative sums of nonnegative weights, so ``prefix``
     never decreases and ``suffix`` never increases, in floating point too.
     """
-    above = np.cumsum(upper[::-1])[::-1]
-    suffix = np.append(above[1:], 0.0)
-    return losses_sorted[group_ends], np.cumsum(lower)[group_ends], suffix[group_ends]
+    suffix = np.append(np.cumsum(upper[::-1])[::-1], 0.0)[group_ends + 1]
+    return losses_sorted[group_ends], np.cumsum(lower)[group_ends], suffix
 
 
 def quantile(cal: CalibrationSet, w_bound: float, alpha: float, beta: float) -> float | None:

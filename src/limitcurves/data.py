@@ -282,7 +282,8 @@ def validate_dataset(trial: TrialDataset, target: TargetCovariates):
 def sample_actions(prob_matrix: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Draw one action per row from per-row probability vectors; the last
     action takes whatever mass the first k - 1 cumulative columns leave."""
-    cum = np.cumsum(prob_matrix, axis=1)
+    # a broadcast (stride-0) row is summed once
+    cum = np.cumsum(prob_matrix[:1] if prob_matrix.strides[0] == 0 else prob_matrix, axis=1)
     u = rng.random(prob_matrix.shape[0])
     return (u[:, None] >= cum[:, :-1]).sum(axis=1, dtype=np.int64)
 
@@ -295,10 +296,9 @@ def random_split(trial: TrialDataset, frac: float = 0.5, seed: int = 0) -> Split
         raise ValueError(
             f"degenerate split: frac={frac} over m={trial.m} leaves an empty side"
         )
-    perm = np.random.default_rng(seed).permutation(trial.m)
-    idx_prime = np.sort(perm[:m_prime])
-    idx_double = np.sort(perm[m_prime:])
-    return SplitResult(trial, idx_prime, idx_double)
+    in_prime = np.zeros(trial.m, dtype=bool)
+    in_prime[np.random.default_rng(seed).permutation(trial.m)[:m_prime]] = True
+    return SplitResult(trial, np.flatnonzero(in_prime), np.flatnonzero(~in_prime))
 
 
 def matched_split(

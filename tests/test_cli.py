@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,7 @@ import limitcurves
 from limitcurves import fileio
 from limitcurves.cli import main, parse_alpha_grid, parse_design, parse_policy
 from limitcurves.conformal import default_alpha_grid
+from limitcurves.data import TrialDataset
 
 
 def run(*argv):
@@ -256,6 +258,38 @@ class TestEvaluate:
             "--l-max", 100.0,
             "--out-json", tmp_path / "s.json", "--out-csv", tmp_path / "s.csv",
         ) == 0
+
+    @pytest.fixture(scope="class")
+    def large_study(self, tmp_path_factory):
+        """A 1e5-row trial with continuous losses and two actions, its odds
+        file, and the bytes of its covariate, action and loss columns."""
+        m = 100_000
+        rng = np.random.default_rng(3)
+        trial = TrialDataset(rng.normal(size=(m, 2)), rng.integers(0, 2, m), rng.normal(size=m), 2)
+        folder = tmp_path_factory.mktemp("large")
+        fileio.write_trial_csv(folder / "trial.csv", trial)
+        fileio.write_columns(folder / "scores.csv", ["id", "odds"], [np.arange(m), rng.lognormal(size=m)])
+        return folder, trial.x.nbytes + trial.actions.nbytes + trial.losses.nbytes
+
+    @pytest.mark.parametrize("policy", ["constant:1", "uniform"])
+    @pytest.mark.parametrize("split", ["random", "matched"])
+    def test_large_trial_peak_memory(self, tmp_path, large_study, split, policy):
+        """A whole evaluate of a 1e5-row trial peaks at 2.39-2.44 times the
+        trial's column bytes; with a second copy of per-row arrays on the
+        certify path it peaked at 2.78-2.92."""
+        folder, column_bytes = large_study
+        tracemalloc.start()
+        try:
+            code = run(
+                "evaluate", "--trial", folder / "trial.csv", "--scores", folder / "scores.csv",
+                "--policy", policy, "--split", split, "--l-max", 100.0,
+                "--out-json", tmp_path / "c.json", "--out-csv", tmp_path / "c.csv",
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak <= 2.75 * column_bytes
 
 
 class TestBenchmarkGamma:

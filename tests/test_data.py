@@ -169,6 +169,22 @@ class TestRandomSplit:
             merged = np.sort(np.concatenate([split.idx_prime, split.idx_double_prime]))
             assert np.array_equal(merged, np.arange(17))
 
+    @pytest.mark.parametrize("m, frac, seed", [(2, 0.5, 0), (12, 0.5, 1), (17, 0.4, 3), (101, 0.3, 9), (1000, 0.75, 12345)])
+    def test_halves_are_the_sorted_halves_of_the_seeded_permutation(self, m, frac, seed):
+        """D' is the first round(frac * m) entries of
+        ``default_rng(seed).permutation(m)`` in ascending order, D'' the rest."""
+        perm = np.random.default_rng(seed).permutation(m)
+        k = int(np.floor(frac * m + 0.5))
+        split = random_split(make_trial(m=m), frac=frac, seed=seed)
+        assert np.array_equal(split.idx_prime, np.sort(perm[:k]))
+        assert np.array_equal(split.idx_double_prime, np.sort(perm[k:]))
+
+    def test_permutation_stream_is_pinned(self):
+        """The seeded permutation itself, so a numpy whose generator draws
+        another stream fails here rather than only in the golden outputs."""
+        assert np.random.default_rng(1).permutation(12).tolist() == [8, 11, 4, 7, 5, 0, 1, 9, 2, 10, 6, 3]
+        assert random_split(make_trial(m=12), frac=0.5, seed=1).idx_prime.tolist() == [0, 4, 5, 7, 8, 11]
+
     def test_degenerate_split_rejected(self):
         with pytest.raises(ValueError):
             random_split(make_trial(m=1), frac=0.5, seed=0)
